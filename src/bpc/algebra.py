@@ -130,7 +130,7 @@ _BASIS_ORDER = {t: k for side in SIDES for k, t in enumerate(basis_tokens(side))
 
 def check_token(token: str) -> str:
     """Validate a basis token, returning it unchanged."""
-    if token not in _BASIS_ORDER:
+    if not isinstance(token, str) or token not in _BASIS_ORDER:
         raise ValueError(f"unknown algebra token {token!r}")
     return token
 

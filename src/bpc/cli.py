@@ -104,8 +104,16 @@ def cmd_equiv(args):
 
 def _path_cap(args):
     if args.cap is not None:
-        return args.cap
-    return int(os.environ.get("BPC_CAP", DEFAULT_PATH_CAP))
+        cap, source = args.cap, "--cap"
+    else:
+        raw = os.environ.get("BPC_CAP", str(DEFAULT_PATH_CAP))
+        try:
+            cap, source = int(raw), "BPC_CAP"
+        except ValueError:
+            raise UsageError(f"BPC_CAP must be an integer, got {raw!r}")
+    if cap < 1:
+        raise UsageError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def cmd_pair(args):

@@ -180,20 +180,17 @@ def homology_rank(C: ChainComplexF2) -> int:
             _toggle(squared, (x, z))
     if any(squared.values()):
         raise ValueError("boundary does not square to zero")
-    rows = []
+    # echelon basis of the boundary's row space, one row per leading bit;
+    # each row is reduced against it and joins it if anything is left
+    pivots = {}
     for g in C.generators:
-        mask = 0
+        row = 0
         for tgt in outgoing.get(g, ()):
-            mask ^= 1 << idx[tgt]
-        if mask:
-            rows.append(mask)
-    rank = 0
-    for col in range(len(C.generators)):
-        bit = 1 << col
-        pivot = next((r for r in rows if r & bit), None)
-        if pivot is None:
-            continue
-        rows = [r ^ pivot if (r & bit) and r is not pivot else r for r in rows]
-        rows.remove(pivot)
-        rank += 1
-    return len(C.generators) - 2 * rank
+            row ^= 1 << idx[tgt]
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(C.generators) - 2 * len(pivots)

@@ -34,6 +34,18 @@ def _require_fields(obj: dict, fields: set, where: str):
         raise ValueError(f"{where}: missing fields {sorted(missing)}")
 
 
+def _array(doc: dict, field: str) -> list:
+    if not isinstance(doc[field], list):
+        raise ValueError(f"{field}: expected an array")
+    return doc[field]
+
+
+def _name(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: generator names must be strings, got {value!r}")
+    return value
+
+
 def _idem(side: str, token: str) -> int:
     check_token(token)
     if side_of(token) != side or token[1:] not in ("1", "2"):
@@ -116,15 +128,20 @@ def from_dict(doc: dict):
         if doc["sides"] != ["left", "right"]:
             raise ValueError("DD structures carry sides ['left', 'right']")
         gens = []
-        for g in doc["generators"]:
+        for g in _array(doc, "generators"):
             _require_fields(g, {"name", "left", "right"}, "generator")
             gens.append(
-                DDGenerator(g["name"], _idem("left", g["left"]), _idem("right", g["right"]))
+                DDGenerator(
+                    _name(g["name"], "generator"),
+                    _idem("left", g["left"]),
+                    _idem("right", g["right"]),
+                )
             )
         arrows = set()
-        for a in doc["arrows"]:
+        for a in _array(doc, "arrows"):
             _require_fields(a, {"source", "left", "right", "target"}, "arrow")
-            arrows.add((a["source"], check_token(a["left"]), check_token(a["right"]), a["target"]))
+            src, tgt = _name(a["source"], "arrow"), _name(a["target"], "arrow")
+            arrows.add((src, check_token(a["left"]), check_token(a["right"]), tgt))
         return DDStructure(tuple(gens), frozenset(arrows))
     if kind == "D":
         _require_fields(
@@ -134,13 +151,14 @@ def from_dict(doc: dict):
             raise ValueError("D structures carry one side")
         side = doc["sides"][0]
         gens = []
-        for g in doc["generators"]:
+        for g in _array(doc, "generators"):
             _require_fields(g, {"name", "idem"}, "generator")
-            gens.append(DGenerator(g["name"], _idem(side, g["idem"])))
+            gens.append(DGenerator(_name(g["name"], "generator"), _idem(side, g["idem"])))
         arrows = set()
-        for a in doc["arrows"]:
+        for a in _array(doc, "arrows"):
             _require_fields(a, {"source", "label", "target"}, "arrow")
-            arrows.add((a["source"], check_token(a["label"]), a["target"]))
+            src, tgt = _name(a["source"], "arrow"), _name(a["target"], "arrow")
+            arrows.add((src, check_token(a["label"]), tgt))
         return DStructure(side, tuple(gens), frozenset(arrows))
     if kind == "A":
         _require_fields(
@@ -151,19 +169,19 @@ def from_dict(doc: dict):
         if doc["sides"] != []:
             raise ValueError("A modules store side-agnostic chords")
         gens = []
-        for g in doc["generators"]:
+        for g in _array(doc, "generators"):
             _require_fields(g, {"name", "occupancy"}, "generator")
             if g["occupancy"] not in (1, 2):
                 raise ValueError(f"bad occupancy {g['occupancy']!r}")
-            gens.append(AGenerator(g["name"], g["occupancy"]))
+            gens.append(AGenerator(_name(g["name"], "generator"), g["occupancy"]))
         ops = set()
-        for o in doc["operations"]:
+        for o in _array(doc, "operations"):
             _require_fields(o, {"source", "chords", "target"}, "operation")
-            seq = tuple(o["chords"])
+            seq = tuple(_array(o, "chords"))
             for c in seq:
                 if c not in INTERVALS:
                     raise ValueError(f"unknown chord interval {c!r}")
-            ops.add((o["source"], seq, o["target"]))
+            ops.add((_name(o["source"], "operation"), seq, _name(o["target"], "operation")))
         cap = doc["capped_arity"]
         if cap is not None and (not isinstance(cap, int) or cap < 0):
             raise ValueError(f"bad capped_arity {cap!r}")
@@ -174,11 +192,11 @@ def from_dict(doc: dict):
         )
         if doc["sides"] != []:
             raise ValueError("complexes carry no algebra labels")
-        gens = tuple(doc["generators"])
+        gens = tuple(_name(g, "generator") for g in _array(doc, "generators"))
         arrows = set()
-        for a in doc["arrows"]:
+        for a in _array(doc, "arrows"):
             _require_fields(a, {"source", "target"}, "arrow")
-            arrows.add((a["source"], a["target"]))
+            arrows.add((_name(a["source"], "arrow"), _name(a["target"], "arrow")))
         return ChainComplexF2(gens, frozenset(arrows))
     raise ValueError(f"unknown kind {kind!r}")
 

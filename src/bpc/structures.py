@@ -14,6 +14,7 @@ mod-2 sum over two-step paths x -> y -> z of the componentwise label
 products vanishes.  check_dd/check_d verify exactly that.
 """
 
+import bisect
 import random
 import re
 from dataclasses import dataclass
@@ -500,7 +501,7 @@ def _rebuild(S, names, arrows):
 
 def _natural_key(name):
     """Name sort key comparing embedded integers numerically."""
-    return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name))
+    return tuple(int(p) if p.isdecimal() else p for p in re.split(r"(\d+)", name))
 
 
 def reduce(S, rng: random.Random | None = None):
@@ -511,39 +512,56 @@ def reduce(S, rng: random.Random | None = None):
     composite w -> y, x -> z to w -> z with multiplied labels, mod 2.
     The default order cancels the greatest (source, target) unit arrow
     first, names ordered naturally (embedded integers compared as
-    numbers), which collapses indexed structures from their far corner;
-    passing an rng picks uniformly instead.  The homotopy type does not
-    depend on the choice.
+    numbers, names with equal natural keys by plain string order), which
+    collapses indexed structures from their far corner; passing an rng
+    picks uniformly instead.  The homotopy type does not depend on the
+    choice.
+
+    Arrows live in per-generator adjacency sets and the non-loop unit
+    arrows in one sorted index, so cancelling x -> y costs one toggle per
+    arrow at x or y plus in(y) * out(x) fill-in toggles, each a set
+    update and, for a unit arrow, a bisect into the index; nothing
+    rescans or re-sorts the whole arrow set.
     """
     _, attrs, arrows, mul, unit = _graph_data(S)
-    names = set(attrs)
-    while True:
-        units = sorted(
-            ((s, t) for s, label, t in arrows if unit(label) and s != t),
-            key=lambda a: (_natural_key(a[0]), _natural_key(a[1])),
-        )
-        if not units:
-            break
-        x, y = units[-1] if rng is None else units[rng.randrange(len(units))]
-        ins = [(w, label) for w, label, t in arrows if t == y and w not in (x, y)]
-        outs = [(label, z) for s, label, z in arrows if s == x and z not in (x, y)]
-        arrows = {
-            (s, label, t)
-            for s, label, t in arrows
-            if s not in (x, y) and t not in (x, y)
-        }
+    key = {g: _natural_key(g) for g in attrs}
+    out = {g: set() for g in attrs}  # g -> {(label, target)}
+    into = {g: set() for g in attrs}  # g -> {(source, label)}
+    for s, label, t in arrows:
+        out[s].add((label, t))
+        into[t].add((s, label))
+    # non-loop unit arrows, ascending by natural (source, target) order
+    units = sorted((key[s], key[t], s, t) for s, label, t in arrows if s != t and unit(label))
+
+    def toggle(s, label, t):
+        indexed = s != t and unit(label)
+        if (label, t) in out[s]:
+            out[s].discard((label, t))
+            into[t].discard((s, label))
+            if indexed:
+                del units[bisect.bisect_left(units, (key[s], key[t], s, t))]
+        else:
+            out[s].add((label, t))
+            into[t].add((s, label))
+            if indexed:
+                bisect.insort(units, (key[s], key[t], s, t))
+
+    while units:
+        _, _, x, y = units[-1] if rng is None else units[rng.randrange(len(units))]
+        ins = [(w, label) for w, label in into[y] if w not in (x, y)]
+        outs = [(label, z) for label, z in out[x] if z not in (x, y)]
+        detached = {(g, label, t) for g in (x, y) for label, t in out[g]}
+        detached.update((s, label, g) for g in (x, y) for s, label in into[g])
+        for arrow in detached:
+            toggle(*arrow)
+        for g in (x, y):
+            del out[g], into[g]
         for w, l1 in ins:
             for l2, z in outs:
                 p = mul(l1, l2)
                 if p is not None:
-                    arrow = (w, p, z)
-                    if arrow in arrows:
-                        arrows.discard(arrow)
-                    else:
-                        arrows.add(arrow)
-        names.discard(x)
-        names.discard(y)
-    return _rebuild(S, names, arrows)
+                    toggle(w, p, z)
+    return _rebuild(S, out.keys(), {(s, label, t) for s in out for label, t in out[s]})
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +572,8 @@ def isomorphic(S1, S2):
     """Label- and idempotent-preserving generator bijection, or None.
 
     Backtracking search over generators, pruned by local signatures
-    (idempotents plus in/out label multisets).  Both inputs must be the
-    same kind of structure.
+    (idempotents, in/out label multisets and self-loop labels).  Both
+    inputs must be the same kind of structure.
     """
     kind1, attrs1, arrows1, _, _ = _graph_data(S1)
     kind2, attrs2, arrows2, _, _ = _graph_data(S2)
@@ -581,8 +599,15 @@ def isomorphic(S1, S2):
             for label in sorted(labels):
                 outs[s].append(label)
                 ins[t].append(label)
+        # consistent() checks arrows to assigned generators only, never a
+        # self-loop, so the loop labels belong in the signature
         return {
-            g: (attrs[g], tuple(sorted(outs[g])), tuple(sorted(ins[g])))
+            g: (
+                attrs[g],
+                tuple(sorted(outs[g])),
+                tuple(sorted(ins[g])),
+                tuple(sorted(edges.get((g, g), ()))),
+            )
             for g in attrs
         }
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bpc.cli import main
 from bpc.serialize import from_json, to_json
 from bpc.structures import ChainComplexF2
@@ -100,6 +102,31 @@ def test_pair_cap_from_environment(capsys, monkeypatch):
     assert run(capsys, "pair", "--n", "2", "--right", "2")[0] == 1
     monkeypatch.setenv("BPC_CAP", "80")
     assert run(capsys, "pair", "--n", "2", "--right", "2")[0] == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "", "2.5", "0", "-3"])
+def test_pair_malformed_cap_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("BPC_CAP", value)
+    code, _, stderr = run(capsys, "pair", "--n", "2", "--right", "2")
+    assert code == 2
+    assert "BPC_CAP" in stderr
+
+
+def test_pair_cap_below_one_is_usage_error(capsys):
+    code, _, stderr = run(capsys, "pair", "--n", "2", "--right", "2", "--cap", "0")
+    assert code == 2
+    assert "--cap" in stderr
+
+
+def test_reduce_rejects_non_string_names(capsys, tmp_path):
+    c_path = tmp_path / "c.json"
+    doc = json.loads(to_json(ChainComplexF2(("a", "b"), frozenset({("a", "b")}))))
+    doc["generators"] = [1, 2]
+    doc["arrows"] = [{"source": 1, "target": 2}]
+    c_path.write_text(json.dumps(doc))
+    code, _, stderr = run(capsys, "reduce", "--in", str(c_path))
+    assert code == 2
+    assert "strings" in stderr
 
 
 def test_reduce_roundtrip(capsys, tmp_path):

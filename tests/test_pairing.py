@@ -145,6 +145,30 @@ def test_homology_rank_edge_cases():
         homology_rank(bad)
 
 
+def test_homology_rank_eliminates_equal_rows():
+    # d(x) = d(y) = a + b: rank of the boundary is 1, so H has rank 2;
+    # the two rows are equal small ints, the same object in CPython
+    C = ChainComplexF2(
+        ("a", "b", "x", "y"),
+        frozenset({("x", "a"), ("x", "b"), ("y", "a"), ("y", "b")}),
+    )
+    assert homology_rank(C) == 2 == len(reduce(C).generators)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_homology_rank_matches_cancellation(seed):
+    # every arrow runs a_i -> b_j, so d squares to zero; dense rows make
+    # equal and dependent rows common
+    rng = random.Random(seed)
+    k = rng.randint(2, 14)
+    gens = tuple(f"{side}{i}" for side in "ab" for i in range(k))
+    arrows = frozenset(
+        (f"a{i}", f"b{j}") for i in range(k) for j in range(k) if rng.random() < 0.4
+    )
+    C = ChainComplexF2(gens, arrows)
+    assert homology_rank(C) == len(reduce(C).generators)
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_box_generator_counts(n):
     D = box_right(build_cfa_infinity(), build_cfdd_full(n))

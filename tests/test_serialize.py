@@ -76,3 +76,34 @@ def test_sides_validated():
     doc["sides"] = ["right", "left"]
     with pytest.raises(ValueError, match="sides"):
         from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("S", fixtures(), ids=lambda s: type(s).__name__)
+def test_non_string_names_rejected(S):
+    doc = json.loads(to_json(S))
+    if doc["kind"] == "complex":
+        doc["generators"][0] = 7
+    else:
+        doc["generators"][0]["name"] = 7
+    with pytest.raises(ValueError, match="strings"):
+        from_json(json.dumps(doc))
+    doc = json.loads(to_json(S))
+    edges = doc["operations" if doc["kind"] == "A" else "arrows"]
+    edges[0]["source"] = ["a"]
+    with pytest.raises(ValueError, match="strings"):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", ["generators", "arrows"])
+def test_non_array_fields_rejected(field):
+    doc = json.loads(to_json(ChainComplexF2(("a", "b"), frozenset({("a", "b")}))))
+    doc[field] = "ab"
+    with pytest.raises(ValueError, match="array"):
+        from_json(json.dumps(doc))
+
+
+def test_non_string_token_rejected():
+    doc = json.loads(to_json(build_cfdd_full(1)))
+    doc["arrows"][0]["left"] = ["r1"]
+    with pytest.raises(ValueError, match="token"):
+        from_json(json.dumps(doc))

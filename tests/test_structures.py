@@ -3,6 +3,8 @@ import random
 import pytest
 
 from bpc.algebra import is_idempotent
+from bpc.pairing import box_left, box_right
+from bpc.solid_torus import build_cfa_framed
 from bpc.structures import (
     AGenerator,
     AModule,
@@ -24,6 +26,7 @@ from bpc.structures import (
     verify_homotopy,
     zero_morphism,
 )
+from bpc.structures import _graph_data, _natural_key, _rebuild
 from bpc.torus_link import build_cfdd_full, build_cfdd_simplified, build_equivalence
 
 
@@ -197,6 +200,70 @@ def test_reduce_complex_collapses_to_homology():
     assert len(red.generators) == 1 and not red.arrows
 
 
+def _reduce_reference(S, rng=None):
+    """The rescanning cancellation loop reduce replaced, kept as its oracle:
+    every step re-sorts all unit arrows and rebuilds the arrow set."""
+    _, attrs, arrows, mul, unit = _graph_data(S)
+    names = set(attrs)
+    while True:
+        units = sorted(
+            ((s, t) for s, label, t in arrows if unit(label) and s != t),
+            key=lambda a: (_natural_key(a[0]), _natural_key(a[1])),
+        )
+        if not units:
+            break
+        x, y = units[-1] if rng is None else units[rng.randrange(len(units))]
+        ins = [(w, label) for w, label, t in arrows if t == y and w not in (x, y)]
+        outs = [(label, z) for s, label, z in arrows if s == x and z not in (x, y)]
+        arrows = {
+            (s, label, t)
+            for s, label, t in arrows
+            if s not in (x, y) and t not in (x, y)
+        }
+        for w, l1 in ins:
+            for l2, z in outs:
+                p = mul(l1, l2)
+                if p is not None:
+                    arrows ^= {(w, p, z)}
+        names -= {x, y}
+    return _rebuild(S, names, arrows)
+
+
+def _reduce_inputs():
+    for n in range(1, 9):
+        S = build_cfdd_full(n)
+        D = box_right(build_cfa_framed(3), S)
+        yield f"DD-n{n}", S
+        yield f"D-n{n}", D
+        yield f"complex-n{n}", box_left(build_cfa_framed(2), D)
+
+
+REDUCE_INPUTS = dict(_reduce_inputs())
+
+
+@pytest.mark.parametrize("S", REDUCE_INPUTS.values(), ids=REDUCE_INPUTS.keys())
+def test_reduce_matches_reference(S):
+    assert reduce(S) == _reduce_reference(S)
+    for seed in range(3):
+        assert reduce(S, random.Random(seed)) == _reduce_reference(S, random.Random(seed))
+
+
+def test_reduce_breaks_natural_key_ties_by_name():
+    # "a01" and "a1" have equal natural keys; the greater name goes first
+    C = ChainComplexF2(("a01", "a1", "b"), frozenset({("b", "a01"), ("b", "a1")}))
+    assert reduce(C).generators == ("a01",)
+    # superscript digits are not decimal: they stay text in the key
+    C = ChainComplexF2(("²", "b"), frozenset({("b", "²")}))
+    assert reduce(C).generators == ()
+
+
+def test_reduce_full_model_n48():
+    red = reduce(build_cfdd_full(48))
+    assert check_dd(red).ok
+    assert len(red.generators) == 4 * 48 - 2 == 190
+    assert len(red.arrows) == len(build_cfdd_simplified(48).arrows)
+
+
 def test_isomorphic_reflexive_and_symmetric():
     structures = [build_cfdd_full(2), build_cfdd_simplified(3), reduce(build_cfdd_full(3))]
     for S in structures:
@@ -220,6 +287,19 @@ def test_isomorphic_full_vs_simplified():
         simp = build_cfdd_simplified(n)
         assert len(red.generators) == len(simp.generators) == 4 * n - 2
         assert isomorphic(red, simp) is not None
+
+
+def test_isomorphic_respects_self_loops():
+    loops = ChainComplexF2(("p", "q"), frozenset({("p", "p"), ("q", "q")}))
+    swap = ChainComplexF2(("p", "q"), frozenset({("p", "q"), ("q", "p")}))
+    assert isomorphic(loops, swap) is None
+    assert isomorphic(loops, loops) is not None
+    gens = (DGenerator("p", 1), DGenerator("q", 1))
+    d_loops = DStructure("left", gens, frozenset({("p", "r12", "p"), ("q", "r12", "q")}))
+    d_swap = DStructure("left", gens, frozenset({("p", "r12", "q"), ("q", "r12", "p")}))
+    assert isomorphic(d_loops, d_swap) is None
+    assert isomorphic(d_swap, d_loops) is None
+    assert isomorphic(d_loops, d_loops) is not None
 
 
 def test_isomorphic_rejects_kind_mismatch():
