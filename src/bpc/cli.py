@@ -144,6 +144,8 @@ def cmd_pair(args):
 
 
 def cmd_reduce(args):
+    if args.check_orders < 0:
+        raise UsageError(f"--check-orders must be at least 0, got {args.check_orders}")
     S = _load_structure(args.infile)
     reduced = structures.reduce(S)
     if args.check_orders:
@@ -219,7 +221,11 @@ def build_parser():
         type=int,
         default=0,
         metavar="K",
-        help="also reduce K times in seeded random order and require isomorphic results",
+        help=(
+            "also reduce K times in seeded random order and require results"
+            " isomorphic by a generator bijection (stricter than homotopy"
+            " equivalence, so gen output can fail for n >= 2)"
+        ),
     )
     p.set_defaults(func=cmd_reduce)
 

@@ -63,12 +63,15 @@ def _check_cap(cfg: PairingConfig, module: AModule):
         raise ValueError("path cap is smaller than the longest module operation")
 
 
-def _guard_family_cap(module: AModule, length: int):
-    if module.capped_arity is not None and length >= module.capped_arity:
-        raise PathCapExceeded(
-            "path enumeration touched the family cap of the module; "
-            "rebuild it with a larger cap"
-        )
+def _guard_path(cfg: PairingConfig, module: AModule, where: str, source: str, seq: tuple):
+    """Raise PathCapExceeded, naming the path, if seq reaches either cap."""
+    if len(seq) > cfg.path_cap:
+        what = f"path cap {cfg.path_cap} exceeded"
+    elif module.capped_arity is not None and len(seq) >= module.capped_arity:
+        what = f"module family cap {module.capped_arity} touched (rebuild it with a larger cap)"
+    else:
+        return
+    raise PathCapExceeded(f"{what} during {where} from {source!r} along chords {' '.join(seq)}")
 
 
 def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> DStructure:
@@ -103,9 +106,7 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
                 if nprod is None:
                     continue
                 nseq = seq + (chord_interval(r),)
-                if len(nseq) > cfg.path_cap:
-                    raise PathCapExceeded("path cap exceeded during box_right")
-                _guard_family_cap(A, len(nseq))
+                _guard_path(cfg, A, "box_right", source, nseq)
                 key = (a, nseq)
                 if key in table:
                     for tgt in table[key]:
@@ -149,9 +150,7 @@ def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> Cha
                         _toggle(parity, (source, f"{a}*{nxt}"))
                     continue
                 nseq = seq + (chord_interval(t),)
-                if len(nseq) > cfg.path_cap:
-                    raise PathCapExceeded("path cap exceeded during box_left")
-                _guard_family_cap(A, len(nseq))
+                _guard_path(cfg, A, "box_left", source, nseq)
                 key = (a, nseq)
                 if key in table:
                     for tgt in table[key]:

@@ -571,9 +571,27 @@ def reduce(S, rng: random.Random | None = None):
 def isomorphic(S1, S2):
     """Label- and idempotent-preserving generator bijection, or None.
 
-    Backtracking search over generators, pruned by local signatures
-    (idempotents, in/out label multisets and self-loop labels).  Both
-    inputs must be the same kind of structure.
+    Colour refinement plus individualization (McKay and Piperno,
+    "Practical graph isomorphism II", arXiv 1301.1493) on the disjoint
+    union of both labeled graphs, generators and labels numbered as ints
+    and colour ids shared by the two sides.  A generator starts coloured
+    by its idempotents, in/out label multisets and self-loop labels; each
+    refinement round recolours it by (colour, sorted (label, neighbour
+    colour) over its in- and out-arrows) until the number of colours
+    stops growing or every colour holds one generator per side.  A colour
+    held unequally by the two sides ends the branch.  A discrete
+    colouring forces the bijection, which is checked against the arrow
+    sets.  Otherwise the first side-1 generator of the smallest
+    non-singleton colour is individualized against each side-2 member on
+    an explicit stack, each branch refined when popped.
+
+    A round costs O(V + E log d) for V generators, E arrows and degree d,
+    and a refinement at most one round per new colour.  Inputs whose
+    refinement settles without branching, such as reduced vs simplified
+    models, cost a few rounds; the search tree is exponential only for
+    inputs that refinement cannot tell apart, and no recursion is used,
+    so size is not limited by the interpreter stack.  Both inputs must
+    be the same kind of structure.
     """
     kind1, attrs1, arrows1, _, _ = _graph_data(S1)
     kind2, attrs2, arrows2, _, _ = _graph_data(S2)
@@ -581,82 +599,75 @@ def isomorphic(S1, S2):
         raise ValueError(f"cannot compare {kind1} with {kind2}")
     if isinstance(S1, DStructure) and S1.side != S2.side:
         raise ValueError("cannot compare D structures over different algebras")
-    if len(attrs1) != len(attrs2) or len(arrows1) != len(arrows2):
+    k = len(attrs1)
+    if k != len(attrs2) or len(arrows1) != len(arrows2):
         return None
 
-    def edge_map(arrows):
-        out = {}
-        for s, label, t in arrows:
-            out.setdefault((s, t), set()).add(label)
-        return out
+    names = [*attrs1, *attrs2]
+    labels = {}
 
-    edges1, edges2 = edge_map(arrows1), edge_map(arrows2)
+    def numbered(arrows, start):
+        number = {g: v for v, g in enumerate(names[start : start + k], start)}
+        return {(number[s], labels.setdefault(l, len(labels)), number[t]) for s, l, t in arrows}
 
-    def signatures(attrs, edges):
-        outs = {g: [] for g in attrs}
-        ins = {g: [] for g in attrs}
-        for (s, t), labels in edges.items():
-            for label in sorted(labels):
-                outs[s].append(label)
-                ins[t].append(label)
-        # consistent() checks arrows to assigned generators only, never a
-        # self-loop, so the loop labels belong in the signature
-        return {
-            g: (
-                attrs[g],
-                tuple(sorted(outs[g])),
-                tuple(sorted(ins[g])),
-                tuple(sorted(edges.get((g, g), ()))),
-            )
-            for g in attrs
-        }
+    edges1, edges2 = numbered(arrows1, 0), numbered(arrows2, k)
 
-    sig1, sig2 = signatures(attrs1, edges1), signatures(attrs2, edges2)
-    by_sig2 = {}
-    for g, sig in sig2.items():
-        by_sig2.setdefault(sig, []).append(g)
-    candidates = {}
-    for g, sig in sig1.items():
-        pool = by_sig2.get(sig)
-        if not pool:
-            return None
-        candidates[g] = sorted(pool)
+    # adj[v]: (direction-tagged label * n, neighbour); adding the
+    # neighbour's colour (< n) packs (label, colour) into one int
+    n, nlabels = 2 * k, len(labels)
+    adj = [[] for _ in range(n)]
+    loops = [[] for _ in range(n)]
+    for s, label, t in edges1 | edges2:
+        adj[s].append((label * n, t))
+        adj[t].append(((nlabels + label) * n, s))
+        if s == t:
+            loops[s].append(label)
 
-    out_adj1 = {}
-    in_adj1 = {}
-    for s, label, t in arrows1:
-        out_adj1.setdefault(s, set()).add(t)
-        in_adj1.setdefault(t, set()).add(s)
+    def refine(colour, count):
+        """Refined colouring and its colour count, or None if unbalanced."""
+        while True:
+            ids = {}
+            colour = [
+                ids.setdefault(
+                    (colour[v], tuple(sorted([tag + colour[w] for tag, w in adj[v]]))), len(ids)
+                )
+                for v in range(n)
+            ]
+            if sorted(colour[:k]) != sorted(colour[k:]):
+                return None
+            if len(ids) == count or len(ids) == k:
+                return colour, len(ids)
+            count = len(ids)
 
-    order = sorted(attrs1, key=lambda g: (len(candidates[g]), g))
-    assignment = {}
-    used = set()
+    # out-tags sort before in-tags, so one sorted tuple holds both label multisets
+    ids = {}
+    initial = [
+        ids.setdefault((a, tuple(sorted(t for t, _ in adj[v])), tuple(sorted(loops[v]))), len(ids))
+        for v, a in enumerate([*attrs1.values(), *attrs2.values()])
+    ]
+    if sorted(initial[:k]) != sorted(initial[k:]):
+        return None
 
-    def consistent(g, h):
-        for n in out_adj1.get(g, ()):
-            if n in assignment and edges1[(g, n)] != edges2.get((h, assignment[n])):
-                return False
-        for n in in_adj1.get(g, ()):
-            if n in assignment and edges1[(n, g)] != edges2.get((assignment[n], h)):
-                return False
-        return True
-
-    def extend(k):
-        if k == len(order):
-            return True
-        g = order[k]
-        for h in candidates[g]:
-            if h in used:
-                continue
-            if consistent(g, h):
-                assignment[g] = h
-                used.add(h)
-                if extend(k + 1):
-                    return True
-                del assignment[g]
-                used.discard(h)
-        return False
-
-    if extend(0):
-        return dict(assignment)
+    stack = [(initial, len(ids), None, None)]
+    while stack:
+        colour, count, g, h = stack.pop()
+        if g is not None:
+            colour = colour.copy()
+            colour[g] = colour[h] = count
+            count += 1
+        refined = refine(colour, count)
+        if refined is None:
+            continue
+        colour, count = refined
+        cells = {}
+        for v, c in enumerate(colour):
+            cells.setdefault(c, []).append(v)
+        if count == k:
+            image = {v: cells[colour[v]][1] for v in range(k)}
+            if all((image[s], label, image[t]) in edges2 for s, label, t in edges1):
+                return {names[v]: names[w] for v, w in image.items()}
+            continue
+        cell = min((c for c in cells.values() if len(c) > 2), key=len)
+        for h in reversed(cell[len(cell) // 2 :]):
+            stack.append((colour, count, cell[0], h))
     return None

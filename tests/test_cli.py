@@ -139,6 +139,17 @@ def test_reduce_roundtrip(capsys, tmp_path):
     assert len(json.loads(stdout)["generators"]) == 8
 
 
+def test_reduce_negative_check_orders_is_usage_error(capsys, tmp_path):
+    d_path = tmp_path / "trefoil.json"
+    run(capsys, "pair", "--n", "2", "--right", "2", "--out", str(d_path))
+    code, stdout, stderr = run(capsys, "reduce", "--in", str(d_path), "--check-orders", "-3")
+    assert code == 2 and not stdout
+    assert "--check-orders" in stderr
+    # K = 0 still means no check
+    code, stdout, _ = run(capsys, "reduce", "--in", str(d_path), "--check-orders", "0")
+    assert code == 0 and len(json.loads(stdout)["generators"]) == 8
+
+
 def test_homology_command(capsys, tmp_path):
     c_path = tmp_path / "c.json"
     c_path.write_text(to_json(ChainComplexF2(("a", "b", "c"), frozenset())))

@@ -211,8 +211,12 @@ def test_reduction_order_independent_on_paired_fixtures():
 
 def test_family_cap_guard():
     # a module truncated too early is flagged rather than silently wrong
-    with pytest.raises(PathCapExceeded):
+    # and the message names the generator and chord path that touched the cap
+    with pytest.raises(PathCapExceeded, match=r"box_right from 'w\*ab' along chords 3 23"):
         box_right(build_cfa_infinity(0), build_cfdd_full(2))
+    D = box_right(build_cfa_framed(2), build_cfdd_full(2))
+    with pytest.raises(PathCapExceeded, match=r"box_left from 'w\*q\*a_y2' along chords 3 2"):
+        box_left(build_cfa_infinity(0), D)
     # the default cap is far beyond any live path of these pairings
     box_right(build_cfa_infinity(), build_cfdd_full(6))
 

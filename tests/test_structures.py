@@ -1,8 +1,12 @@
+import dataclasses
 import random
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bpc.algebra import is_idempotent
+from bpc.algebra import basis_tokens, is_idempotent, side_of, token_left_idem, token_right_idem
 from bpc.pairing import box_left, box_right
 from bpc.solid_torus import build_cfa_framed
 from bpc.structures import (
@@ -305,6 +309,321 @@ def test_isomorphic_respects_self_loops():
 def test_isomorphic_rejects_kind_mismatch():
     with pytest.raises(ValueError):
         isomorphic(build_cfdd_full(1), ChainComplexF2(("a",), frozenset()))
+
+
+def _isomorphic_reference(S1, S2):
+    """The backtracking search isomorphic replaced, kept as its oracle:
+    one recursion level per generator over signature-equal candidates."""
+    kind1, attrs1, arrows1, _, _ = _graph_data(S1)
+    kind2, attrs2, arrows2, _, _ = _graph_data(S2)
+    assert kind1 == kind2
+    if len(attrs1) != len(attrs2) or len(arrows1) != len(arrows2):
+        return None
+
+    def edge_map(arrows):
+        out = {}
+        for s, label, t in arrows:
+            out.setdefault((s, t), set()).add(label)
+        return out
+
+    edges1, edges2 = edge_map(arrows1), edge_map(arrows2)
+
+    def signatures(attrs, edges):
+        outs = {g: [] for g in attrs}
+        ins = {g: [] for g in attrs}
+        for (s, t), labels in edges.items():
+            for label in sorted(labels):
+                outs[s].append(label)
+                ins[t].append(label)
+        return {
+            g: (
+                attrs[g],
+                tuple(sorted(outs[g])),
+                tuple(sorted(ins[g])),
+                tuple(sorted(edges.get((g, g), ()))),
+            )
+            for g in attrs
+        }
+
+    sig1, sig2 = signatures(attrs1, edges1), signatures(attrs2, edges2)
+    by_sig2 = {}
+    for g, sig in sig2.items():
+        by_sig2.setdefault(sig, []).append(g)
+    candidates = {}
+    for g, sig in sig1.items():
+        pool = by_sig2.get(sig)
+        if not pool:
+            return None
+        candidates[g] = sorted(pool)
+
+    out_adj1 = {}
+    in_adj1 = {}
+    for s, label, t in arrows1:
+        out_adj1.setdefault(s, set()).add(t)
+        in_adj1.setdefault(t, set()).add(s)
+
+    order = sorted(attrs1, key=lambda g: (len(candidates[g]), g))
+    assignment = {}
+    used = set()
+
+    def consistent(g, h):
+        for n in out_adj1.get(g, ()):
+            if n in assignment and edges1[(g, n)] != edges2.get((h, assignment[n])):
+                return False
+        for n in in_adj1.get(g, ()):
+            if n in assignment and edges1[(n, g)] != edges2.get((assignment[n], h)):
+                return False
+        return True
+
+    def extend(k):
+        if k == len(order):
+            return True
+        g = order[k]
+        for h in candidates[g]:
+            if h in used:
+                continue
+            if consistent(g, h):
+                assignment[g] = h
+                used.add(h)
+                if extend(k + 1):
+                    return True
+                del assignment[g]
+                used.discard(h)
+        return False
+
+    return dict(assignment) if extend(0) else None
+
+
+def _assert_isomorphism(S1, S2, mapping):
+    """mapping is a generator bijection carrying idempotents and labeled arrows."""
+    _, attrs1, arrows1, _, _ = _graph_data(S1)
+    _, attrs2, arrows2, _, _ = _graph_data(S2)
+    assert mapping.keys() == attrs1.keys()
+    assert sorted(mapping.values()) == sorted(attrs2)
+    assert all(attrs1[g] == attrs2[h] for g, h in mapping.items())
+    assert {(mapping[s], label, mapping[t]) for s, label, t in arrows1} == arrows2
+
+
+def _assert_agrees_with_reference(S1, S2):
+    """isomorphic and the oracle agree on found/not found; returns the verdict."""
+    mapping = isomorphic(S1, S2)
+    assert (mapping is None) == (_isomorphic_reference(S1, S2) is None)
+    if mapping is not None:
+        _assert_isomorphism(S1, S2, mapping)
+    return mapping is not None
+
+
+def _renamed(S, rng):
+    """S with its generators renamed by a random bijection."""
+    names = S.generator_names()
+    fresh = [f"g{k}" for k in range(len(names))]
+    rng.shuffle(fresh)
+    new = dict(zip(names, fresh))
+    if isinstance(S, ChainComplexF2):
+        return ChainComplexF2(tuple(fresh), frozenset((new[s], new[t]) for s, t in S.arrows))
+    gens = tuple(dataclasses.replace(g, name=new[g.name]) for g in S.generators)
+    if isinstance(S, DStructure):
+        return DStructure(S.side, gens, frozenset((new[s], l, new[t]) for s, l, t in S.arrows))
+    return DDStructure(gens, frozenset((new[s], l, r, new[t]) for s, l, r, t in S.arrows))
+
+
+def _swap_token(token):
+    """Another basis token with the same idempotents, or None."""
+    for other in basis_tokens(side_of(token)):
+        same_idems = (token_left_idem(other), token_right_idem(other)) == (
+            token_left_idem(token),
+            token_right_idem(token),
+        )
+        if other != token and same_idems:
+            return other
+    return None
+
+
+def _relabelled(S, k):
+    """S with one label of its k-th arrow (sorted order) swapped for another
+    coherent token, or None when neither label has one."""
+    arrows = sorted(S.arrows)
+    arrow = arrows[k]
+    for pos in range(1, len(arrow) - 1):
+        other = _swap_token(arrow[pos])
+        if other is not None:
+            changed = arrow[:pos] + (other,) + arrow[pos + 1 :]
+            rest = frozenset(arrows[:k] + arrows[k + 1 :]) | {changed}
+            if isinstance(S, DStructure):
+                return DStructure(S.side, S.generators, rest)
+            return DDStructure(S.generators, rest)
+    return None
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_isomorphic_reduced_vs_simplified_matches_reference(n):
+    red, simp = reduce(build_cfdd_full(n)), build_cfdd_simplified(n)
+    assert _assert_agrees_with_reference(red, simp)
+    assert _assert_agrees_with_reference(simp, red)
+    for k in range(0, len(simp.arrows), 7):
+        assert not _assert_agrees_with_reference(red, _relabelled(simp, k))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_isomorphic_seeded_orders_match_reference(n):
+    S = build_cfdd_full(n)
+    base = reduce(S)
+    for seed in range(3):
+        _assert_agrees_with_reference(base, reduce(S, random.Random(seed)))
+
+
+def _pairing_inputs():
+    # the oracle takes seconds on the n=5 complexes, so they stop at n=4
+    for n in range(1, 6):
+        S = build_cfdd_full(n)
+        for slope in (1, 2, 3):
+            D = box_right(build_cfa_framed(slope), S)
+            yield f"D-n{n}-r{slope}", D
+            if n < 5:
+                yield f"complex-n{n}-r{slope}", box_left(build_cfa_framed(2), D)
+
+
+PAIRING_INPUTS = dict(_pairing_inputs())
+
+
+@pytest.mark.parametrize("S", PAIRING_INPUTS.values(), ids=PAIRING_INPUTS.keys())
+def test_isomorphic_pairing_outputs_vs_renamed_copies(S):
+    rng = random.Random(len(S.generators))
+    assert _assert_agrees_with_reference(S, _renamed(S, rng))
+    if isinstance(S, DStructure):
+        for k in range(0, len(S.arrows), 11):
+            T = _relabelled(S, k)
+            if T is not None:
+                assert not _assert_agrees_with_reference(S, T)
+
+
+def _cycles(*cycles):
+    """Complex of directed cycles, one per (prefix, length)."""
+    names = [f"{p}{k}" for p, length in cycles for k in range(length)]
+    arrows = {(f"{p}{k}", f"{p}{(k + 1) % length}") for p, length in cycles for k in range(length)}
+    return ChainComplexF2(tuple(names), frozenset(arrows))
+
+
+def test_isomorphic_searches_past_a_failed_individualization():
+    # every generator of a union of directed cycles has the same colour,
+    # so the search must individualize; the first side-2 candidate of the
+    # 6-cycle's a0 lies on a 3-cycle and fails
+    S, T = _cycles(("a", 6), ("b", 3), ("c", 3)), _cycles(("a", 3), ("b", 3), ("c", 6))
+    _assert_isomorphism(S, T, isomorphic(S, T))
+    assert not _assert_agrees_with_reference(_cycles(("a", 6)), _cycles(("a", 3), ("b", 3)))
+
+
+def test_isomorphic_checks_a_discrete_colouring():
+    # one refinement round gives every generator its own colour, pairing
+    # v-u, v2-u2, a1-b1, a2-b2, but the a's hang off the v's the other way
+    # round than the b's off the u's, so that pairing is no isomorphism
+    S = ChainComplexF2(
+        ("v", "v2", "a1", "a2", "c", "d", "e", "f"),
+        frozenset(
+            {("v", "a1"), ("v", "c"), ("v2", "a2"), ("v2", "d")}
+            | {("a1", "e"), ("a2", "f"), ("d", "d"), ("f", "f")}
+        ),
+    )
+    T = ChainComplexF2(
+        ("u", "u2", "b1", "b2", "c", "d", "e", "f"),
+        frozenset(
+            {("u", "b2"), ("u", "c"), ("u2", "b1"), ("u2", "d")}
+            | {("b1", "e"), ("b2", "f"), ("d", "d"), ("f", "f")}
+        ),
+    )
+    assert not _assert_agrees_with_reference(S, T)
+
+
+def test_isomorphic_needs_no_recursion():
+    S = build_cfdd_simplified(60)
+    T = _renamed(S, random.Random(60))
+    assert len(S.generators) == 238
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        mapping = isomorphic(S, T)
+    finally:
+        sys.setrecursionlimit(limit)
+    _assert_isomorphism(S, T, mapping)
+
+
+LEFT_TOKENS, RIGHT_TOKENS = basis_tokens("left"), basis_tokens("right")
+
+
+@st.composite
+def dd_structures(draw):
+    idems = draw(st.lists(st.tuples(st.sampled_from((1, 2)), st.sampled_from((1, 2))), max_size=6))
+    gens = tuple(DDGenerator(f"x{k}", l, r) for k, (l, r) in enumerate(idems))
+    coherent = [
+        (x.name, l, r, y.name)
+        for x in gens
+        for y in gens
+        for l in LEFT_TOKENS
+        if (token_left_idem(l), token_right_idem(l)) == (x.left, y.left)
+        for r in RIGHT_TOKENS
+        if (token_left_idem(r), token_right_idem(r)) == (x.right, y.right)
+    ]
+    if not coherent:
+        return DDStructure(gens, frozenset())
+    return DDStructure(gens, frozenset(draw(st.sets(st.sampled_from(coherent), max_size=12))))
+
+
+@st.composite
+def complexes(draw):
+    names = [f"c{k}" for k in range(draw(st.integers(0, 6)))]
+    if not names:
+        return ChainComplexF2((), frozenset())
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    return ChainComplexF2(tuple(names), frozenset(draw(st.sets(pairs, max_size=10))))
+
+
+def _without_one_arrow(S, k):
+    arrows = sorted(S.arrows)
+    rest = frozenset(arrows[:k] + arrows[k + 1 :])
+    if isinstance(S, ChainComplexF2):
+        return ChainComplexF2(S.generators, rest)
+    return DDStructure(S.generators, rest)
+
+
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(dd_structures(), complexes()), st.randoms(use_true_random=False))
+def test_isomorphic_finds_random_renaming(S, rng):
+    T = _renamed(S, rng)
+    _assert_isomorphism(S, T, isomorphic(S, T))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(dd_structures(), complexes()), st.data())
+def test_isomorphic_rejects_a_deleted_arrow(S, data):
+    assume(S.arrows)
+    k = data.draw(st.integers(0, len(S.arrows) - 1))
+    T = _renamed(_without_one_arrow(S, k), data.draw(st.randoms(use_true_random=False)))
+    assert isomorphic(S, T) is None
+
+
+@PROPERTY_SETTINGS
+@given(dd_structures(), st.data())
+def test_isomorphic_rejects_a_swapped_label(S, data):
+    assume(S.arrows)
+    T = _relabelled(S, data.draw(st.integers(0, len(S.arrows) - 1)))
+    assume(T is not None)
+    T = _renamed(T, data.draw(st.randoms(use_true_random=False)))
+    assert isomorphic(S, T) is None
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_isomorphic_matches_reference_on_random_complexes(data):
+    # same generator and arrow counts, so neither search stops at the counts
+    S = data.draw(complexes())
+    names = S.generators
+    assume(names)
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    arrows = data.draw(st.sets(pairs, min_size=len(S.arrows), max_size=len(S.arrows)))
+    _assert_agrees_with_reference(S, ChainComplexF2(names, frozenset(arrows)))
 
 
 def test_check_complex():
