@@ -1,6 +1,6 @@
 """Exact bordered bimodule calculus for (2,2n) torus-link complements."""
 
-from .algebra import AlgebraElement, mul_basis
+from .algebra import mul_basis
 from .diagram import (
     IndexData,
     RegionVector,

@@ -14,9 +14,12 @@ and 2 lie on arc 1, points 1 and 3 on arc 2.  This forces
 and consequently r12 = i1*r12*i1, r23 = i2*r23*i2, r123 = i1*r123*i2
 (identically with j/s on the right).  The unit is i1 + i2 and is never
 represented as a ninth basis element.
-"""
 
-from dataclasses import dataclass
+The token helpers and ``mul_basis`` read small tables over the 16 basis
+tokens (side, idempotents, chord interval, and the 2 x 8 x 8 same-side
+products).  The tables are filled once, at import, from the chord
+endpoint rules below; a token outside them raises ``ValueError``.
+"""
 
 SIDES = ("left", "right")
 INTERVALS = ("1", "2", "3", "12", "23", "123")
@@ -27,7 +30,6 @@ _END = {"1": 1, "2": 2, "3": 3, "12": 2, "23": 3, "123": 3}
 
 _IDEM_PREFIX = {"left": "i", "right": "j"}
 _CHORD_PREFIX = {"left": "r", "right": "s"}
-_PREFIX_SIDE = {"i": "left", "r": "left", "j": "right", "s": "right"}
 
 
 def _arc(point: int) -> int:
@@ -44,33 +46,6 @@ def chord_token(side: str, interval: str) -> str:
     return _CHORD_PREFIX[side] + interval
 
 
-def side_of(token: str) -> str:
-    side = _PREFIX_SIDE.get(token[:1])
-    if side is None:
-        raise ValueError(f"unknown algebra token {token!r}")
-    return side
-
-
-def is_idempotent(token: str) -> bool:
-    return token[0] in "ij"
-
-
-def is_chord(token: str) -> bool:
-    return token[0] in "rs"
-
-
-def idem_index(token: str) -> int:
-    if not is_idempotent(token) or token[1:] not in ("1", "2"):
-        raise ValueError(f"not an idempotent token: {token!r}")
-    return int(token[1:])
-
-
-def chord_interval(token: str) -> str:
-    if not is_chord(token) or token[1:] not in INTERVALS:
-        raise ValueError(f"not a chord token: {token!r}")
-    return token[1:]
-
-
 def left_idem(interval: str) -> int:
     """Index of the unique idempotent e with e * chord = chord."""
     return _arc(_START[interval])
@@ -79,14 +54,6 @@ def left_idem(interval: str) -> int:
 def right_idem(interval: str) -> int:
     """Index of the unique idempotent e with chord * e = chord."""
     return _arc(_END[interval])
-
-
-def token_left_idem(token: str) -> int:
-    return idem_index(token) if is_idempotent(token) else left_idem(chord_interval(token))
-
-
-def token_right_idem(token: str) -> int:
-    return idem_index(token) if is_idempotent(token) else right_idem(chord_interval(token))
 
 
 def mul_interval(a: str, b: str) -> str | None:
@@ -104,99 +71,99 @@ def chord_factorizations(interval: str) -> tuple[tuple[str, str], ...]:
     )
 
 
-def mul_basis(a: str, b: str) -> str | None:
-    """Product of two basis tokens of the same side; None for zero."""
-    if side_of(a) != side_of(b):
-        raise ValueError(f"cannot multiply across sides: {a!r} * {b!r}")
-    ai, bi = is_idempotent(a), is_idempotent(b)
-    if ai and bi:
-        return a if a == b else None
-    if ai:
-        return b if idem_index(a) == token_left_idem(b) else None
-    if bi:
-        return a if token_right_idem(a) == idem_index(b) else None
-    c = mul_interval(chord_interval(a), chord_interval(b))
-    return None if c is None else chord_token(side_of(a), c)
-
-
 def basis_tokens(side: str) -> tuple[str, ...]:
     return (idem_token(side, 1), idem_token(side, 2)) + tuple(
         chord_token(side, iv) for iv in INTERVALS
     )
 
 
-_BASIS_ORDER = {t: k for side in SIDES for k, t in enumerate(basis_tokens(side))}
+# ---------------------------------------------------------------------------
+# tables over the 16 basis tokens, filled once from the rules above
+
+_SIDE = {}  # token -> side
+_IS_IDEM = {}  # token -> whether it is an idempotent
+_IDEM_INDEX = {}  # idempotent token -> 1 or 2
+_CHORD_INTERVAL = {}  # chord token -> interval
+_LEFT_IDEM = {}  # token -> index of e with e * token = token
+_RIGHT_IDEM = {}  # token -> index of e with token * e = token
+_PRODUCT = {}  # token a -> {same-side token b -> a * b, None for zero}
+
+
+def _product(a: str, b: str) -> str | None:
+    """a * b by the idempotent relations and chord concatenation."""
+    if _RIGHT_IDEM[a] != _LEFT_IDEM[b]:
+        return None
+    if _IS_IDEM[a]:
+        return b
+    if _IS_IDEM[b]:
+        return a
+    c = mul_interval(_CHORD_INTERVAL[a], _CHORD_INTERVAL[b])
+    return None if c is None else chord_token(_SIDE[a], c)
+
+
+for _side in SIDES:
+    for _index in (1, 2):
+        _t = idem_token(_side, _index)
+        _IDEM_INDEX[_t] = _LEFT_IDEM[_t] = _RIGHT_IDEM[_t] = _index
+    for _iv in INTERVALS:
+        _t = chord_token(_side, _iv)
+        _CHORD_INTERVAL[_t] = _iv
+        _LEFT_IDEM[_t], _RIGHT_IDEM[_t] = left_idem(_iv), right_idem(_iv)
+    for _t in basis_tokens(_side):
+        _SIDE[_t] = _side
+        _IS_IDEM[_t] = _t in _IDEM_INDEX
+    for _t in basis_tokens(_side):
+        _PRODUCT[_t] = {_b: _product(_t, _b) for _b in basis_tokens(_side)}
+
+del _side, _index, _iv, _t
+
+
+def _lookup(table: dict, token, what: str):
+    try:
+        return table[token]
+    except (KeyError, TypeError):
+        raise ValueError(f"{what} {token!r}") from None
+
+
+def side_of(token: str) -> str:
+    return _lookup(_SIDE, token, "unknown algebra token")
+
+
+def is_idempotent(token: str) -> bool:
+    return _lookup(_IS_IDEM, token, "unknown algebra token")
+
+
+def is_chord(token: str) -> bool:
+    return not _lookup(_IS_IDEM, token, "unknown algebra token")
+
+
+def idem_index(token: str) -> int:
+    return _lookup(_IDEM_INDEX, token, "not an idempotent token:")
+
+
+def chord_interval(token: str) -> str:
+    return _lookup(_CHORD_INTERVAL, token, "not a chord token:")
+
+
+def token_left_idem(token: str) -> int:
+    return _lookup(_LEFT_IDEM, token, "unknown algebra token")
+
+
+def token_right_idem(token: str) -> int:
+    return _lookup(_RIGHT_IDEM, token, "unknown algebra token")
 
 
 def check_token(token: str) -> str:
     """Validate a basis token, returning it unchanged."""
-    if not isinstance(token, str) or token not in _BASIS_ORDER:
-        raise ValueError(f"unknown algebra token {token!r}")
+    side_of(token)
     return token
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """F2-linear combination of basis tokens of one side."""
-
-    side: str
-    support: frozenset
-
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"unknown side {self.side!r}")
-        for t in self.support:
-            if side_of(check_token(t)) != self.side:
-                raise ValueError(f"token {t!r} is not on side {self.side!r}")
-
-    @classmethod
-    def zero(cls, side: str) -> "AlgebraElement":
-        return cls(side, frozenset())
-
-    @classmethod
-    def unit(cls, side: str) -> "AlgebraElement":
-        return cls(side, frozenset({idem_token(side, 1), idem_token(side, 2)}))
-
-    @classmethod
-    def basis(cls, token: str) -> "AlgebraElement":
-        return cls(side_of(check_token(token)), frozenset({token}))
-
-    @classmethod
-    def parse(cls, text: str, side: str | None = None) -> "AlgebraElement":
-        tokens = [t.strip() for t in text.split("+") if t.strip()]
-        if not tokens:
-            if side is None:
-                raise ValueError("cannot parse the zero element without a side")
-            return cls.zero(side)
-        out = cls.basis(tokens[0])
-        for t in tokens[1:]:
-            out = out + cls.basis(t)
-        if side is not None and out.side != side:
-            raise ValueError(f"element {text!r} is not on side {side!r}")
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.support
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.side != other.side:
-            raise ValueError("cannot add across sides")
-        return AlgebraElement(self.side, self.support ^ other.support)
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.side != other.side:
-            raise ValueError("cannot multiply across sides")
-        parity = {}
-        for a in self.support:
-            for b in other.support:
-                p = mul_basis(a, b)
-                if p is not None:
-                    parity[p] = not parity.get(p, False)
-        return AlgebraElement(
-            self.side, frozenset(t for t, odd in parity.items() if odd)
-        )
-
-    def __str__(self) -> str:
-        if not self.support:
-            return "0"
-        return "+".join(sorted(self.support, key=_BASIS_ORDER.__getitem__))
+def mul_basis(a: str, b: str) -> str | None:
+    """Product of two basis tokens of the same side; None for zero."""
+    try:
+        return _PRODUCT[a][b]
+    except (KeyError, TypeError):
+        side_of(a)  # an unknown token is named first
+        side_of(b)
+        raise ValueError(f"cannot multiply across sides: {a!r} * {b!r}") from None

@@ -12,7 +12,8 @@ is matched against a single operation of the module table, the residual
 labels multiplying up along the way.  Strict unitality: a path of
 length >= 2 containing an idempotent consumed-side label contributes
 nothing.  Finiteness comes from pruning on zero residual products and
-on sequences that leave the table's prefix tree, backed by a hard cap.
+on sequences that leave the table's prefix tree, so no path is longer
+than the module's longest operation; a path cap below that is rejected.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .structures import (
     DGenerator,
     DStructure,
     DDStructure,
+    _toggle,
 )
 
 DEFAULT_PATH_CAP = 64
@@ -45,10 +47,6 @@ class PathCapExceeded(RuntimeError):
     """Path enumeration hit a cap; the result would be unreliable."""
 
 
-def _toggle(parity, key):
-    parity[key] = not parity.get(key, False)
-
-
 def _op_lookup(module: AModule):
     table = module.table
     prefixes = set()
@@ -59,19 +57,26 @@ def _op_lookup(module: AModule):
 
 
 def _check_cap(cfg: PairingConfig, module: AModule):
+    """Reject a path cap below the module's longest operation.
+
+    Paths are extended only along proper prefixes of table sequences, so
+    no chord sequence gets longer than max_arity; this check is what
+    keeps every path within the cap.
+    """
     if cfg.path_cap < module.max_arity:
-        raise ValueError("path cap is smaller than the longest module operation")
+        raise ValueError(
+            f"path cap {cfg.path_cap} is smaller than the longest module operation"
+            f" (arity {module.max_arity})"
+        )
 
 
-def _guard_path(cfg: PairingConfig, module: AModule, where: str, source: str, seq: tuple):
-    """Raise PathCapExceeded, naming the path, if seq reaches either cap."""
-    if len(seq) > cfg.path_cap:
-        what = f"path cap {cfg.path_cap} exceeded"
-    elif module.capped_arity is not None and len(seq) >= module.capped_arity:
-        what = f"module family cap {module.capped_arity} touched (rebuild it with a larger cap)"
-    else:
-        return
-    raise PathCapExceeded(f"{what} during {where} from {source!r} along chords {' '.join(seq)}")
+def _guard_path(module: AModule, where: str, source: str, seq: tuple):
+    """Raise PathCapExceeded, naming the path, if seq reaches the family cap."""
+    if module.capped_arity is not None and len(seq) >= module.capped_arity:
+        raise PathCapExceeded(
+            f"module family cap {module.capped_arity} touched (rebuild it with a larger cap)"
+            f" during {where} from {source!r} along chords {' '.join(seq)}"
+        )
 
 
 def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> DStructure:
@@ -106,7 +111,7 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
                 if nprod is None:
                     continue
                 nseq = seq + (chord_interval(r),)
-                _guard_path(cfg, A, "box_right", source, nseq)
+                _guard_path(A, "box_right", source, nseq)
                 key = (a, nseq)
                 if key in table:
                     for tgt in table[key]:
@@ -150,7 +155,7 @@ def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> Cha
                         _toggle(parity, (source, f"{a}*{nxt}"))
                     continue
                 nseq = seq + (chord_interval(t),)
-                _guard_path(cfg, A, "box_left", source, nseq)
+                _guard_path(A, "box_left", source, nseq)
                 key = (a, nseq)
                 if key in table:
                     for tgt in table[key]:

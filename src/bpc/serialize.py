@@ -9,7 +9,7 @@ are byte-identical.
 
 import json
 
-from .algebra import INTERVALS, check_token, side_of
+from .algebra import INTERVALS, check_token, idem_index, is_idempotent, side_of
 from .structures import (
     AGenerator,
     AModule,
@@ -47,10 +47,9 @@ def _name(value, where: str) -> str:
 
 
 def _idem(side: str, token: str) -> int:
-    check_token(token)
-    if side_of(token) != side or token[1:] not in ("1", "2"):
+    if side_of(token) != side or not is_idempotent(token):
         raise ValueError(f"bad idempotent token {token!r} for side {side}")
-    return int(token[1:])
+    return idem_index(token)
 
 
 def to_dict(S) -> dict:

@@ -93,6 +93,18 @@ def _normalize(struct):
 # type-DD structures
 
 
+def _check_labels(arrow, x: DDGenerator, y: DDGenerator, where: str):
+    """Raise unless arrow x -> y has a left and a right label, each
+    carrying x's idempotent on its side to y's."""
+    _, l, r, _ = arrow
+    if side_of(l) != "left" or side_of(r) != "right":
+        raise ValueError(f"arrow labels on wrong sides: {arrow}")
+    if token_left_idem(l) != x.left or token_right_idem(l) != y.left:
+        raise ValueError(f"left label incoherent {where} {arrow}")
+    if token_left_idem(r) != x.right or token_right_idem(r) != y.right:
+        raise ValueError(f"right label incoherent {where} {arrow}")
+
+
 @dataclass(frozen=True)
 class DDStructure:
     """Generators plus arrows (source, left token, right token, target)."""
@@ -104,16 +116,11 @@ class DDStructure:
         _normalize(self)
         _check_unique(g.name for g in self.generators)
         by_name = {g.name: g for g in self.generators}
-        for src, l, r, tgt in self.arrows:
+        for arrow in self.arrows:
+            src, _, _, tgt = arrow
             if src not in by_name or tgt not in by_name:
-                raise ValueError(f"arrow endpoint missing: {(src, l, r, tgt)}")
-            if side_of(l) != "left" or side_of(r) != "right":
-                raise ValueError(f"arrow labels on wrong sides: {(src, l, r, tgt)}")
-            x, y = by_name[src], by_name[tgt]
-            if token_left_idem(l) != x.left or token_right_idem(l) != y.left:
-                raise ValueError(f"left label incoherent on arrow {(src, l, r, tgt)}")
-            if token_left_idem(r) != x.right or token_right_idem(r) != y.right:
-                raise ValueError(f"right label incoherent on arrow {(src, l, r, tgt)}")
+                raise ValueError(f"arrow endpoint missing: {arrow}")
+            _check_labels(arrow, by_name[src], by_name[tgt], "on arrow")
 
     @cached_property
     def by_name(self):
@@ -237,14 +244,11 @@ class DDMorphism:
     def __post_init__(self):
         src_gens = self.source.by_name
         tgt_gens = self.target.by_name
-        for src, l, r, tgt in self.arrows:
+        for arrow in self.arrows:
+            src, _, _, tgt = arrow
             if src not in src_gens or tgt not in tgt_gens:
-                raise ValueError(f"morphism endpoint missing: {(src, l, r, tgt)}")
-            x, y = src_gens[src], tgt_gens[tgt]
-            if token_left_idem(l) != x.left or token_right_idem(l) != y.left:
-                raise ValueError(f"left label incoherent on {(src, l, r, tgt)}")
-            if token_left_idem(r) != x.right or token_right_idem(r) != y.right:
-                raise ValueError(f"right label incoherent on {(src, l, r, tgt)}")
+                raise ValueError(f"morphism endpoint missing: {arrow}")
+            _check_labels(arrow, src_gens[src], tgt_gens[tgt], "on")
 
     def is_zero(self):
         return not self.arrows

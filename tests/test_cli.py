@@ -94,7 +94,7 @@ def test_pair_usage_errors(capsys):
 def test_pair_cap_too_small(capsys):
     code, _, stderr = run(capsys, "pair", "--n", "2", "--right", "2", "--cap", "1")
     assert code == 1
-    assert "cap" in stderr
+    assert "path cap 1 is smaller than the longest module operation (arity 3)" in stderr
 
 
 def test_pair_cap_from_environment(capsys, monkeypatch):

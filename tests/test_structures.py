@@ -72,6 +72,23 @@ def test_arrow_coherence_enforced():
         two_generator_dd({("ab", "r2", "s1", "x1y1")})
 
 
+def test_structure_and_morphism_share_label_checks():
+    M = two_generator_dd(HOPF_ARROWS)
+    cases = [
+        (("ab", "r2", "s1", "x1y1"), "left label incoherent on{} ('ab', 'r2', 's1', 'x1y1')"),
+        (("ab", "r1", "s2", "x1y1"), "right label incoherent on{} ('ab', 'r1', 's2', 'x1y1')"),
+        (("ab", "s1", "r1", "x1y1"), "arrow labels on wrong sides: ('ab', 's1', 'r1', 'x1y1')"),
+    ]
+    for arrow, message in cases:
+        with pytest.raises(ValueError) as structure_error:
+            two_generator_dd({arrow})
+        assert str(structure_error.value) == message.format(" arrow")
+        # the side swap has coherent idempotents: a morphism used to accept it
+        with pytest.raises(ValueError) as morphism_error:
+            DDMorphism(M, M, frozenset({arrow}))
+        assert str(morphism_error.value) == message.format("")
+
+
 def test_check_d_surgery_cycle_passes():
     gens = (DGenerator("w_ab", 1), DGenerator("w_x2b", 2), DGenerator("w_x4b", 2))
     arrows = {("w_ab", "r123", "w_x2b"), ("w_x2b", "r23", "w_x4b"), ("w_x4b", "r2", "w_ab")}
