@@ -2,25 +2,15 @@
 
 Subcommands: gen, check, equiv, pair, reduce, homology, domains.
 Exit codes: 0 success, 1 verification or semantic failure, 2 usage
-error.  Output is deterministic byte-for-byte for fixed inputs; the
-environment variable BPC_CAP overrides the default path cap used by
-pair.
+error.  Output is deterministic byte-for-byte for fixed inputs.
 """
 
 import argparse
-import os
 import random
 import sys
 
 from . import diagram, serialize, solid_torus, structures, torus_link
-from .pairing import (
-    DEFAULT_PATH_CAP,
-    PairingConfig,
-    PathCapExceeded,
-    box_left,
-    box_right,
-    homology_rank,
-)
+from .pairing import PathCapExceeded, box_left, box_right, homology_rank
 from .structures import AModule, ChainComplexF2, DStructure, DDStructure
 
 
@@ -102,20 +92,6 @@ def cmd_equiv(args):
     return 1
 
 
-def _path_cap(args):
-    if args.cap is not None:
-        cap, source = args.cap, "--cap"
-    else:
-        raw = os.environ.get("BPC_CAP", str(DEFAULT_PATH_CAP))
-        try:
-            cap, source = int(raw), "BPC_CAP"
-        except ValueError:
-            raise UsageError(f"BPC_CAP must be an integer, got {raw!r}")
-    if cap < 1:
-        raise UsageError(f"{source} must be at least 1, got {cap}")
-    return cap
-
-
 def cmd_pair(args):
     if args.n < 1:
         raise UsageError(f"no structure for n={args.n}")
@@ -126,15 +102,14 @@ def cmd_pair(args):
         left = None if args.left is None else solid_torus.parse_slope(args.left)
     except ValueError as e:
         raise UsageError(str(e))
-    cap = _path_cap(args)
     S = torus_link.build_cfdd_full(args.n)
-    D = box_right(solid_torus.build_cfa(right), S, PairingConfig("right", cap))
+    D = box_right(solid_torus.build_cfa(right), S)
     if left is None:
         if args.reduce:
             D = structures.reduce(D)
         _write(args.out, serialize.to_json(D))
         return 0
-    C = box_left(solid_torus.build_cfa(left), D, PairingConfig("left", cap))
+    C = box_left(solid_torus.build_cfa(left), D)
     if args.reduce:
         C = structures.reduce(C)
     rank = homology_rank(C)
@@ -209,7 +184,6 @@ def build_parser():
     p.add_argument("--left", default=None, help="slope glued on the left: inf or m >= 1")
     p.add_argument("--right", default=None, help="slope glued on the right: inf or m >= 1")
     p.add_argument("--reduce", action="store_true")
-    p.add_argument("--cap", type=int, default=None, help="path cap (default BPC_CAP or 64)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pair)
 

@@ -26,6 +26,7 @@ from .structures import (
     DStructure,
     DDStructure,
     _toggle,
+    check_complex,
 )
 
 DEFAULT_PATH_CAP = 64
@@ -95,14 +96,14 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
     ]
     gens = tuple(DGenerator(f"{a}*{d.name}", d.left) for a, d in pairs)
     known = {g.name for g in gens}
-    parity = {}
+    parity = set()
     for a, d in pairs:
         source = f"{a}*{d.name}"
         # (label product so far, chord sequence so far, current generator)
         stack = [(idem_token("left", d.left), (), d.name)]
         while stack:
             prod, seq, at = stack.pop()
-            for l, r, nxt in S.arrows_from[at]:
+            for (l, r), nxt in S.out[at]:
                 if is_idempotent(r):
                     if not seq:
                         _toggle(parity, (source, l, f"{a}*{nxt}"))
@@ -124,8 +125,7 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
                         _toggle(parity, (source, nprod, out))
                 if key in prefixes:
                     stack.append((nprod, nseq, nxt))
-    arrows = frozenset(k for k, odd in parity.items() if odd)
-    return DStructure("left", gens, arrows)
+    return DStructure("left", gens, frozenset(parity))
 
 
 def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> ChainComplexF2:
@@ -135,21 +135,18 @@ def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> Cha
         raise ValueError("box_left consumes the left algebra")
     _check_cap(cfg, A)
     table, prefixes = _op_lookup(A)
-    arrows_from = {}
-    for src, t, tgt in sorted(S.arrows):
-        arrows_from.setdefault(src, []).append((t, tgt))
     pairs = [
         (a.name, d) for a in A.generators for d in S.generators if a.occupancy == d.idem
     ]
     gens = tuple(f"{a}*{d.name}" for a, d in pairs)
     known = set(gens)
-    parity = {}
+    parity = set()
     for a, d in pairs:
         source = f"{a}*{d.name}"
         stack = [((), d.name)]
         while stack:
             seq, at = stack.pop()
-            for t, nxt in arrows_from.get(at, ()):
+            for (t,), nxt in S.out[at]:
                 if is_idempotent(t):
                     if not seq:
                         _toggle(parity, (source, f"{a}*{nxt}"))
@@ -168,28 +165,20 @@ def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> Cha
                         _toggle(parity, (source, out))
                 if key in prefixes:
                     stack.append((nseq, nxt))
-    arrows = frozenset(k for k, odd in parity.items() if odd)
-    return ChainComplexF2(gens, arrows)
+    return ChainComplexF2(gens, frozenset(parity))
 
 
 def homology_rank(C: ChainComplexF2) -> int:
     """dim - 2 rank(boundary), by exact elimination over F2."""
-    idx = {g: k for k, g in enumerate(C.generators)}
-    squared = {}
-    outgoing = {}
-    for src, tgt in C.arrows:
-        outgoing.setdefault(src, []).append(tgt)
-    for x, y in C.arrows:
-        for z in outgoing.get(y, ()):
-            _toggle(squared, (x, z))
-    if any(squared.values()):
+    if not check_complex(C):
         raise ValueError("boundary does not square to zero")
+    idx = {g: k for k, g in enumerate(C.generators)}
     # echelon basis of the boundary's row space, one row per leading bit;
     # each row is reduced against it and joins it if anything is left
     pivots = {}
     for g in C.generators:
         row = 0
-        for tgt in outgoing.get(g, ()):
+        for _, tgt in C.out[g]:
             row ^= 1 << idx[tgt]
         while row:
             top = row.bit_length() - 1

@@ -9,7 +9,7 @@ are byte-identical.
 
 import json
 
-from .algebra import INTERVALS, check_token, idem_index, is_idempotent, side_of
+from .algebra import INTERVALS, check_token, idem_index, idem_token, is_idempotent, side_of
 from .structures import (
     AGenerator,
     AModule,
@@ -59,7 +59,11 @@ def to_dict(S) -> dict:
             "kind": "DD",
             "sides": ["left", "right"],
             "generators": [
-                {"name": g.name, "left": f"i{g.left}", "right": f"j{g.right}"}
+                {
+                    "name": g.name,
+                    "left": idem_token("left", g.left),
+                    "right": idem_token("right", g.right),
+                }
                 for g in sorted(S.generators, key=lambda g: g.name)
             ],
             "arrows": [
@@ -68,13 +72,12 @@ def to_dict(S) -> dict:
             ],
         }
     if isinstance(S, DStructure):
-        prefix = "i" if S.side == "left" else "j"
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "D",
             "sides": [S.side],
             "generators": [
-                {"name": g.name, "idem": f"{prefix}{g.idem}"}
+                {"name": g.name, "idem": idem_token(S.side, g.idem)}
                 for g in sorted(S.generators, key=lambda g: g.name)
             ],
             "arrows": [

@@ -8,25 +8,31 @@ parallel arrows, and arrow sets are kept reduced mod 2.  Idempotent
 coherence is enforced at construction: an arrow x ->(t) y can only carry
 a token whose forced idempotents agree with those of x and y.
 
-The structure equation for a type-DD structure with both algebra
-differentials zero reads: for every ordered generator pair (x, z), the
-mod-2 sum over two-step paths x -> y -> z of the componentwise label
-products vanishes.  check_dd/check_d verify exactly that.
+Each structure, and each morphism's arrow set, is also one labeled
+graph: a cached out-adjacency {source: [(label, target)]} with interned
+labels (l, r) for DD, (t,) for D and () for chain complexes.  The
+structure equation of a type-DD structure with both algebra
+differentials zero says that for every generator pair (x, z) the mod-2
+sum over two-step paths x -> y -> z of the label products vanishes; the
+checkers, the morphism differential and composition all evaluate that
+sum with one kernel, ``_compose_parity``.
 """
 
 import bisect
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .algebra import (
+    _PRODUCT,
     INTERVALS,
+    SIDES,
+    basis_tokens,
     chord_factorizations,
     idem_token,
     is_idempotent,
     left_idem,
-    mul_basis,
     mul_interval,
     right_idem,
     side_of,
@@ -47,6 +53,61 @@ class CheckReport:
 
     def text(self) -> str:
         return "\n".join(self.lines)
+
+
+# ---------------------------------------------------------------------------
+# labels: an arrow's label is what lies between its source and target,
+# (l, r) for DD, (t,) for D and () for complexes; each label is interned
+# (one tuple per value), and each kind has one table label -> {label:
+# nonzero product} and one set of unit labels
+
+
+_LEFT, _RIGHT = basis_tokens("left"), basis_tokens("right")
+_LABEL = {
+    label: label
+    for label in [*((l, r) for l in _LEFT for r in _RIGHT), *((t,) for t in _LEFT + _RIGHT), ()]
+}
+# label -> (sides, source idempotents, target idempotents) of its tokens
+_LABEL_ENDS = {
+    label: tuple(tuple(map(f, label)) for f in (side_of, token_left_idem, token_right_idem))
+    for label in _LABEL
+}
+
+_D_PRODUCT = {
+    _LABEL[a,]: {_LABEL[b,]: _LABEL[p,] for b, p in _PRODUCT[a].items() if p}
+    for a in _LEFT + _RIGHT
+}
+# a DD product is nonzero when both sides are: 18 x 18 entries
+_DD_PRODUCT = {
+    _LABEL[l, r]: {
+        _LABEL[b + c]: _LABEL[p + q]
+        for b, p in _D_PRODUCT[l,].items()
+        for c, q in _D_PRODUCT[r,].items()
+    }
+    for l in _LEFT
+    for r in _RIGHT
+}
+_COMPLEX_PRODUCT = {(): {(): ()}}
+
+_DD_UNITS = {label for label in _DD_PRODUCT if all(map(is_idempotent, label))}
+_D_UNITS = {label for label in _D_PRODUCT if is_idempotent(label[0])}
+_COMPLEX_UNITS = {()}
+
+
+def _adjacency(names, arrows):
+    """{name: [(label, target)]} over arrows (source, *label, target),
+    each list sorted, so it runs in sorted arrow order."""
+    out = {g: [] for g in names}
+    for arrow in arrows:
+        out[arrow[0]].append((_LABEL[arrow[1:-1]], arrow[-1]))
+    for steps in out.values():
+        steps.sort()
+    return out
+
+
+def _triples(out):
+    """The (source, label, target) arrows of an adjacency."""
+    return ((s, label, t) for s, steps in out.items() for label, t in steps)
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +154,22 @@ def _normalize(struct):
 # type-DD structures
 
 
-def _check_labels(arrow, x: DDGenerator, y: DDGenerator, where: str):
-    """Raise unless arrow x -> y has a left and a right label, each
-    carrying x's idempotent on its side to y's."""
-    _, l, r, _ = arrow
-    if side_of(l) != "left" or side_of(r) != "right":
-        raise ValueError(f"arrow labels on wrong sides: {arrow}")
-    if token_left_idem(l) != x.left or token_right_idem(l) != y.left:
-        raise ValueError(f"left label incoherent {where} {arrow}")
-    if token_left_idem(r) != x.right or token_right_idem(r) != y.right:
-        raise ValueError(f"right label incoherent {where} {arrow}")
+def _check_labels(arrow, sides, x_idems, y_idems, where: str):
+    """Raise unless each token of the label (l, r) of a DD arrow, or (t,)
+    of a D arrow, x -> y lies on its side and carries x's idempotent on
+    that side to y's."""
+    label = arrow[1:-1]
+    if _LABEL_ENDS.get(label) == (sides, x_idems, y_idems):
+        return
+    one = len(label) == 1
+    for t, side in zip(label, sides):
+        if side_of(t) != side:
+            if one:
+                raise ValueError(f"label {t!r} not on side {side!r}")
+            raise ValueError(f"arrow labels on wrong sides: {arrow}")
+    for t, side, a, b in zip(label, sides, x_idems, y_idems):
+        if token_left_idem(t) != a or token_right_idem(t) != b:
+            raise ValueError(f"{'' if one else side + ' '}label incoherent {where} {arrow}")
 
 
 @dataclass(frozen=True)
@@ -115,23 +182,22 @@ class DDStructure:
     def __post_init__(self):
         _normalize(self)
         _check_unique(g.name for g in self.generators)
-        by_name = {g.name: g for g in self.generators}
+        idems = self.idems
         for arrow in self.arrows:
             src, _, _, tgt = arrow
-            if src not in by_name or tgt not in by_name:
+            if src not in idems or tgt not in idems:
                 raise ValueError(f"arrow endpoint missing: {arrow}")
-            _check_labels(arrow, by_name[src], by_name[tgt], "on arrow")
+            _check_labels(arrow, SIDES, idems[src], idems[tgt], "on arrow")
 
     @cached_property
-    def by_name(self):
-        return {g.name: g for g in self.generators}
+    def idems(self):
+        """{name: (left idempotent, right idempotent)}."""
+        return {g.name: (g.left, g.right) for g in self.generators}
 
     @cached_property
-    def arrows_from(self):
-        out = {g.name: [] for g in self.generators}
-        for src, l, r, tgt in sorted(self.arrows):
-            out[src].append((l, r, tgt))
-        return out
+    def out(self):
+        """{name: [((l, r), target)]}, each list in sorted arrow order."""
+        return _adjacency(self.idems, self.arrows)
 
     def generator_names(self):
         return tuple(g.name for g in self.generators)
@@ -148,20 +214,22 @@ class DStructure:
     def __post_init__(self):
         _normalize(self)
         _check_unique(g.name for g in self.generators)
-        by_name = {g.name: g for g in self.generators}
-        for src, t, tgt in self.arrows:
-            if src not in by_name or tgt not in by_name:
-                raise ValueError(f"arrow endpoint missing: {(src, t, tgt)}")
-            if side_of(t) != self.side:
-                raise ValueError(f"label {t!r} not on side {self.side!r}")
-            if token_left_idem(t) != by_name[src].idem:
-                raise ValueError(f"label incoherent on arrow {(src, t, tgt)}")
-            if token_right_idem(t) != by_name[tgt].idem:
-                raise ValueError(f"label incoherent on arrow {(src, t, tgt)}")
+        idems, sides = self.idems, (self.side,)
+        for arrow in self.arrows:
+            src, _, tgt = arrow
+            if src not in idems or tgt not in idems:
+                raise ValueError(f"arrow endpoint missing: {arrow}")
+            _check_labels(arrow, sides, idems[src], idems[tgt], "on arrow")
 
     @cached_property
-    def by_name(self):
-        return {g.name: g for g in self.generators}
+    def idems(self):
+        """{name: (idempotent,)}."""
+        return {g.name: (g.idem,) for g in self.generators}
+
+    @cached_property
+    def out(self):
+        """{name: [((t,), target)]}, each list in sorted arrow order."""
+        return _adjacency(self.idems, self.arrows)
 
     def generator_names(self):
         return tuple(g.name for g in self.generators)
@@ -181,6 +249,16 @@ class ChainComplexF2:
         for src, tgt in self.arrows:
             if src not in gens or tgt not in gens:
                 raise ValueError(f"arrow endpoint missing: {(src, tgt)}")
+
+    @cached_property
+    def idems(self):
+        """{name: ()}: complexes carry no idempotents."""
+        return {g: () for g in self.generators}
+
+    @cached_property
+    def out(self):
+        """{name: [((), target)]}, each list in sorted arrow order."""
+        return _adjacency(self.generators, self.arrows)
 
     def generator_names(self):
         return tuple(self.generators)
@@ -242,13 +320,18 @@ class DDMorphism:
     arrows: frozenset
 
     def __post_init__(self):
-        src_gens = self.source.by_name
-        tgt_gens = self.target.by_name
+        src_idems = self.source.idems
+        tgt_idems = self.target.idems
         for arrow in self.arrows:
             src, _, _, tgt = arrow
-            if src not in src_gens or tgt not in tgt_gens:
+            if src not in src_idems or tgt not in tgt_idems:
                 raise ValueError(f"morphism endpoint missing: {arrow}")
-            _check_labels(arrow, src_gens[src], tgt_gens[tgt], "on")
+            _check_labels(arrow, SIDES, src_idems[src], tgt_idems[tgt], "on")
+
+    @cached_property
+    def out(self):
+        """{source name: [((l, r), target)]}, like DDStructure.out."""
+        return _adjacency(self.source.idems, self.arrows)
 
     def is_zero(self):
         return not self.arrows
@@ -270,41 +353,49 @@ def zero_morphism(M: DDStructure, N: DDStructure) -> DDMorphism:
 # structure-equation checkers
 
 
-def _toggle(parity, key):
-    parity[key] = not parity.get(key, False)
+def _toggle(odd, key):
+    """Add key to the set odd, or take it out if it is there: a sum mod 2."""
+    if key in odd:
+        odd.remove(key)
+    else:
+        odd.add(key)
+
+
+def _compose_parity(first_out, second_out, product):
+    """The set of (x, label, z) summed an odd number of times over the
+    two-step paths x -(a)-> y -(b)-> z, the first step from first_out
+    and the second from second_out, with label = a * b nonzero in
+    product."""
+    odd = set()
+    for x, steps in first_out.items():
+        for a, y in steps:
+            row = product[a]
+            for b, z in second_out[y]:
+                label = row.get(b)
+                if label is not None:
+                    _toggle(odd, (x, label, z))
+    return odd
+
+
+def _line(x, label, z):
+    """'x -> z', plus ': ' and the label's tokens joined by '*' if any."""
+    return f"{x} -> {z}: {'*'.join(label)}" if label else f"{x} -> {z}"
+
+
+def _report(odd):
+    """One line per odd (x, label, z), sorted by (x, z, label)."""
+    lines = tuple(_line(*k) for k in sorted(odd, key=lambda k: (k[0], k[2], k[1])))
+    return CheckReport(not lines, lines)
 
 
 def check_dd(S: DDStructure) -> CheckReport:
     """Verify the quadratic structure equation of a type-DD structure."""
-    parity = {}
-    for x, l1, r1, y in S.arrows:
-        for l2, r2, z in S.arrows_from[y]:
-            lp = mul_basis(l1, l2)
-            if lp is None:
-                continue
-            rp = mul_basis(r1, r2)
-            if rp is None:
-                continue
-            _toggle(parity, (x, z, lp, rp))
-    bad = sorted(k for k, odd in parity.items() if odd)
-    lines = tuple(f"{x} -> {z}: {lp}*{rp}" for x, z, lp, rp in bad)
-    return CheckReport(not lines, lines)
+    return _report(_compose_parity(S.out, S.out, _DD_PRODUCT))
 
 
 def check_d(S: DStructure) -> CheckReport:
     """One-sided analogue of check_dd."""
-    outgoing = {}
-    for src, t, tgt in sorted(S.arrows):
-        outgoing.setdefault(src, []).append((t, tgt))
-    parity = {}
-    for x, t1, y in S.arrows:
-        for t2, z in outgoing.get(y, ()):
-            p = mul_basis(t1, t2)
-            if p is not None:
-                _toggle(parity, (x, z, p))
-    bad = sorted(k for k, odd in parity.items() if odd)
-    lines = tuple(f"{x} -> {z}: {p}" for x, z, p in bad)
-    return CheckReport(not lines, lines)
+    return _report(_compose_parity(S.out, S.out, _D_PRODUCT))
 
 
 def check_a(M: AModule, cap: int | None = None) -> CheckReport:
@@ -330,7 +421,7 @@ def check_a(M: AModule, cap: int | None = None) -> CheckReport:
                     candidates.add((src, refined))
     lines = []
     for x, seq in sorted(candidates):
-        parity = {}
+        parity = set()
         for cut in range(1, len(seq)):
             for mid in table.get((x, seq[:cut]), ()):
                 for tgt in table.get((mid, seq[cut:]), ()):
@@ -341,7 +432,7 @@ def check_a(M: AModule, cap: int | None = None) -> CheckReport:
                 contracted = seq[:pos] + (prod,) + seq[pos + 2 :]
                 for tgt in table.get((x, contracted), ()):
                     _toggle(parity, tgt)
-        odd = sorted(t for t, p in parity.items() if p)
+        odd = sorted(parity)
         if odd:
             lines.append(f"{x}: ({','.join(seq)}) -> {'+'.join(odd)}")
     return CheckReport(not lines, tuple(lines))
@@ -349,15 +440,7 @@ def check_a(M: AModule, cap: int | None = None) -> CheckReport:
 
 def check_complex(C: ChainComplexF2) -> CheckReport:
     """Verify that the boundary squares to zero."""
-    outgoing = {}
-    for src, tgt in sorted(C.arrows):
-        outgoing.setdefault(src, []).append(tgt)
-    parity = {}
-    for x, y in C.arrows:
-        for z in outgoing.get(y, ()):
-            _toggle(parity, (x, z))
-    bad = sorted(k for k, odd in parity.items() if odd)
-    return CheckReport(not bad, tuple(f"{x} -> {z}" for x, z in bad))
+    return _report(_compose_parity(C.out, C.out, _COMPLEX_PRODUCT))
 
 
 # ---------------------------------------------------------------------------
@@ -375,44 +458,16 @@ def d_of_morphism(h: DDMorphism) -> DDMorphism:
 
     The result is empty exactly when h is a chain map.
     """
-    parity = {}
-    for x, a, b, y in h.arrows:
-        for c, d, z in h.target.arrows_from[y]:
-            lp, rp = mul_basis(a, c), mul_basis(b, d)
-            if lp is not None and rp is not None:
-                _toggle(parity, (x, lp, rp, z))
-    incoming = {}
-    for w, a, b, x in h.source.arrows:
-        incoming.setdefault(x, []).append((w, a, b))
-    for x, c, d, y in h.arrows:
-        for w, a, b in incoming.get(x, ()):
-            lp, rp = mul_basis(a, c), mul_basis(b, d)
-            if lp is not None and rp is not None:
-                _toggle(parity, (w, lp, rp, y))
-    arrows = frozenset(k for k, odd in parity.items() if odd)
-    return DDMorphism(h.source, h.target, arrows)
+    odd = _compose_parity(h.out, h.target.out, _DD_PRODUCT)
+    odd ^= _compose_parity(h.source.out, h.out, _DD_PRODUCT)
+    return DDMorphism(h.source, h.target, frozenset((x, *label, z) for x, label, z in odd))
 
 
 def compose(g: DDMorphism, f: DDMorphism) -> DDMorphism:
     """Composite g after f; f feeds into g."""
     _require_same_structure(g.source, f.target, "compose(g, f) needs f: M->N, g: N->P")
-    by_source = {}
-    for y, c, d, z in g.arrows:
-        by_source.setdefault(y, []).append((c, d, z))
-    parity = {}
-    for x, a, b, y in f.arrows:
-        for c, d, z in by_source.get(y, ()):
-            lp, rp = mul_basis(a, c), mul_basis(b, d)
-            if lp is not None and rp is not None:
-                _toggle(parity, (x, lp, rp, z))
-    arrows = frozenset(k for k, odd in parity.items() if odd)
-    return DDMorphism(f.source, g.target, arrows)
-
-
-def _morphism_sum(f: DDMorphism, g: DDMorphism) -> DDMorphism:
-    _require_same_structure(f.source, g.source, "sum of morphisms")
-    _require_same_structure(f.target, g.target, "sum of morphisms")
-    return DDMorphism(f.source, f.target, f.arrows ^ g.arrows)
+    odd = _compose_parity(f.out, g.out, _DD_PRODUCT)
+    return DDMorphism(f.source, g.target, frozenset((x, *label, z) for x, label, z in odd))
 
 
 def verify_homotopy(F: DDMorphism, G: DDMorphism, H: DDMorphism) -> CheckReport:
@@ -426,81 +481,48 @@ def verify_homotopy(F: DDMorphism, G: DDMorphism, H: DDMorphism) -> CheckReport:
     _require_same_structure(G.target, M, "G must land in the big structure")
     _require_same_structure(H.source, M, "H must be a self-morphism of the big one")
     _require_same_structure(H.target, M, "H must be a self-morphism of the big one")
-    lines = []
-
-    def surviving(tag, morphism):
-        for src, l, r, tgt in sorted(morphism.arrows):
-            lines.append(f"{tag}: {src} -> {tgt}: {l}*{r}")
-
-    dF = d_of_morphism(F)
-    if not dF.is_zero():
-        surviving("F not a chain map", dF)
-    dG = d_of_morphism(G)
-    if not dG.is_zero():
-        surviving("G not a chain map", dG)
-    fg = _morphism_sum(compose(F, G), identity_morphism(N))
-    if not fg.is_zero():
-        surviving("F o G differs from identity", fg)
-    gf = _morphism_sum(compose(G, F), identity_morphism(M))
-    defect = _morphism_sum(gf, d_of_morphism(H))
-    if not defect.is_zero():
-        surviving("G o F + id differs from d(H)", defect)
-    return CheckReport(not lines, tuple(lines))
+    # arrow sets, each empty exactly when its identity holds
+    surviving = (
+        ("F not a chain map", d_of_morphism(F).arrows),
+        ("G not a chain map", d_of_morphism(G).arrows),
+        ("F o G differs from identity", compose(F, G).arrows ^ identity_morphism(N).arrows),
+        (
+            "G o F + id differs from d(H)",
+            compose(G, F).arrows ^ identity_morphism(M).arrows ^ d_of_morphism(H).arrows,
+        ),
+    )
+    lines = tuple(
+        f"{tag}: {_line(x, label, z)}"
+        for tag, arrows in surviving
+        for x, *label, z in sorted(arrows)
+    )
+    return CheckReport(not lines, lines)
 
 
 # ---------------------------------------------------------------------------
 # cancellation
 
 
+_KINDS = {
+    DDStructure: ("DD", _DD_PRODUCT, _DD_UNITS),
+    DStructure: ("D", _D_PRODUCT, _D_UNITS),
+    ChainComplexF2: ("complex", _COMPLEX_PRODUCT, _COMPLEX_UNITS),
+}
+
+
 def _graph_data(S):
-    """Uniform (kind, gens, attrs, arrows, label ops) view of a structure.
-
-    Arrows become (src, label, tgt) with an opaque label tuple; () is the
-    trivial label of a chain complex and is its own unit.
-    """
-    if isinstance(S, DDStructure):
-        arrows = {(s, (l, r), t) for s, l, r, t in S.arrows}
-        attrs = {g.name: (g.left, g.right) for g in S.generators}
-
-        def mul(u, v):
-            lp = mul_basis(u[0], v[0])
-            if lp is None:
-                return None
-            rp = mul_basis(u[1], v[1])
-            return None if rp is None else (lp, rp)
-
-        def unit(label):
-            return is_idempotent(label[0]) and is_idempotent(label[1])
-
-        return "DD", attrs, arrows, mul, unit
-    if isinstance(S, DStructure):
-        arrows = {(s, (t,), z) for s, t, z in S.arrows}
-        attrs = {g.name: (g.idem,) for g in S.generators}
-
-        def mul(u, v):
-            p = mul_basis(u[0], v[0])
-            return None if p is None else (p,)
-
-        def unit(label):
-            return is_idempotent(label[0])
-
-        return "D", attrs, arrows, mul, unit
-    if isinstance(S, ChainComplexF2):
-        arrows = {(s, (), t) for s, t in S.arrows}
-        attrs = {g: () for g in S.generators}
-        return "complex", attrs, arrows, lambda u, v: (), lambda label: True
-    raise ValueError(f"cannot reduce a {type(S).__name__}")
+    """Uniform (kind, idempotents, out-adjacency, product table, unit
+    labels) view of a DD or D structure or a chain complex."""
+    if type(S) not in _KINDS:
+        raise ValueError(f"cannot reduce a {type(S).__name__}")
+    kind, product, units = _KINDS[type(S)]
+    return kind, S.idems, S.out, product, units
 
 
 def _rebuild(S, names, arrows):
-    if isinstance(S, DDStructure):
-        keep = tuple(g for g in S.generators if g.name in names)
-        return DDStructure(keep, frozenset((s, l[0], l[1], t) for s, l, t in arrows))
-    if isinstance(S, DStructure):
-        keep = tuple(g for g in S.generators if g.name in names)
-        return DStructure(S.side, keep, frozenset((s, l[0], t) for s, l, t in arrows))
-    keep = tuple(g for g in S.generators if g in names)
-    return ChainComplexF2(keep, frozenset((s, t) for s, l, t in arrows))
+    """S with the named generators and the (source, label, target) arrows."""
+    keep = tuple(g for g, name in zip(S.generators, S.idems) if name in names)
+    return replace(S, generators=keep, arrows=frozenset((s, *label, t) for s, label, t in arrows))
 
 
 def _natural_key(name):
@@ -527,18 +549,21 @@ def reduce(S, rng: random.Random | None = None):
     update and, for a unit arrow, a bisect into the index; nothing
     rescans or re-sorts the whole arrow set.
     """
-    _, attrs, arrows, mul, unit = _graph_data(S)
-    key = {g: _natural_key(g) for g in attrs}
-    out = {g: set() for g in attrs}  # g -> {(label, target)}
-    into = {g: set() for g in attrs}  # g -> {(source, label)}
-    for s, label, t in arrows:
-        out[s].add((label, t))
+    _, _, adjacency, product, unit_labels = _graph_data(S)
+    key = {g: _natural_key(g) for g in adjacency}
+    out = {g: set(steps) for g, steps in adjacency.items()}  # g -> {(label, target)}
+    into = {g: set() for g in adjacency}  # g -> {(source, label)}
+    for s, label, t in _triples(adjacency):
         into[t].add((s, label))
     # non-loop unit arrows, ascending by natural (source, target) order
-    units = sorted((key[s], key[t], s, t) for s, label, t in arrows if s != t and unit(label))
+    units = sorted(
+        (key[s], key[t], s, t)
+        for s, label, t in _triples(adjacency)
+        if s != t and label in unit_labels
+    )
 
     def toggle(s, label, t):
-        indexed = s != t and unit(label)
+        indexed = s != t and label in unit_labels
         if (label, t) in out[s]:
             out[s].discard((label, t))
             into[t].discard((s, label))
@@ -561,11 +586,12 @@ def reduce(S, rng: random.Random | None = None):
         for g in (x, y):
             del out[g], into[g]
         for w, l1 in ins:
+            row = product[l1]
             for l2, z in outs:
-                p = mul(l1, l2)
+                p = row.get(l2)
                 if p is not None:
                     toggle(w, p, z)
-    return _rebuild(S, out.keys(), {(s, label, t) for s in out for label, t in out[s]})
+    return _rebuild(S, out, _triples(out))
 
 
 # ---------------------------------------------------------------------------
@@ -597,24 +623,27 @@ def isomorphic(S1, S2):
     so size is not limited by the interpreter stack.  Both inputs must
     be the same kind of structure.
     """
-    kind1, attrs1, arrows1, _, _ = _graph_data(S1)
-    kind2, attrs2, arrows2, _, _ = _graph_data(S2)
+    kind1, attrs1, out1, _, _ = _graph_data(S1)
+    kind2, attrs2, out2, _, _ = _graph_data(S2)
     if kind1 != kind2:
         raise ValueError(f"cannot compare {kind1} with {kind2}")
     if isinstance(S1, DStructure) and S1.side != S2.side:
         raise ValueError("cannot compare D structures over different algebras")
     k = len(attrs1)
-    if k != len(attrs2) or len(arrows1) != len(arrows2):
+    if k != len(attrs2) or len(S1.arrows) != len(S2.arrows):
         return None
 
     names = [*attrs1, *attrs2]
     labels = {}
 
-    def numbered(arrows, start):
+    def numbered(adjacency, start):
         number = {g: v for v, g in enumerate(names[start : start + k], start)}
-        return {(number[s], labels.setdefault(l, len(labels)), number[t]) for s, l, t in arrows}
+        return {
+            (number[s], labels.setdefault(l, len(labels)), number[t])
+            for s, l, t in _triples(adjacency)
+        }
 
-    edges1, edges2 = numbered(arrows1, 0), numbered(arrows2, k)
+    edges1, edges2 = numbered(out1, 0), numbered(out2, k)
 
     # adj[v]: (direction-tagged label * n, neighbour); adding the
     # neighbour's colour (< n) packs (label, colour) into one int

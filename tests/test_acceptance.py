@@ -200,3 +200,11 @@ def test_criterion_10_property_suite():
                 mul_basis(a, bc) if bc else None
             )
     report(10, "property suite")
+
+
+def test_structure_equations_at_n32():
+    S = build_cfdd_full(32)
+    assert check_dd(S).ok
+    assert check_dd(build_cfdd_simplified(32)).ok
+    for slope in (1, 2, 3):
+        assert check_d(box_right(build_cfa_framed(slope), S)).ok, slope

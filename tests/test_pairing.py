@@ -238,7 +238,9 @@ def test_pairing_terminates_on_cyclic_structures():
 
 
 def test_path_cap_must_cover_table():
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^path cap 2 is smaller than the longest module operation \(arity 5\)$"
+    ):
         box_right(build_cfa_framed(5), build_cfdd_full(2), PairingConfig(path_cap=2))
 
 

@@ -30,7 +30,7 @@ from bpc.structures import (
     verify_homotopy,
     zero_morphism,
 )
-from bpc.structures import _graph_data, _natural_key, _rebuild
+from bpc.structures import _graph_data, _natural_key, _rebuild, _triples
 from bpc.torus_link import build_cfdd_full, build_cfdd_simplified, build_equivalence
 
 
@@ -87,6 +87,35 @@ def test_structure_and_morphism_share_label_checks():
         with pytest.raises(ValueError) as morphism_error:
             DDMorphism(M, M, frozenset({arrow}))
         assert str(morphism_error.value) == message.format("")
+
+
+def test_label_error_messages():
+    d_gens = (DGenerator("p", 1), DGenerator("q", 2))
+    d_cases = [
+        ("left", ("p", "s1", "q"), "label 's1' not on side 'left'"),
+        ("right", ("p", "r1", "q"), "label 'r1' not on side 'right'"),
+        ("left", ("p", "r2", "q"), "label incoherent on arrow ('p', 'r2', 'q')"),
+        ("left", ("p", "r12", "q"), "label incoherent on arrow ('p', 'r12', 'q')"),
+        ("left", ("p", "x9", "q"), "unknown algebra token 'x9'"),
+        ("left", ("p", "r1", "z"), "arrow endpoint missing: ('p', 'r1', 'z')"),
+    ]
+    for side, arrow, message in d_cases:
+        with pytest.raises(ValueError) as error:
+            DStructure(side, d_gens, frozenset({arrow}))
+        assert str(error.value) == message
+    dd_cases = [
+        # the left token is checked first, and its side before any idempotent
+        (
+            ("ab", "s1", "bogus", "x1y1"),
+            "arrow labels on wrong sides: ('ab', 's1', 'bogus', 'x1y1')",
+        ),
+        (("ab", "r1", "bogus", "x1y1"), "unknown algebra token 'bogus'"),
+        (("ab", "r2", "s2", "x1y1"), "left label incoherent on arrow ('ab', 'r2', 's2', 'x1y1')"),
+    ]
+    for arrow, message in dd_cases:
+        with pytest.raises(ValueError) as error:
+            two_generator_dd({arrow})
+        assert str(error.value) == message
 
 
 def test_check_d_surgery_cycle_passes():
@@ -221,10 +250,17 @@ def test_reduce_complex_collapses_to_homology():
     assert len(red.generators) == 1 and not red.arrows
 
 
+def _view(S):
+    """(kind, attrs, arrow triples, mul, unit) read from structures' graph
+    view, the shape the oracles below were written against."""
+    kind, attrs, out, product, units = _graph_data(S)
+    return kind, attrs, set(_triples(out)), lambda u, v: product[u].get(v), units.__contains__
+
+
 def _reduce_reference(S, rng=None):
     """The rescanning cancellation loop reduce replaced, kept as its oracle:
     every step re-sorts all unit arrows and rebuilds the arrow set."""
-    _, attrs, arrows, mul, unit = _graph_data(S)
+    _, attrs, arrows, mul, unit = _view(S)
     names = set(attrs)
     while True:
         units = sorted(
@@ -331,8 +367,8 @@ def test_isomorphic_rejects_kind_mismatch():
 def _isomorphic_reference(S1, S2):
     """The backtracking search isomorphic replaced, kept as its oracle:
     one recursion level per generator over signature-equal candidates."""
-    kind1, attrs1, arrows1, _, _ = _graph_data(S1)
-    kind2, attrs2, arrows2, _, _ = _graph_data(S2)
+    kind1, attrs1, arrows1, _, _ = _view(S1)
+    kind2, attrs2, arrows2, _, _ = _view(S2)
     assert kind1 == kind2
     if len(attrs1) != len(attrs2) or len(arrows1) != len(arrows2):
         return None
@@ -413,8 +449,8 @@ def _isomorphic_reference(S1, S2):
 
 def _assert_isomorphism(S1, S2, mapping):
     """mapping is a generator bijection carrying idempotents and labeled arrows."""
-    _, attrs1, arrows1, _, _ = _graph_data(S1)
-    _, attrs2, arrows2, _, _ = _graph_data(S2)
+    _, attrs1, arrows1, _, _ = _view(S1)
+    _, attrs2, arrows2, _, _ = _view(S2)
     assert mapping.keys() == attrs1.keys()
     assert sorted(mapping.values()) == sorted(attrs2)
     assert all(attrs1[g] == attrs2[h] for g, h in mapping.items())
@@ -648,3 +684,92 @@ def test_check_complex():
     assert check_complex(good).ok
     bad = ChainComplexF2(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
     assert not check_complex(bad).ok
+
+
+# ---------------------------------------------------------------------------
+# exact failure reports: every checker prints "x -> z" plus ": " and the
+# label factors joined by "*" when the label is not empty, sorted by
+# (x, z, label); verify_homotopy prefixes each surviving arrow with its tag
+
+
+def test_check_complex_report_lines():
+    C = ChainComplexF2(
+        ("a", "b", "c", "d"),
+        frozenset({("a", "b"), ("b", "c"), ("b", "d"), ("a", "d"), ("c", "d")}),
+    )
+    report = check_complex(C)
+    assert not report.ok
+    assert report.lines == ("a -> c", "a -> d", "b -> d")
+    assert report.text() == "a -> c\na -> d\nb -> d"
+
+
+def test_check_dd_report_lines():
+    S = build_cfdd_full(2)
+    broken = DDStructure(S.generators, frozenset(a for a in S.arrows if a[0] != "x2y2"))
+    assert check_dd(broken).lines == ("x1y3 -> x3y3: r23*s23", "x3y1 -> x3y3: r23*s23")
+
+
+def test_check_d_report_lines():
+    gens = (DGenerator("c0", 1), DGenerator("c1", 2), DGenerator("c2", 1))
+    arrows = {
+        ("c0", "i1", "c0"),
+        ("c0", "r1", "c1"),
+        ("c0", "r3", "c1"),
+        ("c1", "r2", "c2"),
+        ("c1", "r2", "c0"),
+    }
+    report = check_d(DStructure("left", gens, frozenset(arrows)))
+    assert report.lines == (
+        "c0 -> c0: i1",
+        "c0 -> c0: r12",
+        "c0 -> c1: r1",
+        "c0 -> c1: r3",
+        "c0 -> c2: r12",
+        "c1 -> c0: r2",
+        "c1 -> c1: r23",
+    )
+
+
+def _without_first_arrow(h):
+    return DDMorphism(h.source, h.target, frozenset(sorted(h.arrows)[1:]))
+
+
+def test_verify_homotopy_report_lines():
+    F, G, H = build_equivalence(3)
+    assert verify_homotopy(F, G, _without_first_arrow(H)).lines == (
+        "G o F + id differs from d(H): a_y2 -> x4y4: r3*j2",
+        "G o F + id differs from d(H): x5y1 -> x3y5: r23*s23",
+    )
+    assert verify_homotopy(_without_first_arrow(F), G, H).lines == (
+        "F not a chain map: a_y2 -> u_x1y1: r1*j2",
+        "F not a chain map: a_y2 -> u_x4y4: r3*j2",
+        "F not a chain map: x5y1 -> u_a_y2: r2*s23",
+        "F o G differs from identity: u_a_y2 -> u_a_y2: i1*j2",
+        "G o F + id differs from d(H): a_y2 -> a_y2: i1*j2",
+    )
+    assert verify_homotopy(F, _without_first_arrow(G), H).lines == (
+        "G not a chain map: u_a_y2 -> x1y1: r1*j2",
+        "G not a chain map: u_a_y2 -> x3y1: r123*s23",
+        "G not a chain map: u_a_y2 -> x3y5: r3*j2",
+        "G not a chain map: u_a_y2 -> x5y3: r3*j2",
+        "G not a chain map: u_x3y3 -> a_y2: r2*s23",
+        "F o G differs from identity: u_a_y2 -> u_a_y2: i1*j2",
+        "G o F + id differs from d(H): a_y2 -> a_y2: i1*j2",
+        "G o F + id differs from d(H): x2y4 -> a_y2: r2*s23",
+    )
+
+
+def test_morphism_calculus_on_a_broken_chain_map():
+    F, G, H = build_equivalence(3)
+    assert sorted(F.arrows)[0] == ("a_y2", "i1", "j2", "u_a_y2")
+    broken = _without_first_arrow(F)
+    assert d_of_morphism(broken).arrows == {
+        ("a_y2", "r1", "j2", "u_x1y1"),
+        ("a_y2", "r3", "j2", "u_x4y4"),
+        ("x5y1", "r2", "s23", "u_a_y2"),
+    }
+    assert compose(broken, G).arrows == identity_morphism(F.target).arrows - {
+        ("u_a_y2", "i1", "j2", "u_a_y2")
+    }
+    defect = compose(G, broken).arrows ^ identity_morphism(F.source).arrows
+    assert defect ^ d_of_morphism(H).arrows == {("a_y2", "i1", "j2", "a_y2")}
