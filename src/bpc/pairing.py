@@ -16,10 +16,12 @@ on sequences that leave the table's prefix tree, so no path is longer
 than the module's longest operation; a path cap below that is rejected.
 """
 
+import math
 from dataclasses import dataclass
 
-from .algebra import chord_interval, idem_token, is_idempotent, mul_basis
+from .algebra import _CHORD_INTERVAL, _PRODUCT, idem_token
 from .structures import (
+    _LABEL,
     AModule,
     ChainComplexF2,
     DGenerator,
@@ -28,6 +30,14 @@ from .structures import (
     _toggle,
     check_complex,
 )
+
+# interned label -> (chord interval of its last, consumed-side token, or
+# None for an idempotent; the left token of a DD label (l, r), or None)
+_STEP = {
+    label: (_CHORD_INTERVAL.get(label[-1]), label[0] if len(label) == 2 else None)
+    for label in _LABEL
+    if label
+}
 
 DEFAULT_PATH_CAP = 64
 
@@ -72,12 +82,31 @@ def _check_cap(cfg: PairingConfig, module: AModule):
 
 
 def _guard_path(module: AModule, where: str, source: str, seq: tuple):
-    """Raise PathCapExceeded, naming the path, if seq reaches the family cap."""
-    if module.capped_arity is not None and len(seq) >= module.capped_arity:
-        raise PathCapExceeded(
-            f"module family cap {module.capped_arity} touched (rebuild it with a larger cap)"
-            f" during {where} from {source!r} along chords {' '.join(seq)}"
+    """Raise PathCapExceeded, naming the path; seq has reached the family cap."""
+    raise PathCapExceeded(
+        f"module family cap {module.capped_arity} touched (rebuild it with a larger cap)"
+        f" during {where} from {source!r} along chords {' '.join(seq)}"
+    )
+
+
+def _pair_names(A: AModule, pairs):
+    """{module generator: {generator of S: 'a*d'}} over the (a, d) pairs,
+    so each product name is formatted once."""
+    named = {a.name: {} for a in A.generators}
+    for a, d in pairs:
+        named[a][d.name] = f"{a}*{d.name}"
+    return named
+
+
+def _landing(named, tgt, nxt):
+    """The product generator tgt*nxt, or a ValueError if they do not pair."""
+    out = named[tgt].get(nxt)
+    if out is None:
+        raise ValueError(
+            f"idempotent mismatch in inputs: operation lands on"
+            f" {tgt!r} which does not pair with {nxt!r}"
         )
+    return out
 
 
 def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> DStructure:
@@ -87,42 +116,40 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
         raise ValueError("box_right consumes the right algebra")
     _check_cap(cfg, A)
     table, prefixes = _op_lookup(A)
-    occupancy = {g.name: g.occupancy for g in A.generators}
+    horizon = math.inf if A.capped_arity is None else A.capped_arity
     pairs = [
         (a.name, d)
         for a in A.generators
         for d in S.generators
         if a.occupancy == d.right
     ]
-    gens = tuple(DGenerator(f"{a}*{d.name}", d.left) for a, d in pairs)
-    known = {g.name for g in gens}
+    named = _pair_names(A, pairs)
+    gens = tuple(DGenerator(named[a][d.name], d.left) for a, d in pairs)
     parity = set()
     for a, d in pairs:
-        source = f"{a}*{d.name}"
+        mine = named[a]
+        source = mine[d.name]
         # (label product so far, chord sequence so far, current generator)
         stack = [(idem_token("left", d.left), (), d.name)]
         while stack:
             prod, seq, at = stack.pop()
-            for (l, r), nxt in S.out[at]:
-                if is_idempotent(r):
+            row = _PRODUCT[prod]
+            for label, nxt in S.out[at]:
+                chord, l = _STEP[label]
+                if chord is None:
                     if not seq:
-                        _toggle(parity, (source, l, f"{a}*{nxt}"))
+                        _toggle(parity, (source, l, mine[nxt]))
                     continue
-                nprod = mul_basis(prod, l)
+                nprod = row[l]
                 if nprod is None:
                     continue
-                nseq = seq + (chord_interval(r),)
-                _guard_path(A, "box_right", source, nseq)
+                nseq = seq + (chord,)
+                if len(nseq) >= horizon:
+                    _guard_path(A, "box_right", source, nseq)
                 key = (a, nseq)
                 if key in table:
                     for tgt in table[key]:
-                        out = f"{tgt}*{nxt}"
-                        if out not in known:
-                            raise ValueError(
-                                f"idempotent mismatch in inputs: operation lands on"
-                                f" {tgt!r} which does not pair with {nxt!r}"
-                            )
-                        _toggle(parity, (source, nprod, out))
+                        _toggle(parity, (source, nprod, _landing(named, tgt, nxt)))
                 if key in prefixes:
                     stack.append((nprod, nseq, nxt))
     return DStructure("left", gens, frozenset(parity))
@@ -135,34 +162,32 @@ def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> Cha
         raise ValueError("box_left consumes the left algebra")
     _check_cap(cfg, A)
     table, prefixes = _op_lookup(A)
+    horizon = math.inf if A.capped_arity is None else A.capped_arity
     pairs = [
         (a.name, d) for a in A.generators for d in S.generators if a.occupancy == d.idem
     ]
-    gens = tuple(f"{a}*{d.name}" for a, d in pairs)
-    known = set(gens)
+    named = _pair_names(A, pairs)
+    gens = tuple(named[a][d.name] for a, d in pairs)
     parity = set()
     for a, d in pairs:
-        source = f"{a}*{d.name}"
+        mine = named[a]
+        source = mine[d.name]
         stack = [((), d.name)]
         while stack:
             seq, at = stack.pop()
-            for (t,), nxt in S.out[at]:
-                if is_idempotent(t):
+            for label, nxt in S.out[at]:
+                chord = _STEP[label][0]
+                if chord is None:
                     if not seq:
-                        _toggle(parity, (source, f"{a}*{nxt}"))
+                        _toggle(parity, (source, mine[nxt]))
                     continue
-                nseq = seq + (chord_interval(t),)
-                _guard_path(A, "box_left", source, nseq)
+                nseq = seq + (chord,)
+                if len(nseq) >= horizon:
+                    _guard_path(A, "box_left", source, nseq)
                 key = (a, nseq)
                 if key in table:
                     for tgt in table[key]:
-                        out = f"{tgt}*{nxt}"
-                        if out not in known:
-                            raise ValueError(
-                                f"idempotent mismatch in inputs: operation lands on"
-                                f" {tgt!r} which does not pair with {nxt!r}"
-                            )
-                        _toggle(parity, (source, out))
+                        _toggle(parity, (source, _landing(named, tgt, nxt)))
                 if key in prefixes:
                     stack.append((nseq, nxt))
     return ChainComplexF2(gens, frozenset(parity))

@@ -2,14 +2,16 @@
 
 Schema version 1.  Every document carries ``schema_version``, a
 ``kind`` in {DD, D, A, complex}, and the algebra ``sides`` its labels
-live in.  All arrays are sorted, output is UTF-8 JSON with sorted keys,
-and parsing rejects unknown fields, so parse(print(S)) == S and reruns
-are byte-identical.
+live in.  All arrays are sorted, and the output is exactly what
+``json.dumps(doc, indent=2, sort_keys=True)`` prints (ASCII, non-ASCII
+characters escaped) plus a trailing newline.  Parsing rejects unknown
+fields, so parse(print(S)) == S and reruns are byte-identical.
 """
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
-from .algebra import INTERVALS, check_token, idem_index, idem_token, is_idempotent, side_of
+from .algebra import INTERVALS, SIDES, check_token, idem_index, idem_token, is_idempotent, side_of
 from .structures import (
     AGenerator,
     AModule,
@@ -21,6 +23,9 @@ from .structures import (
 )
 
 SCHEMA_VERSION = 1
+
+# side -> {idempotent index -> token}
+_IDEM = {side: {k: idem_token(side, k) for k in (1, 2)} for side in SIDES}
 
 
 def _require_fields(obj: dict, fields: set, where: str):
@@ -52,69 +57,91 @@ def _idem(side: str, token: str) -> int:
     return idem_index(token)
 
 
-def to_dict(S) -> dict:
-    if isinstance(S, DDStructure):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "DD",
-            "sides": ["left", "right"],
-            "generators": [
-                {
-                    "name": g.name,
-                    "left": idem_token("left", g.left),
-                    "right": idem_token("right", g.right),
-                }
-                for g in sorted(S.generators, key=lambda g: g.name)
-            ],
-            "arrows": [
-                {"source": s, "left": l, "right": r, "target": t}
-                for s, l, r, t in sorted(S.arrows)
-            ],
-        }
-    if isinstance(S, DStructure):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "D",
-            "sides": [S.side],
-            "generators": [
-                {"name": g.name, "idem": idem_token(S.side, g.idem)}
-                for g in sorted(S.generators, key=lambda g: g.name)
-            ],
-            "arrows": [
-                {"source": s, "label": t, "target": z}
-                for s, t, z in sorted(S.arrows)
-            ],
-        }
-    if isinstance(S, AModule):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "A",
-            "sides": [],
-            "generators": [
-                {"name": g.name, "occupancy": g.occupancy}
-                for g in sorted(S.generators, key=lambda g: g.name)
-            ],
-            "operations": [
-                {"source": s, "chords": list(seq), "target": t}
-                for s, seq, t in sorted(S.operations)
-            ],
-            "capped_arity": S.capped_arity,
-        }
-    if isinstance(S, ChainComplexF2):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "complex",
-            "sides": [],
-            "generators": sorted(S.generators),
-            "arrows": [
-                {"source": s, "target": t} for s, t in sorted(S.arrows)
-            ],
-        }
-    raise ValueError(f"cannot serialize a {type(S).__name__}")
+def _block(items, indent: str = "  ") -> str:
+    """A JSON array of already-encoded items, laid out as json.dumps with
+    indent=2 lays it out when its closing bracket sits at indent."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + f"\n{indent}]"
+
+
+def _document(kind: str, sides, **fields) -> str:
+    """The top-level object: kind, schema_version, sides and the already
+    encoded fields, keys sorted."""
+    fields.update(
+        kind=_quote(kind),
+        schema_version=str(SCHEMA_VERSION),
+        sides=_block([f'    "{side}"' for side in sides]),
+    )
+    return "{\n" + ",\n".join(f'  "{k}": {fields[k]}' for k in sorted(fields)) + "\n}\n"
 
 
 def to_json(S) -> str:
-    return json.dumps(to_dict(S), indent=2, sort_keys=True) + "\n"
+    """S as a schema-version-1 document, laid out exactly as
+    json.dumps(doc, indent=2, sort_keys=True) prints it, plus a newline.
+
+    Each kind fills fixed templates, so every generator and arrow costs
+    one string format.  Names are escaped by the encoder json.dumps uses;
+    tokens and chord intervals are plain ASCII.  Generators are already
+    sorted by name at construction.
+    """
+    if isinstance(S, DDStructure):
+        q = {g.name: _quote(g.name) for g in S.generators}
+        left, right = _IDEM["left"], _IDEM["right"]
+        gens = [
+            f'    {{\n      "left": "{left[g.left]}",\n      "name": {q[g.name]},\n'
+            f'      "right": "{right[g.right]}"\n    }}'
+            for g in S.generators
+        ]
+        arrows = [
+            f'    {{\n      "left": "{l}",\n      "right": "{r}",\n'
+            f'      "source": {q[s]},\n      "target": {q[t]}\n    }}'
+            for s, l, r, t in sorted(S.arrows)
+        ]
+        return _document("DD", SIDES, arrows=_block(arrows), generators=_block(gens))
+    if isinstance(S, DStructure):
+        q = {g.name: _quote(g.name) for g in S.generators}
+        idem = _IDEM[S.side]
+        gens = [
+            f'    {{\n      "idem": "{idem[g.idem]}",\n      "name": {q[g.name]}\n    }}'
+            for g in S.generators
+        ]
+        arrows = [
+            f'    {{\n      "label": "{label}",\n      "source": {q[s]},\n'
+            f'      "target": {q[t]}\n    }}'
+            for s, label, t in sorted(S.arrows)
+        ]
+        return _document("D", (S.side,), arrows=_block(arrows), generators=_block(gens))
+    if isinstance(S, AModule):
+        q = {g.name: _quote(g.name) for g in S.generators}
+        gens = [
+            f'    {{\n      "name": {q[g.name]},\n'
+            f'      "occupancy": {json.dumps(g.occupancy)}\n    }}'
+            for g in S.generators
+        ]
+        ops = []
+        for s, seq, t in sorted(S.operations):
+            chords = _block([f'        "{c}"' for c in seq], "      ")
+            ops.append(
+                f'    {{\n      "chords": {chords},\n'
+                f'      "source": {q[s]},\n      "target": {q[t]}\n    }}'
+            )
+        return _document(
+            "A",
+            (),
+            capped_arity=json.dumps(S.capped_arity),
+            generators=_block(gens),
+            operations=_block(ops),
+        )
+    if isinstance(S, ChainComplexF2):
+        q = {g: _quote(g) for g in S.generators}
+        arrows = [
+            f'    {{\n      "source": {q[s]},\n      "target": {q[t]}\n    }}'
+            for s, t in sorted(S.arrows)
+        ]
+        gens = [f"    {q[g]}" for g in S.generators]
+        return _document("complex", (), arrows=_block(arrows), generators=_block(gens))
+    raise ValueError(f"cannot serialize a {type(S).__name__}")
 
 
 def from_dict(doc: dict):
@@ -204,4 +231,8 @@ def from_dict(doc: dict):
 
 
 def from_json(text: str):
-    return from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("document nested too deeply") from None
+    return from_dict(doc)

@@ -67,11 +67,16 @@ _LABEL = {
     label: label
     for label in [*((l, r) for l in _LEFT for r in _RIGHT), *((t,) for t in _LEFT + _RIGHT), ()]
 }
-# label -> (sides, source idempotents, target idempotents) of its tokens
-_LABEL_ENDS = {
-    label: tuple(tuple(map(f, label)) for f in (side_of, token_left_idem, token_right_idem))
-    for label in _LABEL
-}
+# sides of a label's tokens -> {label: (source idempotents, target
+# idempotents)}: an arrow x -(label)-> y over those sides is coherent
+# exactly when the pair equals (idems[x], idems[y])
+_LABEL_ENDS = {}
+for _label in _LABEL:
+    _LABEL_ENDS.setdefault(tuple(map(side_of, _label)), {})[_label] = (
+        tuple(map(token_left_idem, _label)),
+        tuple(map(token_right_idem, _label)),
+    )
+del _label
 
 _D_PRODUCT = {
     _LABEL[a,]: {_LABEL[b,]: _LABEL[p,] for b, p in _PRODUCT[a].items() if p}
@@ -134,8 +139,11 @@ class AGenerator:
 
 
 def _check_unique(names):
+    """Raise unless the generator names are distinct strings."""
     seen = set()
     for n in names:
+        if not isinstance(n, str):
+            raise ValueError(f"generator names must be strings, got {n!r}")
         if n in seen:
             raise ValueError(f"duplicate generator name {n!r}")
         seen.add(n)
@@ -154,13 +162,25 @@ def _normalize(struct):
 # type-DD structures
 
 
-def _check_labels(arrow, sides, x_idems, y_idems, where: str):
-    """Raise unless each token of the label (l, r) of a DD arrow, or (t,)
-    of a D arrow, x -> y lies on its side and carries x's idempotent on
-    that side to y's."""
-    label = arrow[1:-1]
-    if _LABEL_ENDS.get(label) == (sides, x_idems, y_idems):
-        return
+def _check_idems(idems, valid):
+    """Raise, naming a generator, unless every value of idems is in valid."""
+    if not valid.issuperset(idems.values()):
+        name = next(g for g, e in idems.items() if e not in valid)
+        raise ValueError(f"generator {name!r} has idempotent index outside {{1, 2}}: {idems[name]}")
+
+
+def _check_labels(arrow, sides, src_idems, tgt_idems, missing: str, where: str):
+    """Raise unless both ends of the DD arrow (x, l, r, y), or D arrow
+    (x, t, y), are in src_idems and tgt_idems and each token of its label
+    lies on its side and carries x's idempotent on that side to y's.
+
+    Constructors test each arrow against _LABEL_ENDS inline and call this
+    only on a mismatch, for the precise message.
+    """
+    x, label, y = arrow[0], arrow[1:-1], arrow[-1]
+    if x not in src_idems or y not in tgt_idems:
+        raise ValueError(f"{missing} endpoint missing: {arrow}")
+    x_idems, y_idems = src_idems[x], tgt_idems[y]
     one = len(label) == 1
     for t, side in zip(label, sides):
         if side_of(t) != side:
@@ -183,11 +203,12 @@ class DDStructure:
         _normalize(self)
         _check_unique(g.name for g in self.generators)
         idems = self.idems
+        _check_idems(idems, {(1, 1), (1, 2), (2, 1), (2, 2)})
+        ends = _LABEL_ENDS[SIDES]
         for arrow in self.arrows:
-            src, _, _, tgt = arrow
-            if src not in idems or tgt not in idems:
-                raise ValueError(f"arrow endpoint missing: {arrow}")
-            _check_labels(arrow, SIDES, idems[src], idems[tgt], "on arrow")
+            src, l, r, tgt = arrow
+            if ends.get((l, r)) != (idems.get(src), idems.get(tgt)):
+                _check_labels(arrow, SIDES, idems, idems, "arrow", "on arrow")
 
     @cached_property
     def idems(self):
@@ -215,11 +236,12 @@ class DStructure:
         _normalize(self)
         _check_unique(g.name for g in self.generators)
         idems, sides = self.idems, (self.side,)
+        _check_idems(idems, {(1,), (2,)})
+        ends = _LABEL_ENDS.get(sides, {})
         for arrow in self.arrows:
-            src, _, tgt = arrow
-            if src not in idems or tgt not in idems:
-                raise ValueError(f"arrow endpoint missing: {arrow}")
-            _check_labels(arrow, sides, idems[src], idems[tgt], "on arrow")
+            src, t, tgt = arrow
+            if ends.get((t,)) != (idems.get(src), idems.get(tgt)):
+                _check_labels(arrow, sides, idems, idems, "arrow", "on arrow")
 
     @cached_property
     def idems(self):
@@ -282,6 +304,7 @@ class AModule:
         _normalize(self)
         _check_unique(g.name for g in self.generators)
         occ = {g.name: g.occupancy for g in self.generators}
+        _check_idems(occ, {1, 2})
         for src, seq, tgt in self.operations:
             if src not in occ or tgt not in occ:
                 raise ValueError(f"operation endpoint missing: {(src, seq, tgt)}")
@@ -322,11 +345,11 @@ class DDMorphism:
     def __post_init__(self):
         src_idems = self.source.idems
         tgt_idems = self.target.idems
+        ends = _LABEL_ENDS[SIDES]
         for arrow in self.arrows:
-            src, _, _, tgt = arrow
-            if src not in src_idems or tgt not in tgt_idems:
-                raise ValueError(f"morphism endpoint missing: {arrow}")
-            _check_labels(arrow, SIDES, src_idems[src], tgt_idems[tgt], "on")
+            src, l, r, tgt = arrow
+            if ends.get((l, r)) != (src_idems.get(src), tgt_idems.get(tgt)):
+                _check_labels(arrow, SIDES, src_idems, tgt_idems, "morphism", "on")
 
     @cached_property
     def out(self):

@@ -91,12 +91,13 @@ def _xb(i):
     return f"x{i}_b"
 
 
-def _full_families(n):
+def _full_families(n, xy):
     """The fourteen arrow families of the full structure.
 
     Yields (family id, description, provenance, arrows).  Coincident
     summands inside one family instance (the "otherwise" degenerations)
-    are collapsed to a single arrow by building target sets.
+    are collapsed to a single arrow by building target sets.  ``xy`` is
+    the name table of ``_xy_names(n)``.
     """
     top = 2 * n - 1
 
@@ -104,39 +105,39 @@ def _full_families(n):
     for i in range(1, top + 1):
         for j in range(1 + (i % 2 == 0), top + 1, 2):
             if j - i > 2:
-                targets = {_xy(j - 1, i + 1), _xy(i + 1, j - 1)}
+                targets = {xy[j - 1][i + 1], xy[i + 1][j - 1]}
             elif j - i == 2:
-                targets = {_xy(i + 1, j - 1)}
+                targets = {xy[i + 1][j - 1]}
             elif i - j > 2:
-                targets = {_xy(j + 1, i - 1), _xy(i - 1, j + 1)}
+                targets = {xy[j + 1][i - 1], xy[i - 1][j + 1]}
             elif i - j == 2:
-                targets = {_xy(i - 1, j + 1)}
+                targets = {xy[i - 1][j + 1]}
             else:
                 continue
-            f1 += [(_xy(i, j), "i2", "j2", t) for t in sorted(targets)]
+            f1 += [(xy[i][j], "i2", "j2", t) for t in sorted(targets)]
     yield ("F1", "provincial rectangles, unit labels, i,j=1..2n-1 same parity", "domain count", f1)
 
     f2 = []
     for k in range(1, n):
-        targets = {_xy(1, 2 * k - 1), _xy(2 * k - 1, 1)}
+        targets = {xy[1][2 * k - 1], xy[2 * k - 1][1]}
         f2 += [(_ay(2 * k), "r1", "j2", t) for t in sorted(targets)]
     yield ("F2", "r1 quadrilaterals, a_y{2k} -> x1 y{2k-1} + x{2k-1} y1, k=1..n-1", "domain count", f2)
 
     f3 = []
     for k in range(1, n):
-        targets = {_xy(2 * k - 1, 1), _xy(1, 2 * k - 1)}
+        targets = {xy[2 * k - 1][1], xy[1][2 * k - 1]}
         f3 += [(_xb(2 * k), "i2", "s1", t) for t in sorted(targets)]
     yield ("F3", "s1 quadrilaterals, x{2k}_b -> x{2k-1} y1 + x1 y{2k-1}, k=1..n-1", "domain count", f3)
 
     f4 = []
     for k in range(1, n):
-        targets = {_xy(2 * k + 1, top), _xy(top, 2 * k + 1)}
+        targets = {xy[2 * k + 1][top], xy[top][2 * k + 1]}
         f4 += [(_ay(2 * k), "r3", "j2", t) for t in sorted(targets)]
     yield ("F4", "r3 quadrilaterals, a_y{2k} -> x{2k+1} y{2n-1} + x{2n-1} y{2k+1}, k=1..n-1", "domain count", f4)
 
     f5 = []
     for k in range(1, n):
-        targets = {_xy(top, 2 * k + 1), _xy(2 * k + 1, top)}
+        targets = {xy[top][2 * k + 1], xy[2 * k + 1][top]}
         f5 += [(_xb(2 * k), "i2", "s3", t) for t in sorted(targets)]
     yield ("F5", "s3 quadrilaterals, x{2k}_b -> x{2n-1} y{2k+1} + x{2k+1} y{2n-1}, k=1..n-1", "domain count", f5)
 
@@ -144,16 +145,16 @@ def _full_families(n):
         "F6",
         "central rectangle, x{2n-1}y{2n-1} -> r2 s2 ab",
         "domain count",
-        [(_xy(top, top), "r2", "s2", "ab")],
+        [(xy[top][top], "r2", "s2", "ab")],
     )
 
     f7 = []
     for left, right in (("r3", "s1"), ("r1", "s3")):
-        for t in sorted({_xy(1, top), _xy(top, 1)}):
+        for t in sorted({xy[1][top], xy[top][1]}):
             f7.append(("ab", left, right, t))
     yield ("F7", "outer annuli, ab -> (r3 s1 + r1 s3)(x1 y{2n-1} + x{2n-1} y1)", "domain count", f7)
 
-    f8 = [(_xy(2 * k - 1, top), "r23", "s2", _xb(2 * k)) for k in range(1, n)]
+    f8 = [(xy[2 * k - 1][top], "r23", "s2", _xb(2 * k)) for k in range(1, n)]
     yield (
         "F8",
         "vertical strip, one cut, x{2k-1}y{2n-1} -> r23 s2 x{2k}_b, k=1..n-1",
@@ -161,7 +162,7 @@ def _full_families(n):
         f8,
     )
 
-    f9 = [(_xy(top, 2 * l - 1), "r2", "s23", _ay(2 * l)) for l in range(1, n)]
+    f9 = [(xy[top][2 * l - 1], "r2", "s23", _ay(2 * l)) for l in range(1, n)]
     yield (
         "F9",
         "vertical strip, one cut, x{2n-1}y{2l-1} -> r2 s23 a_y{2l}, l=1..n-1",
@@ -170,7 +171,7 @@ def _full_families(n):
     )
 
     f10 = [
-        (_xy(2 * k - 1, 2 * l - 1), "r23", "s23", _xy(2 * k, 2 * l))
+        (xy[2 * k - 1][2 * l - 1], "r23", "s23", xy[2 * k][2 * l])
         for k in range(1, n)
         for l in range(1, n)
     ]
@@ -182,31 +183,49 @@ def _full_families(n):
     )
 
     f11 = [
-        (_xy(2 * k, 2 * l), "r23", "s23", _xy(2 * k + 1, 2 * l + 1))
+        (xy[2 * k][2 * l], "r23", "s23", xy[2 * k + 1][2 * l + 1])
         for k in range(1, n)
         for l in range(1, n)
     ]
     yield ("F11", "diagonal ladder, x{2k}y{2l} -> r23 s23 x{2k+1}y{2l+1}, k,l=1..n-1", "forced by the structure equation", f11)
 
-    f12 = [(_ay(2 * j), "r123", "s23", _xy(2 * j + 1, 1)) for j in range(1, n)]
+    f12 = [(_ay(2 * j), "r123", "s23", xy[2 * j + 1][1]) for j in range(1, n)]
     yield ("F12", "wide annulus, a_y{2j} -> r123 s23 x{2j+1}y1, j=1..n-1", "domain count", f12)
 
-    f13 = [(_xb(2 * j), "r23", "s123", _xy(1, 2 * j + 1)) for j in range(1, n)]
+    f13 = [(_xb(2 * j), "r23", "s123", xy[1][2 * j + 1]) for j in range(1, n)]
     yield ("F13", "wide annulus, x{2j}_b -> r23 s123 x1 y{2j+1}, j=1..n-1", "domain count", f13)
 
     yield (
         "F14",
         "full diagram, ab -> r123 s123 x1y1",
         "three disk classes, odd total count",
-        [("ab", "r123", "s123", _xy(1, 1))],
+        [("ab", "r123", "s123", xy[1][1])],
     )
 
 
-def _dd_generators(n, include_charged=False):
-    gens = []
-    for g, summand in enumerate_generators(n):
-        if summand == 0 or include_charged:
-            gens.append(DDGenerator(g.name, g.left_idem, g.right_idem))
+def _xy_names(n):
+    """Table xy[i][j] = "x{i}y{j}" for i, j = 1..2n-1 of equal parity
+    (None elsewhere), so each name is formatted once per build."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    top = 2 * n - 1
+    return [
+        [f"x{i}y{j}" if i and j and (i - j) % 2 == 0 else None for j in range(top + 1)]
+        for i in range(top + 1)
+    ]
+
+
+def _dd_generators(n, xy, include_charged):
+    """The generators of ``enumerate_generators(n)``, in its order, with
+    the xy names taken from the table xy."""
+    top = 2 * n - 1
+    gens = [DDGenerator("ab", 1, 1)]
+    gens += [DDGenerator(_ay(j), 1, 2) for j in range(2, top, 2)]
+    gens += [DDGenerator(_xb(i), 2, 1) for i in range(2, top, 2)]
+    gens += [DDGenerator(name, 2, 2) for row in xy for name in row if name]
+    if include_charged:
+        gens += [DDGenerator(_ay(j), 1, 2) for j in range(1, top + 1, 2)]
+        gens += [DDGenerator(_xb(i), 2, 1) for i in range(1, top + 1, 2)]
     return tuple(gens)
 
 
@@ -216,16 +235,17 @@ def build_cfdd_full(n: int, include_charged: bool = False) -> DDStructure:
     Only the neutral summand carries arrows; ``include_charged`` appends
     the 2n charged generators as isolated vertices.
     """
+    xy = _xy_names(n)
     arrows = set()
-    for _, _, _, family in _full_families(n):
+    for _, _, _, family in _full_families(n, xy):
         arrows.update(family)
-    return DDStructure(_dd_generators(n, include_charged), frozenset(arrows))
+    return DDStructure(_dd_generators(n, xy, include_charged), frozenset(arrows))
 
 
 def full_build_log(n: int):
     """Plain-text build log: family, arrow count, index range, provenance."""
     lines = [f"full type-DD structure, n={n}"]
-    for fid, desc, provenance, family in _full_families(n):
+    for fid, desc, provenance, family in _full_families(n, _xy_names(n)):
         count = f"{len(family)} arrow" + ("" if len(family) == 1 else "s")
         lines.append(f"{fid}: {desc}; {count} [{provenance}]")
     return tuple(lines)

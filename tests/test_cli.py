@@ -120,6 +120,34 @@ def test_reduce_rejects_non_string_names(capsys, tmp_path):
     assert "strings" in stderr
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {
+            "schema_version": 1,
+            "kind": "DD",
+            "sides": ["left", "right"],
+            "generators": [{"name": "a", "left": "i3", "right": "j1"}],
+            "arrows": [],
+        },
+        {
+            "schema_version": 1,
+            "kind": "D",
+            "sides": ["left"],
+            "generators": [{"name": "p", "idem": "i0"}],
+            "arrows": [],
+        },
+    ],
+    ids=["DD-i3", "D-i0"],
+)
+def test_reduce_rejects_idempotent_index_outside_one_two(capsys, tmp_path, doc):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "reduce", "--in", str(path))
+    assert code == 2 and stdout == ""
+    assert "unknown algebra token" in stderr
+
+
 def test_reduce_roundtrip(capsys, tmp_path):
     d_path = tmp_path / "trefoil.json"
     run(capsys, "pair", "--n", "2", "--right", "2", "--out", str(d_path))

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from bpc.algebra import chord_interval, is_idempotent
 from bpc.pairing import (
+    _STEP,
     PairingConfig,
     PathCapExceeded,
     box_left,
@@ -11,6 +13,7 @@ from bpc.pairing import (
 )
 from bpc.solid_torus import build_cfa_framed, build_cfa_infinity
 from bpc.structures import (
+    _LABEL,
     AGenerator,
     AModule,
     ChainComplexF2,
@@ -23,6 +26,14 @@ from bpc.structures import (
     reduce,
 )
 from bpc.torus_link import build_cfdd_full
+
+
+def test_step_table_agrees_with_token_helpers():
+    assert set(_STEP) == set(_LABEL) - {()}
+    for label, (chord, rest) in _STEP.items():
+        consumed = label[-1]
+        assert chord == (None if is_idempotent(consumed) else chord_interval(consumed))
+        assert rest == (label[0] if len(label) == 2 else None)
 
 
 def test_infinity_surgery_arrows():

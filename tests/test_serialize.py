@@ -1,11 +1,22 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bpc.algebra import INTERVALS, basis_tokens, left_idem, right_idem, token_left_idem, token_right_idem
 from bpc.pairing import box_right
 from bpc.serialize import from_json, to_json
 from bpc.solid_torus import build_cfa_framed, build_cfa_infinity
-from bpc.structures import ChainComplexF2
+from bpc.structures import (
+    AGenerator,
+    AModule,
+    ChainComplexF2,
+    DDGenerator,
+    DDStructure,
+    DGenerator,
+    DStructure,
+)
 from bpc.torus_link import build_cfdd_full, build_cfdd_simplified
 
 
@@ -107,3 +118,203 @@ def test_non_string_token_rejected():
     doc["arrows"][0]["left"] = ["r1"]
     with pytest.raises(ValueError, match="token"):
         from_json(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# properties over random structures with arbitrary names
+
+NAME_CHARS = st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f é€😀'), st.characters())
+NAMES = st.lists(st.text(NAME_CHARS, max_size=6), unique=True, max_size=6)
+IDEM = st.sampled_from((1, 2))
+
+
+def _coherent(side, x, y):
+    """Tokens of side carrying idempotent x to y."""
+    return [
+        t for t in basis_tokens(side) if (token_left_idem(t), token_right_idem(t)) == (x, y)
+    ]
+
+
+@st.composite
+def dd_structures(draw):
+    gens = tuple(DDGenerator(name, draw(IDEM), draw(IDEM)) for name in draw(NAMES))
+    arrows = set()
+    for _ in range(draw(st.integers(0, 10)) if gens else 0):
+        x, y = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        l = draw(st.sampled_from(_coherent("left", x.left, y.left)))
+        r = draw(st.sampled_from(_coherent("right", x.right, y.right)))
+        arrows.add((x.name, l, r, y.name))
+    return DDStructure(gens, frozenset(arrows))
+
+
+@st.composite
+def d_structures(draw):
+    side = draw(st.sampled_from(("left", "right")))
+    gens = tuple(DGenerator(name, draw(IDEM)) for name in draw(NAMES))
+    arrows = set()
+    for _ in range(draw(st.integers(0, 10)) if gens else 0):
+        x, y = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        arrows.add((x.name, draw(st.sampled_from(_coherent(side, x.idem, y.idem))), y.name))
+    return DStructure(side, gens, frozenset(arrows))
+
+
+@st.composite
+def a_modules(draw):
+    gens = tuple(AGenerator(name, draw(IDEM)) for name in draw(NAMES))
+    ops = set()
+    for _ in range(draw(st.integers(0, 6)) if gens else 0):
+        src, tgt = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        seq, idem = [], src.occupancy
+        for _ in range(draw(st.integers(1, 4))):
+            seq.append(draw(st.sampled_from([c for c in INTERVALS if left_idem(c) == idem])))
+            idem = right_idem(seq[-1])
+        ops.add((src.name, tuple(seq), tgt.name))
+    return AModule(gens, frozenset(ops), draw(st.one_of(st.none(), st.integers(0, 20))))
+
+
+@st.composite
+def complexes(draw):
+    names = draw(NAMES)
+    if not names:
+        return ChainComplexF2((), frozenset())
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    return ChainComplexF2(tuple(names), frozenset(draw(st.sets(pairs, max_size=10))))
+
+
+STRUCTURES = st.one_of(dd_structures(), d_structures(), a_modules(), complexes())
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+EMPTY = [
+    DDStructure((), frozenset()),
+    DStructure("left", (), frozenset()),
+    DStructure("right", (), frozenset()),
+    AModule((), frozenset()),
+    ChainComplexF2((), frozenset()),
+]
+
+
+def _pinned_layout(text):
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@PROPERTY_SETTINGS
+@given(STRUCTURES)
+def test_output_is_the_pinned_json_layout(S):
+    text = to_json(S)
+    assert text == _pinned_layout(text)
+    assert text.isascii()
+
+
+@PROPERTY_SETTINGS
+@given(STRUCTURES)
+def test_round_trip_with_arbitrary_names(S):
+    assert from_json(to_json(S)) == S
+
+
+@pytest.mark.parametrize("S", EMPTY, ids=lambda s: type(s).__name__)
+def test_empty_structures(S):
+    text = to_json(S)
+    assert text == _pinned_layout(text)
+    assert '"generators": []' in text
+    assert from_json(text) == S
+
+
+def _malformations(doc, data):
+    """Edits that each leave the schema-version-1 document doc malformed."""
+    edges = "operations" if doc["kind"] == "A" else "arrows"
+    edits = [
+        lambda d: d.pop(data.draw(st.sampled_from(sorted(d)))),
+        lambda d: d.update({data.draw(st.text(min_size=1).filter(lambda k: k not in d)): 0}),
+        lambda d: d.update(kind=data.draw(st.text().filter(lambda k: k not in KINDS))),
+        lambda d: d.update(schema_version=data.draw(st.sampled_from([0, 2, "1", None]))),
+        lambda d: d.update(sides=data.draw(st.sampled_from([["up"], "left", None, ["left"] * 3]))),
+        lambda d: d.update({edges: data.draw(st.sampled_from(["", {}, 1, None]))}),
+        lambda d: d.update(generators=data.draw(st.sampled_from(["", {}, 1, None]))),
+    ]
+    if doc["generators"]:
+        edits += [
+            lambda d: d["generators"].append(d["generators"][0]),  # a duplicate name
+            lambda d: d["generators"].__setitem__(0, data.draw(st.sampled_from([[], 3, None]))),
+        ]
+        if doc["kind"] != "complex":
+            edits += [
+                lambda d: d["generators"][0].pop(data.draw(st.sampled_from(sorted(d["generators"][0])))),
+                lambda d: d["generators"][0].update(extra=1),
+                lambda d: d["generators"][0].update(name=data.draw(st.sampled_from([1, None, ["a"]]))),
+            ]
+        if doc["kind"] in ("DD", "D"):
+            key = data.draw(st.sampled_from(sorted(set(doc["generators"][0]) - {"name"})))
+            bad = data.draw(st.sampled_from(["i3", "i0", "j3", "r1", "s1", "", 1, None]))
+            edits.append(lambda d: d["generators"][0].update({key: bad}))
+    if doc[edges]:
+        names = {g if doc["kind"] == "complex" else g["name"] for g in doc["generators"]}
+        stranger = data.draw(st.text().filter(lambda k: k not in names))
+        edits += [
+            lambda d: d[edges][0].update(source=stranger),
+            lambda d: d[edges][0].update(target=data.draw(st.sampled_from([1, None, ["a"]]))),
+            lambda d: d[edges][0].pop(data.draw(st.sampled_from(sorted(d[edges][0])))),
+            lambda d: d[edges][0].update(extra=1),
+        ]
+        token = {"DD": "left", "D": "label"}.get(doc["kind"])
+        if token:
+            bad = data.draw(st.sampled_from(["r4", "x", "", "i3", 1, None, ["r1"]]))
+            edits.append(lambda d: d[edges][0].update({token: bad}))
+        if doc["kind"] == "A":
+            bad = data.draw(st.sampled_from([[], ["4"], [1], "3", None]))
+            edits.append(lambda d: d[edges][0].update(chords=bad))
+    if doc["kind"] == "A":
+        bad = data.draw(st.sampled_from([-1, "2", 1.5, []]))
+        edits.append(lambda d: d.update(capped_arity=bad))
+    return edits
+
+
+KINDS = ("DD", "D", "A", "complex")
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(STRUCTURES, st.sampled_from(EMPTY)), st.data())
+def test_malformed_documents_raise_value_error(S, data):
+    doc = json.loads(to_json(S))
+    edits = _malformations(doc, data)
+    data.draw(st.sampled_from(edits))(doc)
+    with pytest.raises(ValueError):
+        from_json(json.dumps(doc))
+
+
+@PROPERTY_SETTINGS
+@given(STRUCTURES, st.data())
+def test_truncated_documents_raise_value_error(S, data):
+    text = to_json(S)
+    cut = data.draw(st.integers(0, len(text) - 3))  # the closing brace and newline go
+    with pytest.raises(ValueError):
+        from_json(text[:cut])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@PROPERTY_SETTINGS
+@given(STRUCTURES, st.data())
+def test_any_edited_document_parses_back_or_raises_value_error(S, data):
+    """Replace one value anywhere in a valid document by arbitrary JSON:
+    parsing either raises ValueError or gives a structure that round-trips."""
+    doc = json.loads(to_json(S))
+    holder, key = doc, data.draw(st.sampled_from(sorted(doc)))
+    while isinstance(holder[key], (dict, list)) and holder[key] and data.draw(st.booleans()):
+        holder = holder[key]
+        keys = sorted(holder) if isinstance(holder, dict) else range(len(holder))
+        key = data.draw(st.sampled_from(keys))
+    holder[key] = data.draw(JSON_VALUES)
+    try:
+        parsed = from_json(json.dumps(doc))
+    except ValueError:
+        return
+    assert from_json(to_json(parsed)) == parsed
+
+
+def test_deeply_nested_document_raises_value_error():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        from_json("[" * 100_000 + "]" * 100_000)

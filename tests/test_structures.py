@@ -118,6 +118,42 @@ def test_label_error_messages():
         assert str(error.value) == message
 
 
+def test_idempotent_indices_outside_one_two_rejected():
+    # such generators used to be accepted and serialized as "i3" or "i0",
+    # a document from_json then rejected
+    cases = [
+        (
+            lambda: DDStructure((DDGenerator("b", 1, 1), DDGenerator("a", 3, 1)), frozenset()),
+            "generator 'a' has idempotent index outside {1, 2}: (3, 1)",
+        ),
+        (
+            lambda: DStructure("left", (DGenerator("p", 0),), frozenset()),
+            "generator 'p' has idempotent index outside {1, 2}: (0,)",
+        ),
+        (
+            lambda: AModule((AGenerator("w", 3),), frozenset()),
+            "generator 'w' has idempotent index outside {1, 2}: 3",
+        ),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as error:
+            build()
+        assert str(error.value) == message
+
+
+def test_non_string_generator_names_rejected():
+    # the serializer writes names as JSON strings, and from_json reads only strings
+    cases = [
+        lambda: ChainComplexF2((1, 2), frozenset({(1, 2)})),
+        lambda: DDStructure((DDGenerator(7, 1, 1),), frozenset()),
+        lambda: DStructure("left", (DGenerator(None, 1),), frozenset()),
+        lambda: AModule((AGenerator(("w",), 1),), frozenset()),
+    ]
+    for build in cases:
+        with pytest.raises(ValueError, match="^generator names must be strings, got "):
+            build()
+
+
 def test_check_d_surgery_cycle_passes():
     gens = (DGenerator("w_ab", 1), DGenerator("w_x2b", 2), DGenerator("w_x4b", 2))
     arrows = {("w_ab", "r123", "w_x2b"), ("w_x2b", "r23", "w_x4b"), ("w_x4b", "r2", "w_ab")}

@@ -53,9 +53,22 @@ def test_generator_kinds_and_idempotents():
         TorusLinkGenerator("zz")
 
 
+@pytest.mark.parametrize("charged", [False, True])
+def test_direct_generators_match_enumeration(charged):
+    for n in range(1, 31):
+        want = sorted(
+            (g.name, g.left_idem, g.right_idem)
+            for g, summand in enumerate_generators(n)
+            if summand == 0 or charged
+        )
+        S = build_cfdd_full(n, include_charged=charged)
+        assert [(g.name, g.left, g.right) for g in S.generators] == want
+
+
 def test_enumerate_rejects_bad_n():
-    with pytest.raises(ValueError):
-        enumerate_generators(0)
+    for build in (enumerate_generators, build_cfdd_full, full_build_log):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            build(0)
 
 
 def test_full_n1_is_the_identity_bimodule():
