@@ -32,7 +32,6 @@ from .structures import (
     isomorphic,
     reduce,
     verify_homotopy,
-    zero_morphism,
 )
 from .torus_link import (
     TorusLinkGenerator,

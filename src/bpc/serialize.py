@@ -11,7 +11,16 @@ fields, so parse(print(S)) == S and reruns are byte-identical.
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .algebra import INTERVALS, SIDES, check_token, idem_index, idem_token, is_idempotent, side_of
+from .algebra import (
+    INTERVALS,
+    SIDES,
+    basis_tokens,
+    check_token,
+    idem_index,
+    idem_token,
+    is_idempotent,
+    side_of,
+)
 from .structures import (
     AGenerator,
     AModule,
@@ -24,8 +33,12 @@ from .structures import (
 
 SCHEMA_VERSION = 1
 
-# side -> {idempotent index -> token}
+# side -> {idempotent index -> token}, and its inverse
 _IDEM = {side: {k: idem_token(side, k) for k in (1, 2)} for side in SIDES}
+_INDEX = {side: {t: k for k, t in tokens.items()} for side, tokens in _IDEM.items()}
+_TOKENS = frozenset(basis_tokens("left") + basis_tokens("right"))
+_DD_GENERATOR = {"name", "left", "right"}
+_DD_ARROW = {"source", "left", "right", "target"}
 
 
 def _require_fields(obj: dict, fields: set, where: str):
@@ -147,8 +160,9 @@ def to_json(S) -> str:
 def from_dict(doc: dict):
     if not isinstance(doc, dict):
         raise ValueError("top level: expected an object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version!r}")
     kind = doc.get("kind")
     if kind == "DD":
         _require_fields(
@@ -156,9 +170,18 @@ def from_dict(doc: dict):
         )
         if doc["sides"] != ["left", "right"]:
             raise ValueError("DD structures carry sides ['left', 'right']")
+        # Each object whose fields are exactly right and all strings, with
+        # known tokens, is read directly; anything else goes through the
+        # field-by-field checks that name what is wrong.
+        left, right = _INDEX["left"], _INDEX["right"]
         gens = []
         for g in _array(doc, "generators"):
-            _require_fields(g, {"name", "left", "right"}, "generator")
+            if type(g) is dict and g.keys() == _DD_GENERATOR:
+                name, l, r = g["name"], g["left"], g["right"]
+                if type(name) is type(l) is type(r) is str and l in left and r in right:
+                    gens.append(DDGenerator(name, left[l], right[r]))
+                    continue
+            _require_fields(g, _DD_GENERATOR, "generator")
             gens.append(
                 DDGenerator(
                     _name(g["name"], "generator"),
@@ -167,10 +190,16 @@ def from_dict(doc: dict):
                 )
             )
         arrows = set()
+        add = arrows.add
         for a in _array(doc, "arrows"):
-            _require_fields(a, {"source", "left", "right", "target"}, "arrow")
+            if type(a) is dict and a.keys() == _DD_ARROW:
+                s, l, r, t = a["source"], a["left"], a["right"], a["target"]
+                if type(s) is type(l) is type(r) is type(t) is str and l in _TOKENS and r in _TOKENS:
+                    add((s, l, r, t))
+                    continue
+            _require_fields(a, _DD_ARROW, "arrow")
             src, tgt = _name(a["source"], "arrow"), _name(a["target"], "arrow")
-            arrows.add((src, check_token(a["left"]), check_token(a["right"]), tgt))
+            add((src, check_token(a["left"]), check_token(a["right"]), tgt))
         return DDStructure(tuple(gens), frozenset(arrows))
     if kind == "D":
         _require_fields(
@@ -200,7 +229,7 @@ def from_dict(doc: dict):
         gens = []
         for g in _array(doc, "generators"):
             _require_fields(g, {"name", "occupancy"}, "generator")
-            if g["occupancy"] not in (1, 2):
+            if type(g["occupancy"]) is not int or g["occupancy"] not in (1, 2):
                 raise ValueError(f"bad occupancy {g['occupancy']!r}")
             gens.append(AGenerator(_name(g["name"], "generator"), g["occupancy"]))
         ops = set()
@@ -212,7 +241,7 @@ def from_dict(doc: dict):
                     raise ValueError(f"unknown chord interval {c!r}")
             ops.add((_name(o["source"], "operation"), seq, _name(o["target"], "operation")))
         cap = doc["capped_arity"]
-        if cap is not None and (not isinstance(cap, int) or cap < 0):
+        if cap is not None and (type(cap) is not int or cap < 0):
             raise ValueError(f"bad capped_arity {cap!r}")
         return AModule(tuple(gens), frozenset(ops), cap)
     if kind == "complex":

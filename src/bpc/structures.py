@@ -77,6 +77,14 @@ for _label in _LABEL:
         tuple(map(token_right_idem, _label)),
     )
 del _label
+_IDEM_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
+# every coherent DD arrow as (left token, right token, source code, target
+# code), the code of idempotents (a, b) being 2 * a + b
+_DD_VALID = frozenset(
+    (l, r, 2 * a + b, 2 * c + d) for (l, r), ((a, b), (c, d)) in _LABEL_ENDS[SIDES].items()
+)
+# idempotent pair -> the unit label fixing it
+_UNIT = {e: _LABEL[idem_token("left", e[0]), idem_token("right", e[1])] for e in _IDEM_PAIRS}
 
 _D_PRODUCT = {
     _LABEL[a,]: {_LABEL[b,]: _LABEL[p,] for b, p in _PRODUCT[a].items() if p}
@@ -99,12 +107,20 @@ _D_UNITS = {label for label in _D_PRODUCT if is_idempotent(label[0])}
 _COMPLEX_UNITS = {()}
 
 
-def _adjacency(names, arrows):
-    """{name: [(label, target)]} over arrows (source, *label, target),
-    each list sorted, so it runs in sorted arrow order."""
+def _adjacency(names, arrows, sides):
+    """{name: [(label, target)]} over arrows (source, *label, target)
+    whose labels carry one token per side, each list sorted, so it runs
+    in sorted arrow order."""
     out = {g: [] for g in names}
-    for arrow in arrows:
-        out[arrow[0]].append((_LABEL[arrow[1:-1]], arrow[-1]))
+    if sides == 2:
+        for s, l, r, t in arrows:
+            out[s].append((_LABEL[l, r], t))
+    elif sides == 1:
+        for s, a, t in arrows:
+            out[s].append((_LABEL[a,], t))
+    else:
+        for s, t in arrows:
+            out[s].append(((), t))
     for steps in out.values():
         steps.sort()
     return out
@@ -174,8 +190,9 @@ def _check_labels(arrow, sides, src_idems, tgt_idems, missing: str, where: str):
     (x, t, y), are in src_idems and tgt_idems and each token of its label
     lies on its side and carries x's idempotent on that side to y's.
 
-    Constructors test each arrow against _LABEL_ENDS inline and call this
-    only on a mismatch, for the precise message.
+    Constructors test each arrow against _LABEL_ENDS (DD arrows through
+    _check_dd_arrows) and call this only on a mismatch, for the precise
+    message.
     """
     x, label, y = arrow[0], arrow[1:-1], arrow[-1]
     if x not in src_idems or y not in tgt_idems:
@@ -192,6 +209,29 @@ def _check_labels(arrow, sides, src_idems, tgt_idems, missing: str, where: str):
             raise ValueError(f"{'' if one else side + ' '}label incoherent {where} {arrow}")
 
 
+def _check_dd_arrows(arrows, source, target, missing: str, where: str):
+    """Raise, naming an arrow, unless every DD arrow (x, l, r, y) runs
+    from a generator of the DD structure source to one of target with
+    coherent labels.
+
+    One set of (l, r, code of x, code of y) against _DD_VALID settles the
+    common case; only when that fails does the per-arrow loop run, to
+    name the first bad arrow with _check_labels.
+    """
+    src, tgt = source.codes, target.codes
+    try:
+        if {(l, r, src[x], tgt[y]) for x, l, r, y in arrows} <= _DD_VALID:
+            return
+    except KeyError:  # an endpoint that is not a generator
+        pass
+    src_idems, tgt_idems = source.idems, target.idems
+    ends = _LABEL_ENDS[SIDES]
+    for arrow in arrows:
+        x, l, r, y = arrow
+        if ends.get((l, r)) != (src_idems.get(x), tgt_idems.get(y)):
+            _check_labels(arrow, SIDES, src_idems, tgt_idems, missing, where)
+
+
 @dataclass(frozen=True)
 class DDStructure:
     """Generators plus arrows (source, left token, right token, target)."""
@@ -202,13 +242,8 @@ class DDStructure:
     def __post_init__(self):
         _normalize(self)
         _check_unique(g.name for g in self.generators)
-        idems = self.idems
-        _check_idems(idems, {(1, 1), (1, 2), (2, 1), (2, 2)})
-        ends = _LABEL_ENDS[SIDES]
-        for arrow in self.arrows:
-            src, l, r, tgt = arrow
-            if ends.get((l, r)) != (idems.get(src), idems.get(tgt)):
-                _check_labels(arrow, SIDES, idems, idems, "arrow", "on arrow")
+        _check_idems(self.idems, set(_IDEM_PAIRS))
+        _check_dd_arrows(self.arrows, self, self, "arrow", "on arrow")
 
     @cached_property
     def idems(self):
@@ -216,12 +251,14 @@ class DDStructure:
         return {g.name: (g.left, g.right) for g in self.generators}
 
     @cached_property
+    def codes(self):
+        """{name: 2 * left idempotent + right idempotent}."""
+        return {g.name: 2 * g.left + g.right for g in self.generators}
+
+    @cached_property
     def out(self):
         """{name: [((l, r), target)]}, each list in sorted arrow order."""
-        return _adjacency(self.idems, self.arrows)
-
-    def generator_names(self):
-        return tuple(g.name for g in self.generators)
+        return _adjacency(self.idems, self.arrows, 2)
 
 
 @dataclass(frozen=True)
@@ -251,10 +288,7 @@ class DStructure:
     @cached_property
     def out(self):
         """{name: [((t,), target)]}, each list in sorted arrow order."""
-        return _adjacency(self.idems, self.arrows)
-
-    def generator_names(self):
-        return tuple(g.name for g in self.generators)
+        return _adjacency(self.idems, self.arrows, 1)
 
 
 @dataclass(frozen=True)
@@ -280,10 +314,7 @@ class ChainComplexF2:
     @cached_property
     def out(self):
         """{name: [((), target)]}, each list in sorted arrow order."""
-        return _adjacency(self.generators, self.arrows)
-
-    def generator_names(self):
-        return tuple(self.generators)
+        return _adjacency(self.generators, self.arrows, 0)
 
 
 @dataclass(frozen=True)
@@ -304,6 +335,9 @@ class AModule:
         _normalize(self)
         _check_unique(g.name for g in self.generators)
         occ = {g.name: g.occupancy for g in self.generators}
+        for name, k in occ.items():
+            if type(k) is not int:  # True == 1 and 1.0 == 1 would pass the next check
+                raise ValueError(f"generator {name!r} has non-integer occupancy {k!r}")
         _check_idems(occ, {1, 2})
         for src, seq, tgt in self.operations:
             if src not in occ or tgt not in occ:
@@ -330,9 +364,6 @@ class AModule:
     def max_arity(self):
         return max((len(seq) for _, seq, _ in self.operations), default=0)
 
-    def generator_names(self):
-        return tuple(g.name for g in self.generators)
-
 
 @dataclass(frozen=True)
 class DDMorphism:
@@ -343,33 +374,24 @@ class DDMorphism:
     arrows: frozenset
 
     def __post_init__(self):
-        src_idems = self.source.idems
-        tgt_idems = self.target.idems
-        ends = _LABEL_ENDS[SIDES]
-        for arrow in self.arrows:
-            src, l, r, tgt = arrow
-            if ends.get((l, r)) != (src_idems.get(src), tgt_idems.get(tgt)):
-                _check_labels(arrow, SIDES, src_idems, tgt_idems, "morphism", "on")
+        _check_dd_arrows(self.arrows, self.source, self.target, "morphism", "on")
 
     @cached_property
     def out(self):
         """{source name: [((l, r), target)]}, like DDStructure.out."""
-        return _adjacency(self.source.idems, self.arrows)
+        return _adjacency(self.source.idems, self.arrows, 2)
 
     def is_zero(self):
         return not self.arrows
 
 
+def _identity(M: DDStructure):
+    """The (x, label, x) arrows of the identity of M."""
+    return {(g, _UNIT[e], g) for g, e in M.idems.items()}
+
+
 def identity_morphism(M: DDStructure) -> DDMorphism:
-    arrows = frozenset(
-        (g.name, idem_token("left", g.left), idem_token("right", g.right), g.name)
-        for g in M.generators
-    )
-    return DDMorphism(M, M, arrows)
-
-
-def zero_morphism(M: DDStructure, N: DDStructure) -> DDMorphism:
-    return DDMorphism(M, N, frozenset())
+    return DDMorphism(M, M, frozenset((x, *label, x) for x, label, _ in _identity(M)))
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +412,18 @@ def _compose_parity(first_out, second_out, product):
     and the second from second_out, with label = a * b nonzero in
     product."""
     odd = set()
+    add, remove = odd.add, odd.remove
     for x, steps in first_out.items():
         for a, y in steps:
             row = product[a]
             for b, z in second_out[y]:
                 label = row.get(b)
                 if label is not None:
-                    _toggle(odd, (x, label, z))
+                    key = (x, label, z)
+                    if key in odd:
+                        remove(key)
+                    else:
+                        add(key)
     return odd
 
 
@@ -475,15 +502,20 @@ def _require_same_structure(a: DDStructure, b: DDStructure, what: str):
         raise ValueError(f"structure mismatch: {what}")
 
 
+def _d_parity(h: DDMorphism):
+    """The (x, label, z) arrows of d(h)."""
+    odd = _compose_parity(h.out, h.target.out, _DD_PRODUCT)
+    odd ^= _compose_parity(h.source.out, h.out, _DD_PRODUCT)
+    return odd
+
+
 def d_of_morphism(h: DDMorphism) -> DDMorphism:
     """Differential of a morphism: target-structure arrows after h plus h
     after source-structure arrows, labels multiplied on each side.
 
     The result is empty exactly when h is a chain map.
     """
-    odd = _compose_parity(h.out, h.target.out, _DD_PRODUCT)
-    odd ^= _compose_parity(h.source.out, h.out, _DD_PRODUCT)
-    return DDMorphism(h.source, h.target, frozenset((x, *label, z) for x, label, z in odd))
+    return DDMorphism(h.source, h.target, frozenset((x, *label, z) for x, label, z in _d_parity(h)))
 
 
 def compose(g: DDMorphism, f: DDMorphism) -> DDMorphism:
@@ -497,28 +529,27 @@ def verify_homotopy(F: DDMorphism, G: DDMorphism, H: DDMorphism) -> CheckReport:
     """Check that F, G are inverse chain maps up to the homotopy H.
 
     Identities verified: d(F) = 0, d(G) = 0, F o G = id on the small
-    structure, and G o F + id = d(H) on the big one.
+    structure, and G o F + id = d(H) on the big one.  Each side is a set
+    of (x, label, z) arrows from _compose_parity, and the arrows of each
+    sum that survive mod 2 are reported in sorted order.
     """
     M, N = F.source, F.target
     _require_same_structure(G.source, N, "G must map the small structure back")
     _require_same_structure(G.target, M, "G must land in the big structure")
     _require_same_structure(H.source, M, "H must be a self-morphism of the big one")
     _require_same_structure(H.target, M, "H must be a self-morphism of the big one")
-    # arrow sets, each empty exactly when its identity holds
+    # arrow sets, each empty exactly when its identity holds; F o G is G
+    # then F, G o F is F then G
     surviving = (
-        ("F not a chain map", d_of_morphism(F).arrows),
-        ("G not a chain map", d_of_morphism(G).arrows),
-        ("F o G differs from identity", compose(F, G).arrows ^ identity_morphism(N).arrows),
+        ("F not a chain map", _d_parity(F)),
+        ("G not a chain map", _d_parity(G)),
+        ("F o G differs from identity", _compose_parity(G.out, F.out, _DD_PRODUCT) ^ _identity(N)),
         (
             "G o F + id differs from d(H)",
-            compose(G, F).arrows ^ identity_morphism(M).arrows ^ d_of_morphism(H).arrows,
+            _compose_parity(F.out, G.out, _DD_PRODUCT) ^ _identity(M) ^ _d_parity(H),
         ),
     )
-    lines = tuple(
-        f"{tag}: {_line(x, label, z)}"
-        for tag, arrows in surviving
-        for x, *label, z in sorted(arrows)
-    )
+    lines = tuple(f"{tag}: {_line(*arrow)}" for tag, arrows in surviving for arrow in sorted(arrows))
     return CheckReport(not lines, lines)
 
 

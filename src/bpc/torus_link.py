@@ -235,7 +235,11 @@ def build_cfdd_full(n: int, include_charged: bool = False) -> DDStructure:
     Only the neutral summand carries arrows; ``include_charged`` appends
     the 2n charged generators as isolated vertices.
     """
-    xy = _xy_names(n)
+    return _build_full(n, _xy_names(n), include_charged)
+
+
+def _build_full(n, xy, include_charged=False):
+    """``build_cfdd_full(n)`` with its xy names taken from the table xy."""
     arrows = set()
     for _, _, _, family in _full_families(n, xy):
         arrows.update(family)
@@ -279,80 +283,78 @@ def build_cfdd_simplified(n: int) -> DDStructure:
     return DDStructure(tuple(gens), frozenset(arrows))
 
 
-def _xy_pair(i, j):
-    """The symmetrized generator set {x_i y_j, x_j y_i}."""
-    return {_xy(i, j), _xy(j, i)}
-
-
 def build_equivalence(n: int):
     """The morphisms (F, G, H) relating full and simplified structures.
 
     F: full -> simplified and G: simplified -> full are inverse chain
-    maps up to the self-homotopy H of the full structure.
+    maps up to the self-homotopy H of the full structure.  Names x{i}y{j}
+    are read from the table of ``_xy_names(n)``.
     """
     if n < 3:
         raise ValueError("the equivalence data is built for n >= 3")
-    M = build_cfdd_full(n)
+    xy = _xy_names(n)
+    M = _build_full(n, xy)
     N = build_cfdd_simplified(n)
     top = 2 * n - 1
+
+    def pair(i, j):
+        """The symmetrized generator set {x_i y_j, x_j y_i}."""
+        return {xy[i][j], xy[j][i]}
 
     f_arrows = {("ab", "i1", "j1", "u_ab")}
     for k in range(1, n):
         f_arrows.add((_ay(2 * k), "i1", "j2", f"u_{_ay(2 * k)}"))
         f_arrows.add((_xb(2 * k), "i2", "j1", f"u_{_xb(2 * k)}"))
     for k in range(1, n + 1):
-        f_arrows.add((_xy(1, 2 * k - 1), "i2", "j2", f"u_{_xy(k, k)}"))
-        f_arrows.add((_xy(2 * k - 1, top), "i2", "j2", f"u_{_xy(k + n - 1, k + n - 1)}"))
+        f_arrows.add((xy[1][2 * k - 1], "i2", "j2", f"u_{_xy(k, k)}"))
+        f_arrows.add((xy[2 * k - 1][top], "i2", "j2", f"u_{_xy(k + n - 1, k + n - 1)}"))
     for k in range(1, n):
-        f_arrows.add((_xy(2 * k, 2 * n - 2), "r2", "s23", f"u_{_ay(2 * k)}"))
+        f_arrows.add((xy[2 * k][2 * n - 2], "r2", "s23", f"u_{_ay(2 * k)}"))
     F = DDMorphism(M, N, frozenset(f_arrows))
 
     g_arrows = {("u_ab", "i1", "j1", "ab")}
     for k in range(1, n):
         g_arrows.add((f"u_{_ay(2 * k)}", "i1", "j2", _ay(2 * k)))
         g_arrows.add((f"u_{_xb(2 * k)}", "i2", "j1", _xb(2 * k)))
-    g_arrows.add((f"u_{_xy(1, 1)}", "i2", "j2", _xy(1, 1)))
-    g_arrows.add((f"u_{_xy(1, 1)}", "r23", "s23", _xy(3, 1)))
+    g_arrows.add((f"u_{_xy(1, 1)}", "i2", "j2", xy[1][1]))
+    g_arrows.add((f"u_{_xy(1, 1)}", "r23", "s23", xy[3][1]))
     for k in range(2, n):
-        g_arrows.add((f"u_{_xy(k, k)}", "i2", "j2", _xy(1, 2 * k - 1)))
-        g_arrows.add((f"u_{_xy(k, k)}", "i2", "j2", _xy(2 * k - 1, 1)))
-        g_arrows.add((f"u_{_xy(k, k)}", "r23", "s23", _xy(2 * k + 1, 1)))
+        g_arrows.add((f"u_{_xy(k, k)}", "i2", "j2", xy[1][2 * k - 1]))
+        g_arrows.add((f"u_{_xy(k, k)}", "i2", "j2", xy[2 * k - 1][1]))
+        g_arrows.add((f"u_{_xy(k, k)}", "r23", "s23", xy[2 * k + 1][1]))
     for k in range(n, 2 * n - 1):
-        g_arrows.add((f"u_{_xy(k, k)}", "i2", "j2", _xy(2 * k - 2 * n + 1, top)))
-        g_arrows.add((f"u_{_xy(k, k)}", "i2", "j2", _xy(top, 2 * k - 2 * n + 1)))
-    g_arrows.add((f"u_{_xy(top, top)}", "i2", "j2", _xy(top, top)))
+        g_arrows.add((f"u_{_xy(k, k)}", "i2", "j2", xy[2 * k - 2 * n + 1][top]))
+        g_arrows.add((f"u_{_xy(k, k)}", "i2", "j2", xy[top][2 * k - 2 * n + 1]))
+    g_arrows.add((f"u_{_xy(top, top)}", "i2", "j2", xy[top][top]))
     G = DDMorphism(N, M, frozenset(g_arrows))
 
     h_arrows = set()
     for k in range(1, n):
         if k <= n - 2:
-            ay_targets = _xy_pair(2 * k + 1, top)
-            xb_targets = _xy_pair(top, 2 * k + 1)
+            ay_targets = pair(2 * k + 1, top)
+            xb_targets = pair(top, 2 * k + 1)
         else:
-            ay_targets = {_xy(top, top)}
-            xb_targets = {_xy(top, top)}
+            ay_targets = xb_targets = {xy[top][top]}
         h_arrows.update((_ay(2 * k), "r3", "j2", t) for t in ay_targets)
         h_arrows.update((_xb(2 * k), "i2", "s3", t) for t in xb_targets)
     for i in range(1, top + 1):
         for j in range(1 + (i % 2 == 0), top + 1, 2):
             if i < j:
-                targets = set(_xy_pair(i + 1, j - 1))
+                targets = pair(i + 1, j - 1)
                 if i != 1 and j != top:
-                    targets.add(_xy(j + 1, i - 1))
-                h_arrows.update((_xy(i, j), "i2", "j2", t) for t in targets)
+                    targets.add(xy[j + 1][i - 1])
+                h_arrows.update((xy[i][j], "i2", "j2", t) for t in targets)
             elif i > j:
                 if j == 1 and 3 <= i <= 2 * n - 3:
-                    unit_targets = _xy_pair(i - 1, 2)
-                    h_arrows.update(
-                        (_xy(i, j), "r23", "s23", t) for t in _xy_pair(i + 1, 2)
-                    )
+                    unit_targets = pair(i - 1, 2)
+                    h_arrows.update((xy[i][j], "r23", "s23", t) for t in pair(i + 1, 2))
                 else:
-                    unit_targets = _xy_pair(i - 1, j + 1)
-                h_arrows.update((_xy(i, j), "i2", "j2", t) for t in unit_targets)
+                    unit_targets = pair(i - 1, j + 1)
+                h_arrows.update((xy[i][j], "i2", "j2", t) for t in unit_targets)
             else:
                 if i == 1:
-                    h_arrows.add((_xy(1, 1), "r23", "s23", _xy(2, 2)))
+                    h_arrows.add((xy[1][1], "r23", "s23", xy[2][2]))
                 elif i != top:
-                    h_arrows.add((_xy(i, i), "i2", "j2", _xy(i + 1, i - 1)))
+                    h_arrows.add((xy[i][i], "i2", "j2", xy[i + 1][i - 1]))
     H = DDMorphism(M, M, frozenset(h_arrows))
     return F, G, H

@@ -4,6 +4,7 @@ import pytest
 
 from bpc.cli import main
 from bpc.serialize import from_json, to_json
+from bpc.solid_torus import build_cfa_framed
 from bpc.structures import ChainComplexF2
 
 
@@ -148,6 +149,24 @@ def test_reduce_rejects_idempotent_index_outside_one_two(capsys, tmp_path, doc):
     assert "unknown algebra token" in stderr
 
 
+@pytest.mark.parametrize("command", ["check", "reduce"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("schema_version", True, "unsupported schema_version True"),
+        ("occupancy", 1.0, "bad occupancy 1.0"),
+        ("capped_arity", False, "bad capped_arity False"),
+    ],
+)
+def test_non_integer_fields_are_usage_errors(capsys, tmp_path, command, field, value, message):
+    doc = json.loads(to_json(build_cfa_framed(2)))
+    (doc["generators"][0] if field == "occupancy" else doc)[field] = value
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, command, "--in", str(path))
+    assert (code, stdout, stderr) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_reduce_roundtrip(capsys, tmp_path):
     d_path = tmp_path / "trefoil.json"
     run(capsys, "pair", "--n", "2", "--right", "2", "--out", str(d_path))
@@ -204,8 +223,6 @@ def test_check_dispatches_on_kind(capsys, tmp_path):
     c_path = tmp_path / "c.json"
     c_path.write_text(to_json(ChainComplexF2(("a", "b"), frozenset({("a", "b")}))))
     assert run(capsys, "check", "--in", str(c_path))[0] == 0
-    from bpc.solid_torus import build_cfa_framed
-
     a_path = tmp_path / "a.json"
     a_path.write_text(to_json(build_cfa_framed(3)))
     assert run(capsys, "check", "--in", str(a_path))[0] == 0

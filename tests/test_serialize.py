@@ -120,6 +120,72 @@ def test_non_string_token_rejected():
         from_json(json.dumps(doc))
 
 
+_DD_GEN = {"name": "a", "left": "i1", "right": "j1"}
+_DD_ARROW = {"source": "a", "left": "i1", "right": "j1", "target": "a"}
+
+
+@pytest.mark.parametrize(
+    "gens, arrows, message",
+    [
+        (["a"], [], "generator: expected an object"),
+        ([{"name": "a", "left": "i1"}], [], "generator: missing fields ['right']"),
+        ([dict(_DD_GEN, extra=1)], [], "generator: unknown fields ['extra']"),
+        ([dict(_DD_GEN, name=3)], [], "generator: generator names must be strings, got 3"),
+        ([dict(_DD_GEN, left=1)], [], "unknown algebra token 1"),
+        ([dict(_DD_GEN, right=["j1"])], [], "unknown algebra token ['j1']"),
+        ([dict(_DD_GEN, left="i9")], [], "unknown algebra token 'i9'"),
+        ([dict(_DD_GEN, left="j1")], [], "bad idempotent token 'j1' for side left"),
+        ([dict(_DD_GEN, right="s1")], [], "bad idempotent token 's1' for side right"),
+        ([_DD_GEN], [["a", "i1", "j1", "a"]], "arrow: expected an object"),
+        ([_DD_GEN], [{"source": "a", "left": "i1", "right": "j1"}], "arrow: missing fields ['target']"),
+        ([_DD_GEN], [dict(_DD_ARROW, extra=1)], "arrow: unknown fields ['extra']"),
+        ([_DD_GEN], [dict(_DD_ARROW, source=1)], "arrow: generator names must be strings, got 1"),
+        ([_DD_GEN], [dict(_DD_ARROW, target=None)], "arrow: generator names must be strings, got None"),
+        ([_DD_GEN], [dict(_DD_ARROW, left=2)], "unknown algebra token 2"),
+        ([_DD_GEN], [dict(_DD_ARROW, left={})], "unknown algebra token {}"),
+        ([_DD_GEN], [dict(_DD_ARROW, right="s4")], "unknown algebra token 's4'"),
+        ([_DD_GEN], [dict(_DD_ARROW, right="s4", target="b")], "unknown algebra token 's4'"),
+        ([_DD_GEN], [dict(_DD_ARROW, left="j1")], "arrow labels on wrong sides: ('a', 'j1', 'j1', 'a')"),
+        ([_DD_GEN], [dict(_DD_ARROW, left="r1")], "left label incoherent on arrow ('a', 'r1', 'j1', 'a')"),
+        ([_DD_GEN], [dict(_DD_ARROW, target="b")], "arrow endpoint missing: ('a', 'i1', 'j1', 'b')"),
+        # the first malformed object is named, generators before arrows
+        ([_DD_GEN, dict(_DD_GEN, left="i9")], [dict(_DD_ARROW, extra=1)], "unknown algebra token 'i9'"),
+        ([_DD_GEN], [_DD_ARROW, dict(_DD_ARROW, source=1), {}], "arrow: generator names must be strings, got 1"),
+    ],
+)
+def test_malformed_dd_objects_give_exact_messages(gens, arrows, message):
+    doc = {"schema_version": 1, "kind": "DD", "sides": ["left", "right"], "generators": gens, "arrows": arrows}
+    with pytest.raises(ValueError) as err:
+        from_json(json.dumps(doc))
+    assert str(err.value) == message
+
+
+# (field, a non-integer JSON value that equals an accepted integer, message)
+INTEGER_FIELDS = [
+    ("schema_version", True, "unsupported schema_version True"),
+    ("schema_version", 1.0, "unsupported schema_version 1.0"),
+    ("occupancy", 1.0, "bad occupancy 1.0"),
+    ("occupancy", True, "bad occupancy True"),
+    ("capped_arity", False, "bad capped_arity False"),
+    ("capped_arity", 2.0, "bad capped_arity 2.0"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", INTEGER_FIELDS)
+def test_integer_fields_must_be_json_integers(field, value, message):
+    doc = json.loads(to_json(build_cfa_framed(2)))
+    (doc["generators"][0] if field == "occupancy" else doc)[field] = value
+    with pytest.raises(ValueError) as err:
+        from_json(json.dumps(doc))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("occupancy", [1.0, True, 2.0])
+def test_a_module_rejects_non_integer_occupancy(occupancy):
+    with pytest.raises(ValueError, match="non-integer occupancy"):
+        AModule((AGenerator("w", occupancy),), frozenset())
+
+
 # ---------------------------------------------------------------------------
 # properties over random structures with arbitrary names
 

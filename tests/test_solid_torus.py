@@ -12,7 +12,7 @@ from bpc.structures import check_a
 
 def test_infinity_smallest_cap():
     M = build_cfa_infinity(0)
-    assert M.generator_names() == ("w",)
+    assert [g.name for g in M.generators] == ["w"]
     assert M.operations == frozenset({("w", ("3", "2"), "w")})
 
 

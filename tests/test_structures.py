@@ -13,6 +13,7 @@ from bpc.structures import (
     AGenerator,
     AModule,
     ChainComplexF2,
+    CheckReport,
     DGenerator,
     DStructure,
     DDGenerator,
@@ -28,7 +29,6 @@ from bpc.structures import (
     isomorphic,
     reduce,
     verify_homotopy,
-    zero_morphism,
 )
 from bpc.structures import _graph_data, _natural_key, _rebuild, _triples
 from bpc.torus_link import build_cfdd_full, build_cfdd_simplified, build_equivalence
@@ -87,6 +87,22 @@ def test_structure_and_morphism_share_label_checks():
         with pytest.raises(ValueError) as morphism_error:
             DDMorphism(M, M, frozenset({arrow}))
         assert str(morphism_error.value) == message.format("")
+
+
+def test_bad_arrow_among_many_is_named():
+    F, G, H = build_equivalence(4)
+    M, N = F.source, F.target
+    bad = ("ab", "i1", "j1", "nowhere")
+    with pytest.raises(ValueError) as error:
+        DDMorphism(M, N, F.arrows | {bad})
+    assert str(error.value) == f"morphism endpoint missing: {bad}"
+    bad = ("ab", "r2", "j1", "u_ab")
+    with pytest.raises(ValueError) as error:
+        DDMorphism(M, N, F.arrows | {bad})
+    assert str(error.value) == f"left label incoherent on {bad}"
+    with pytest.raises(ValueError) as error:
+        DDStructure(M.generators, M.arrows | {bad})
+    assert str(error.value) == f"arrow endpoint missing: {bad}"
 
 
 def test_label_error_messages():
@@ -194,7 +210,7 @@ def test_check_a_validation():
 
 def test_zero_and_identity_morphisms():
     M = build_cfdd_full(2)
-    assert d_of_morphism(zero_morphism(M, M)).is_zero()
+    assert d_of_morphism(DDMorphism(M, M, frozenset())).is_zero()
     ident = identity_morphism(M)
     assert d_of_morphism(ident).is_zero()
     assert compose(ident, ident) == ident
@@ -219,7 +235,7 @@ def test_compose_edge_cases():
     N = F.target
     assert compose(F, G) == identity_morphism(N)
     assert compose(F, identity_morphism(F.source)) == F
-    assert compose(F, zero_morphism(N, F.source)).is_zero()
+    assert compose(F, DDMorphism(N, F.source, frozenset())).is_zero()
     with pytest.raises(ValueError):
         compose(F, F)
 
@@ -227,7 +243,7 @@ def test_compose_edge_cases():
 def test_verify_homotopy_trivial():
     M = build_cfdd_full(2)
     ident = identity_morphism(M)
-    assert verify_homotopy(ident, ident, zero_morphism(M, M)).ok
+    assert verify_homotopy(ident, ident, DDMorphism(M, M, frozenset())).ok
 
 
 def test_verify_homotopy_accepts_equivalence_and_rejects_mutation():
@@ -504,7 +520,7 @@ def _assert_agrees_with_reference(S1, S2):
 
 def _renamed(S, rng):
     """S with its generators renamed by a random bijection."""
-    names = S.generator_names()
+    names = list(S.generators) if isinstance(S, ChainComplexF2) else [g.name for g in S.generators]
     fresh = [f"g{k}" for k in range(len(names))]
     rng.shuffle(fresh)
     new = dict(zip(names, fresh))
@@ -809,3 +825,59 @@ def test_morphism_calculus_on_a_broken_chain_map():
     }
     defect = compose(G, broken).arrows ^ identity_morphism(F.source).arrows
     assert defect ^ d_of_morphism(H).arrows == {("a_y2", "i1", "j2", "a_y2")}
+
+
+def _verify_reference(F, G, H):
+    """verify_homotopy built from the public morphism calculus: every
+    side of every identity is a DDMorphism."""
+    M, N = F.source, F.target
+    surviving = (
+        ("F not a chain map", d_of_morphism(F).arrows),
+        ("G not a chain map", d_of_morphism(G).arrows),
+        ("F o G differs from identity", compose(F, G).arrows ^ identity_morphism(N).arrows),
+        (
+            "G o F + id differs from d(H)",
+            compose(G, F).arrows ^ identity_morphism(M).arrows ^ d_of_morphism(H).arrows,
+        ),
+    )
+    lines = tuple(
+        f"{tag}: {x} -> {z}: {'*'.join(label)}"
+        for tag, arrows in surviving
+        for x, *label, z in sorted(arrows)
+    )
+    return CheckReport(not lines, lines)
+
+
+def _with_extra_arrow(h):
+    """h plus its least missing coherent arrow from the first source
+    generator to the last target generator."""
+    x, y = h.source.generators[0], h.target.generators[-1]
+    coherent = sorted(
+        (x.name, l, r, y.name)
+        for l in basis_tokens("left")
+        for r in basis_tokens("right")
+        if (token_left_idem(l), token_right_idem(l)) == (x.left, y.left)
+        and (token_left_idem(r), token_right_idem(r)) == (x.right, y.right)
+    )
+    extra = next(a for a in coherent if a not in h.arrows)
+    return DDMorphism(h.source, h.target, h.arrows | {extra})
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_verify_homotopy_matches_morphism_reference(n):
+    F, G, H = build_equivalence(n)
+    cases = [(F, G, H)]
+    for edit in (_without_first_arrow, _with_extra_arrow):
+        cases += [(edit(F), G, H), (F, edit(G), H), (F, G, edit(H))]
+    tags = set()
+    for case in cases:
+        report = verify_homotopy(*case)
+        assert report == _verify_reference(*case)
+        tags.update(line.split(":")[0] for line in report.lines)
+    assert verify_homotopy(F, G, H).ok
+    assert tags == {
+        "F not a chain map",
+        "G not a chain map",
+        "F o G differs from identity",
+        "G o F + id differs from d(H)",
+    }
