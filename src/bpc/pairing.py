@@ -21,23 +21,22 @@ from dataclasses import dataclass
 
 from .algebra import _CHORD_INTERVAL, _PRODUCT, idem_token
 from .structures import (
-    _LABEL,
+    _LABELS,
     AModule,
     ChainComplexF2,
     DGenerator,
     DStructure,
     DDStructure,
     _toggle,
-    check_complex,
 )
 
-# interned label -> (chord interval of its last, consumed-side token, or
-# None for an idempotent; the left token of a DD label (l, r), or None)
-_STEP = {
-    label: (_CHORD_INTERVAL.get(label[-1]), label[0] if len(label) == 2 else None)
-    for label in _LABEL
-    if label
-}
+# label id -> (chord interval of its last, consumed-side token, or None
+# for an idempotent; the left token of a DD label (l, r), or None), and
+# None for the empty label
+_STEP = tuple(
+    (_CHORD_INTERVAL.get(label[-1]), label[0] if len(label) == 2 else None) if label else None
+    for label in _LABELS
+)
 
 DEFAULT_PATH_CAP = 64
 
@@ -58,13 +57,20 @@ class PathCapExceeded(RuntimeError):
     """Path enumeration hit a cap; the result would be unreliable."""
 
 
-def _op_lookup(module: AModule):
-    table = module.table
-    prefixes = set()
-    for src, seq in table:
-        for k in range(1, len(seq)):
-            prefixes.add((src, seq[:k]))
-    return table, prefixes
+def _op_trie(module: AModule):
+    """{module generator: {chord: (chord sequence, targets, {chord: ...})}}:
+    the prefix tree of the module's table, one node per prefix of a
+    table sequence, holding the targets of the operation on exactly that
+    sequence (none for a proper prefix only) and its children (none for
+    a sequence that prefixes no longer one)."""
+    trie = {g.name: {} for g in module.generators}
+    for (src, seq), targets in module.table.items():
+        children = trie[src]
+        for k, chord in enumerate(seq, 1):
+            node = children.setdefault(chord, (seq[:k], [], {}))
+            children = node[2]
+        node[1].extend(targets)
+    return trie
 
 
 def _check_cap(cfg: PairingConfig, module: AModule):
@@ -89,22 +95,24 @@ def _guard_path(module: AModule, where: str, source: str, seq: tuple):
     )
 
 
-def _pair_names(A: AModule, pairs):
-    """{module generator: {generator of S: 'a*d'}} over the (a, d) pairs,
-    so each product name is formatted once."""
-    named = {a.name: {} for a in A.generators}
+def _pair_names(A: AModule, S, pairs):
+    """{module generator: [its product name with each generator of S,
+    by number, or None]} over the (a, d) pairs, so each product name is
+    formatted once."""
+    named = {a.name: [None] * len(S.names) for a in A.generators}
+    index = S.index
     for a, d in pairs:
-        named[a][d.name] = f"{a}*{d.name}"
+        named[a][index[d.name]] = f"{a}*{d.name}"
     return named
 
 
-def _landing(named, tgt, nxt):
+def _landing(named, tgt, nxt, names):
     """The product generator tgt*nxt, or a ValueError if they do not pair."""
-    out = named[tgt].get(nxt)
+    out = named[tgt][nxt]
     if out is None:
         raise ValueError(
             f"idempotent mismatch in inputs: operation lands on"
-            f" {tgt!r} which does not pair with {nxt!r}"
+            f" {tgt!r} which does not pair with {names[nxt]!r}"
         )
     return out
 
@@ -115,7 +123,7 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
     if cfg.side != "right":
         raise ValueError("box_right consumes the right algebra")
     _check_cap(cfg, A)
-    table, prefixes = _op_lookup(A)
+    trie = _op_trie(A)
     horizon = math.inf if A.capped_arity is None else A.capped_arity
     pairs = [
         (a.name, d)
@@ -123,18 +131,22 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
         for d in S.generators
         if a.occupancy == d.right
     ]
-    named = _pair_names(A, pairs)
-    gens = tuple(DGenerator(named[a][d.name], d.left) for a, d in pairs)
+    named = _pair_names(A, S, pairs)
+    names, index, steps = S.names, S.index, S.steps
+    gens = tuple(DGenerator(named[a][index[d.name]], d.left) for a, d in pairs)
     parity = set()
     for a, d in pairs:
         mine = named[a]
-        source = mine[d.name]
-        # (label product so far, chord sequence so far, current generator)
-        stack = [(idem_token("left", d.left), (), d.name)]
+        start = index[d.name]
+        source = mine[start]
+        # (label product so far, chord sequence so far, its trie children,
+        # current generator)
+        stack = [(idem_token("left", d.left), (), trie[a], start)]
         while stack:
-            prod, seq, at = stack.pop()
+            prod, seq, children, at = stack.pop()
             row = _PRODUCT[prod]
-            for label, nxt in S.out[at]:
+            depth = len(seq) + 1
+            for label, nxt in steps[at]:
                 chord, l = _STEP[label]
                 if chord is None:
                     if not seq:
@@ -143,15 +155,16 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
                 nprod = row[l]
                 if nprod is None:
                     continue
-                nseq = seq + (chord,)
-                if len(nseq) >= horizon:
-                    _guard_path(A, "box_right", source, nseq)
-                key = (a, nseq)
-                if key in table:
-                    for tgt in table[key]:
-                        _toggle(parity, (source, nprod, _landing(named, tgt, nxt)))
-                if key in prefixes:
-                    stack.append((nprod, nseq, nxt))
+                if depth >= horizon:
+                    _guard_path(A, "box_right", source, seq + (chord,))
+                node = children.get(chord)
+                if node is None:
+                    continue
+                nseq, targets, grandchildren = node
+                for tgt in targets:
+                    _toggle(parity, (source, nprod, _landing(named, tgt, nxt, names)))
+                if grandchildren:
+                    stack.append((nprod, nseq, grandchildren, nxt))
     return DStructure("left", gens, frozenset(parity))
 
 
@@ -161,54 +174,66 @@ def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> Cha
     if cfg.side != "left":
         raise ValueError("box_left consumes the left algebra")
     _check_cap(cfg, A)
-    table, prefixes = _op_lookup(A)
+    trie = _op_trie(A)
     horizon = math.inf if A.capped_arity is None else A.capped_arity
     pairs = [
         (a.name, d) for a in A.generators for d in S.generators if a.occupancy == d.idem
     ]
-    named = _pair_names(A, pairs)
-    gens = tuple(named[a][d.name] for a, d in pairs)
+    named = _pair_names(A, S, pairs)
+    names, index, steps = S.names, S.index, S.steps
+    gens = tuple(named[a][index[d.name]] for a, d in pairs)
     parity = set()
     for a, d in pairs:
         mine = named[a]
-        source = mine[d.name]
-        stack = [((), d.name)]
+        start = index[d.name]
+        source = mine[start]
+        stack = [((), trie[a], start)]
         while stack:
-            seq, at = stack.pop()
-            for label, nxt in S.out[at]:
+            seq, children, at = stack.pop()
+            depth = len(seq) + 1
+            for label, nxt in steps[at]:
                 chord = _STEP[label][0]
                 if chord is None:
                     if not seq:
                         _toggle(parity, (source, mine[nxt]))
                     continue
-                nseq = seq + (chord,)
-                if len(nseq) >= horizon:
-                    _guard_path(A, "box_left", source, nseq)
-                key = (a, nseq)
-                if key in table:
-                    for tgt in table[key]:
-                        _toggle(parity, (source, _landing(named, tgt, nxt)))
-                if key in prefixes:
-                    stack.append((nseq, nxt))
+                if depth >= horizon:
+                    _guard_path(A, "box_left", source, seq + (chord,))
+                node = children.get(chord)
+                if node is None:
+                    continue
+                nseq, targets, grandchildren = node
+                for tgt in targets:
+                    _toggle(parity, (source, _landing(named, tgt, nxt, names)))
+                if grandchildren:
+                    stack.append((nseq, grandchildren, nxt))
     return ChainComplexF2(gens, frozenset(parity))
 
 
 def homology_rank(C: ChainComplexF2) -> int:
     """dim - 2 rank(boundary), by exact elimination over F2."""
-    if not check_complex(C):
-        raise ValueError("boundary does not square to zero")
-    idx = {g: k for k, g in enumerate(C.generators)}
+    # rows[g]: the boundary of generator g as a bitset over generator numbers
+    rows = []
+    for steps in C.steps:
+        row = 0
+        for _, t in steps:
+            row ^= 1 << t
+        rows.append(row)
+    # d squared vanishes on g when the rows of its boundary sum to zero
+    for steps in C.steps:
+        row = 0
+        for _, t in steps:
+            row ^= rows[t]
+        if row:
+            raise ValueError("boundary does not square to zero")
     # echelon basis of the boundary's row space, one row per leading bit;
     # each row is reduced against it and joins it if anything is left
     pivots = {}
-    for g in C.generators:
-        row = 0
-        for _, tgt in C.out[g]:
-            row ^= 1 << idx[tgt]
+    for row in rows:
         while row:
             top = row.bit_length() - 1
             if top not in pivots:
                 pivots[top] = row
                 break
             row ^= pivots[top]
-    return len(C.generators) - 2 * len(pivots)
+    return len(rows) - 2 * len(pivots)

@@ -8,14 +8,19 @@ parallel arrows, and arrow sets are kept reduced mod 2.  Idempotent
 coherence is enforced at construction: an arrow x ->(t) y can only carry
 a token whose forced idempotents agree with those of x and y.
 
-Each structure, and each morphism's arrow set, is also one labeled
-graph: a cached out-adjacency {source: [(label, target)]} with interned
-labels (l, r) for DD, (t,) for D and () for chain complexes.  The
-structure equation of a type-DD structure with both algebra
-differentials zero says that for every generator pair (x, z) the mod-2
-sum over two-step paths x -> y -> z of the label products vanishes; the
-checkers, the morphism differential and composition all evaluate that
-sum with one kernel, ``_compose_parity``.
+Each structure, and each morphism's arrow set, also has one cached
+integer view: generators numbered in sorted name order, labels ((l, r)
+for DD, (t,) for D, () for chain complexes) numbered once, in sorted
+label order, and ``steps[x]``, the sorted list of
+(label id, target number) of the arrows leaving x.  One table gives the
+id of every nonzero label product.  The structure equation of a type-DD
+structure with both algebra differentials zero says that for every
+generator pair (x, z) the mod-2 sum over two-step paths x -> y -> z of
+the label products vanishes; the checkers, the morphism differential and
+composition all evaluate that sum with one kernel, ``_compose_parity``,
+which toggles packed ints and names only the arrows that survive.
+``reduce``, ``isomorphic`` and the box products in ``bpc.pairing`` read
+the same steps.
 """
 
 import bisect
@@ -23,6 +28,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 from .algebra import (
     _PRODUCT,
@@ -57,21 +63,52 @@ class CheckReport:
 
 # ---------------------------------------------------------------------------
 # labels: an arrow's label is what lies between its source and target,
-# (l, r) for DD, (t,) for D and () for complexes; each label is interned
-# (one tuple per value), and each kind has one table label -> {label:
-# nonzero product} and one set of unit labels
+# (l, r) for DD, (t,) for D and () for complexes; every label has one id,
+# its position in sorted label order, so sorting by id sorts by label
 
 
 _LEFT, _RIGHT = basis_tokens("left"), basis_tokens("right")
-_LABEL = {
-    label: label
-    for label in [*((l, r) for l in _LEFT for r in _RIGHT), *((t,) for t in _LEFT + _RIGHT), ()]
-}
+_LABELS = tuple(
+    sorted([*((l, r) for l in _LEFT for r in _RIGHT), *((t,) for t in _LEFT + _RIGHT), ()])
+)
+_NLABELS = len(_LABELS)
+_LABEL_ID = {label: k for k, label in enumerate(_LABELS)}
+_DD_ID = {l: {r: _LABEL_ID[l, r] for r in _RIGHT} for l in _LEFT}  # left -> right -> id
+_D_ID = {t: _LABEL_ID[t,] for t in _LEFT + _RIGHT}
+_BARE = _LABEL_ID[()]
+
+
+def _label_products():
+    """_MUL[a][b]: the id of label a times label b, or None when the
+    product is zero or the labels are of different kinds.  Labels of one
+    kind multiply side by side, and a product is nonzero when every
+    side's is, so only the nonzero side products are visited."""
+    table = [[None] * _NLABELS for _ in _LABELS]
+    table[_BARE][_BARE] = _BARE
+    nonzero = {t: [(b, p) for b, p in _PRODUCT[t].items() if p] for t in _D_ID}
+    for a, products in nonzero.items():
+        row = table[_D_ID[a]]
+        for b, p in products:
+            row[_D_ID[b]] = _D_ID[p]
+    for l, right in _DD_ID.items():
+        for r, label in right.items():
+            row = table[label]
+            for b, p in nonzero[l]:
+                by_right, product_by_right = _DD_ID[b], _DD_ID[p]
+                for c, q in nonzero[r]:
+                    row[by_right[c]] = product_by_right[q]
+    return table
+
+
+_MUL = _label_products()
+# _IS_UNIT[a]: every token of label a is an idempotent (so () is a unit)
+_IS_UNIT = tuple(all(map(is_idempotent, label)) for label in _LABELS)
+
 # sides of a label's tokens -> {label: (source idempotents, target
 # idempotents)}: an arrow x -(label)-> y over those sides is coherent
 # exactly when the pair equals (idems[x], idems[y])
 _LABEL_ENDS = {}
-for _label in _LABEL:
+for _label in _LABELS:
     _LABEL_ENDS.setdefault(tuple(map(side_of, _label)), {})[_label] = (
         tuple(map(token_left_idem, _label)),
         tuple(map(token_right_idem, _label)),
@@ -79,56 +116,40 @@ for _label in _LABEL:
 del _label
 _IDEM_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 # every coherent DD arrow as (left token, right token, source code, target
-# code), the code of idempotents (a, b) being 2 * a + b
+# code), the code of idempotents (a, b) being 2 * a + b, and every
+# coherent D arrow over a side as (token, source idempotent, target
+# idempotent)
 _DD_VALID = frozenset(
     (l, r, 2 * a + b, 2 * c + d) for (l, r), ((a, b), (c, d)) in _LABEL_ENDS[SIDES].items()
 )
-# idempotent pair -> the unit label fixing it
-_UNIT = {e: _LABEL[idem_token("left", e[0]), idem_token("right", e[1])] for e in _IDEM_PAIRS}
-
-_D_PRODUCT = {
-    _LABEL[a,]: {_LABEL[b,]: _LABEL[p,] for b, p in _PRODUCT[a].items() if p}
-    for a in _LEFT + _RIGHT
+_D_VALID = {
+    side: frozenset((t, a, c) for (t,), ((a,), (c,)) in _LABEL_ENDS[side,].items())
+    for side in SIDES
 }
-# a DD product is nonzero when both sides are: 18 x 18 entries
-_DD_PRODUCT = {
-    _LABEL[l, r]: {
-        _LABEL[b + c]: _LABEL[p + q]
-        for b, p in _D_PRODUCT[l,].items()
-        for c, q in _D_PRODUCT[r,].items()
-    }
-    for l in _LEFT
-    for r in _RIGHT
-}
-_COMPLEX_PRODUCT = {(): {(): ()}}
-
-_DD_UNITS = {label for label in _DD_PRODUCT if all(map(is_idempotent, label))}
-_D_UNITS = {label for label in _D_PRODUCT if is_idempotent(label[0])}
-_COMPLEX_UNITS = {()}
+# code of an idempotent pair -> the id of the unit label fixing it
+_UNIT = {2 * a + b: _DD_ID[idem_token("left", a)][idem_token("right", b)] for a, b in _IDEM_PAIRS}
 
 
-def _adjacency(names, arrows, sides):
-    """{name: [(label, target)]} over arrows (source, *label, target)
-    whose labels carry one token per side, each list sorted, so it runs
-    in sorted arrow order."""
-    out = {g: [] for g in names}
+def _steps(index, target_index, arrows, sides):
+    """[[(label id, target number)] for each generator in index] over
+    arrows (source, *label, target) whose labels carry one token per
+    side, targets numbered by target_index; each list is sorted, so it
+    runs in sorted arrow order."""
+    steps = [[] for _ in index]
     if sides == 2:
+        ids = _DD_ID
         for s, l, r, t in arrows:
-            out[s].append((_LABEL[l, r], t))
+            steps[index[s]].append((ids[l][r], target_index[t]))
     elif sides == 1:
+        ids = _D_ID
         for s, a, t in arrows:
-            out[s].append((_LABEL[a,], t))
+            steps[index[s]].append((ids[a], target_index[t]))
     else:
         for s, t in arrows:
-            out[s].append(((), t))
-    for steps in out.values():
-        steps.sort()
-    return out
-
-
-def _triples(out):
-    """The (source, label, target) arrows of an adjacency."""
-    return ((s, label, t) for s, steps in out.items() for label, t in steps)
+            steps[index[s]].append((_BARE, target_index[t]))
+    for row in steps:
+        row.sort()
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -155,23 +176,53 @@ class AGenerator:
 
 
 def _check_unique(names):
-    """Raise unless the generator names are distinct strings."""
-    seen = set()
+    """Raise unless the generator names are distinct strings, naming the
+    first non-string in the given order or else the least repeated name.
+
+    One type-and-set pass settles the common case; the loops only find
+    the name for the message.
+    """
+    if set(map(type, names)) <= {str} and len(set(names)) == len(names):
+        return
     for n in names:
         if not isinstance(n, str):
             raise ValueError(f"generator names must be strings, got {n!r}")
+    seen = set()
+    for n in sorted(names):
         if n in seen:
             raise ValueError(f"duplicate generator name {n!r}")
         seen.add(n)
 
 
-def _normalize(struct):
-    """Sort generators by name so equality ignores construction order."""
+def _normalize(struct, names):
+    """Check the generator names, then sort generators by name so equality
+    ignores construction order."""
+    _check_unique(names)
     key = (lambda g: g) if isinstance(struct, ChainComplexF2) else (lambda g: g.name)
     object.__setattr__(struct, "generators", tuple(sorted(struct.generators, key=key)))
     for attr in ("arrows", "operations"):
         if hasattr(struct, attr):
             object.__setattr__(struct, attr, frozenset(getattr(struct, attr)))
+
+
+class _Numbered:
+    """Generators numbered in sorted name order, and the arrows as
+    per-generator steps (label id, target number)."""
+
+    @cached_property
+    def names(self):
+        """Generator names, sorted."""
+        return tuple(g.name for g in self.generators)
+
+    @cached_property
+    def index(self):
+        """{name: number}."""
+        return {name: k for k, name in enumerate(self.names)}
+
+    @cached_property
+    def steps(self):
+        """[[(label id, target number)] per generator], in sorted arrow order."""
+        return _steps(self.index, self.index, self.arrows, self._SIDES)
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +241,8 @@ def _check_labels(arrow, sides, src_idems, tgt_idems, missing: str, where: str):
     (x, t, y), are in src_idems and tgt_idems and each token of its label
     lies on its side and carries x's idempotent on that side to y's.
 
-    Constructors test each arrow against _LABEL_ENDS (DD arrows through
-    _check_dd_arrows) and call this only on a mismatch, for the precise
-    message.
+    Constructors test all arrows at once against _DD_VALID or _D_VALID
+    and call this only on a mismatch, for the precise message.
     """
     x, label, y = arrow[0], arrow[1:-1], arrow[-1]
     if x not in src_idems or y not in tgt_idems:
@@ -233,15 +283,15 @@ def _check_dd_arrows(arrows, source, target, missing: str, where: str):
 
 
 @dataclass(frozen=True)
-class DDStructure:
+class DDStructure(_Numbered):
     """Generators plus arrows (source, left token, right token, target)."""
 
     generators: tuple
     arrows: frozenset
+    _SIDES = 2
 
     def __post_init__(self):
-        _normalize(self)
-        _check_unique(g.name for g in self.generators)
+        _normalize(self, [g.name for g in self.generators])
         _check_idems(self.idems, set(_IDEM_PAIRS))
         _check_dd_arrows(self.arrows, self, self, "arrow", "on arrow")
 
@@ -255,26 +305,28 @@ class DDStructure:
         """{name: 2 * left idempotent + right idempotent}."""
         return {g.name: 2 * g.left + g.right for g in self.generators}
 
-    @cached_property
-    def out(self):
-        """{name: [((l, r), target)]}, each list in sorted arrow order."""
-        return _adjacency(self.idems, self.arrows, 2)
-
 
 @dataclass(frozen=True)
-class DStructure:
+class DStructure(_Numbered):
     """One-sided specialization of DDStructure (single label per arrow)."""
 
     side: str
     generators: tuple
     arrows: frozenset
+    _SIDES = 1
 
     def __post_init__(self):
-        _normalize(self)
-        _check_unique(g.name for g in self.generators)
-        idems, sides = self.idems, (self.side,)
+        _normalize(self, [g.name for g in self.generators])
+        idems = self.idems
         _check_idems(idems, {(1,), (2,)})
-        ends = _LABEL_ENDS.get(sides, {})
+        codes = {g.name: g.idem for g in self.generators}
+        valid = _D_VALID.get(self.side, frozenset())
+        try:
+            if {(t, codes[x], codes[y]) for x, t, y in self.arrows} <= valid:
+                return
+        except KeyError:  # an endpoint that is not a generator
+            pass
+        sides, ends = (self.side,), _LABEL_ENDS.get((self.side,), {})
         for arrow in self.arrows:
             src, t, tgt = arrow
             if ends.get((t,)) != (idems.get(src), idems.get(tgt)):
@@ -285,36 +337,33 @@ class DStructure:
         """{name: (idempotent,)}."""
         return {g.name: (g.idem,) for g in self.generators}
 
-    @cached_property
-    def out(self):
-        """{name: [((t,), target)]}, each list in sorted arrow order."""
-        return _adjacency(self.idems, self.arrows, 1)
-
 
 @dataclass(frozen=True)
-class ChainComplexF2:
+class ChainComplexF2(_Numbered):
     """Basis plus unlabeled boundary arrows; everything over F2."""
 
     generators: tuple
     arrows: frozenset
+    _SIDES = 0
 
     def __post_init__(self):
-        _normalize(self)
-        _check_unique(self.generators)
-        gens = set(self.generators)
-        for src, tgt in self.arrows:
-            if src not in gens or tgt not in gens:
-                raise ValueError(f"arrow endpoint missing: {(src, tgt)}")
+        _normalize(self, tuple(self.generators))
+        gens, arrows = set(self.generators), self.arrows
+        # every arrow a pair of generators, else the loop names the first bad one
+        if not (gens.issuperset(chain.from_iterable(arrows)) and set(map(len, arrows)) <= {2}):
+            for src, tgt in arrows:
+                if src not in gens or tgt not in gens:
+                    raise ValueError(f"arrow endpoint missing: {(src, tgt)}")
+
+    @property
+    def names(self):
+        """Generator names, sorted: the generators themselves."""
+        return self.generators
 
     @cached_property
     def idems(self):
         """{name: ()}: complexes carry no idempotents."""
         return {g: () for g in self.generators}
-
-    @cached_property
-    def out(self):
-        """{name: [((), target)]}, each list in sorted arrow order."""
-        return _adjacency(self.generators, self.arrows, 0)
 
 
 @dataclass(frozen=True)
@@ -332,8 +381,7 @@ class AModule:
     capped_arity: int | None = None
 
     def __post_init__(self):
-        _normalize(self)
-        _check_unique(g.name for g in self.generators)
+        _normalize(self, [g.name for g in self.generators])
         occ = {g.name: g.occupancy for g in self.generators}
         for name, k in occ.items():
             if type(k) is not int:  # True == 1 and 1.0 == 1 would pass the next check
@@ -377,21 +425,17 @@ class DDMorphism:
         _check_dd_arrows(self.arrows, self.source, self.target, "morphism", "on")
 
     @cached_property
-    def out(self):
-        """{source name: [((l, r), target)]}, like DDStructure.out."""
-        return _adjacency(self.source.idems, self.arrows, 2)
+    def steps(self):
+        """[[(label id, target number)] per source generator], like
+        DDStructure.steps with targets numbered in the target."""
+        return _steps(self.source.index, self.target.index, self.arrows, 2)
 
     def is_zero(self):
         return not self.arrows
 
 
-def _identity(M: DDStructure):
-    """The (x, label, x) arrows of the identity of M."""
-    return {(g, _UNIT[e], g) for g, e in M.idems.items()}
-
-
 def identity_morphism(M: DDStructure) -> DDMorphism:
-    return DDMorphism(M, M, frozenset((x, *label, x) for x, label, _ in _identity(M)))
+    return DDMorphism(M, M, frozenset((x, *_LABELS[_UNIT[c]], x) for x, c in M.codes.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -406,20 +450,26 @@ def _toggle(odd, key):
         odd.add(key)
 
 
-def _compose_parity(first_out, second_out, product):
-    """The set of (x, label, z) summed an odd number of times over the
-    two-step paths x -(a)-> y -(b)-> z, the first step from first_out
-    and the second from second_out, with label = a * b nonzero in
-    product."""
+def _compose_parity(first, second, nz):
+    """The set of packed keys (x * _NLABELS + label) * nz + z summed an
+    odd number of times over the two-step paths x -(a)-> y -(b)-> z, the
+    first step from the steps first and the second from the steps second,
+    whose nz targets z are numbered 0 .. nz - 1, with label = a * b
+    nonzero.  Sorted keys run in (x, label, z) order."""
     odd = set()
     add, remove = odd.add, odd.remove
-    for x, steps in first_out.items():
+    mul = _MUL
+    for x, steps in enumerate(first):
+        base = x * _NLABELS
         for a, y in steps:
-            row = product[a]
-            for b, z in second_out[y]:
-                label = row.get(b)
-                if label is not None:
-                    key = (x, label, z)
+            after = second[y]
+            if not after:  # most of d(F)'s first steps end where F has no arrows
+                continue
+            row = mul[a]
+            for b, z in after:
+                p = row[b]
+                if p is not None:
+                    key = (base + p) * nz + z
                     if key in odd:
                         remove(key)
                     else:
@@ -427,25 +477,40 @@ def _compose_parity(first_out, second_out, product):
     return odd
 
 
+def _unpack(keys, sources, targets):
+    """(source name, label, target name) for each packed key, in order."""
+    nz = len(targets)
+    for key in keys:
+        xa, z = divmod(key, nz)
+        x, a = divmod(xa, _NLABELS)
+        yield sources[x], _LABELS[a], targets[z]
+
+
 def _line(x, label, z):
     """'x -> z', plus ': ' and the label's tokens joined by '*' if any."""
     return f"{x} -> {z}: {'*'.join(label)}" if label else f"{x} -> {z}"
 
 
-def _report(odd):
-    """One line per odd (x, label, z), sorted by (x, z, label)."""
-    lines = tuple(_line(*k) for k in sorted(odd, key=lambda k: (k[0], k[2], k[1])))
+def _report(odd, names):
+    """One line per odd key of a structure's own arrows, sorted by (x, z,
+    label)."""
+    arrows = sorted(_unpack(odd, names, names), key=lambda k: (k[0], k[2], k[1]))
+    lines = tuple(_line(*k) for k in arrows)
     return CheckReport(not lines, lines)
+
+
+def _check(S):
+    return _report(_compose_parity(S.steps, S.steps, len(S.names)), S.names)
 
 
 def check_dd(S: DDStructure) -> CheckReport:
     """Verify the quadratic structure equation of a type-DD structure."""
-    return _report(_compose_parity(S.out, S.out, _DD_PRODUCT))
+    return _check(S)
 
 
 def check_d(S: DStructure) -> CheckReport:
     """One-sided analogue of check_dd."""
-    return _report(_compose_parity(S.out, S.out, _D_PRODUCT))
+    return _check(S)
 
 
 def check_a(M: AModule, cap: int | None = None) -> CheckReport:
@@ -490,7 +555,7 @@ def check_a(M: AModule, cap: int | None = None) -> CheckReport:
 
 def check_complex(C: ChainComplexF2) -> CheckReport:
     """Verify that the boundary squares to zero."""
-    return _report(_compose_parity(C.out, C.out, _COMPLEX_PRODUCT))
+    return _check(C)
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +568,17 @@ def _require_same_structure(a: DDStructure, b: DDStructure, what: str):
 
 
 def _d_parity(h: DDMorphism):
-    """The (x, label, z) arrows of d(h)."""
-    odd = _compose_parity(h.out, h.target.out, _DD_PRODUCT)
-    odd ^= _compose_parity(h.source.out, h.out, _DD_PRODUCT)
+    """The packed keys of the arrows of d(h)."""
+    nz = len(h.target.names)
+    odd = _compose_parity(h.steps, h.target.steps, nz)
+    odd ^= _compose_parity(h.source.steps, h.steps, nz)
     return odd
+
+
+def _morphism(source, target, odd):
+    """The DDMorphism source -> target with the arrows of the packed keys."""
+    arrows = frozenset((x, *label, z) for x, label, z in _unpack(odd, source.names, target.names))
+    return DDMorphism(source, target, arrows)
 
 
 def d_of_morphism(h: DDMorphism) -> DDMorphism:
@@ -515,14 +587,19 @@ def d_of_morphism(h: DDMorphism) -> DDMorphism:
 
     The result is empty exactly when h is a chain map.
     """
-    return DDMorphism(h.source, h.target, frozenset((x, *label, z) for x, label, z in _d_parity(h)))
+    return _morphism(h.source, h.target, _d_parity(h))
 
 
 def compose(g: DDMorphism, f: DDMorphism) -> DDMorphism:
     """Composite g after f; f feeds into g."""
     _require_same_structure(g.source, f.target, "compose(g, f) needs f: M->N, g: N->P")
-    odd = _compose_parity(f.out, g.out, _DD_PRODUCT)
-    return DDMorphism(f.source, g.target, frozenset((x, *label, z) for x, label, z in odd))
+    return _morphism(f.source, g.target, _compose_parity(f.steps, g.steps, len(g.target.names)))
+
+
+def _identity(M: DDStructure):
+    """The packed keys of the identity of M."""
+    n = len(M.names)
+    return {(x * _NLABELS + _UNIT[c]) * n + x for x, c in enumerate(M.codes.values())}
 
 
 def verify_homotopy(F: DDMorphism, G: DDMorphism, H: DDMorphism) -> CheckReport:
@@ -530,26 +607,29 @@ def verify_homotopy(F: DDMorphism, G: DDMorphism, H: DDMorphism) -> CheckReport:
 
     Identities verified: d(F) = 0, d(G) = 0, F o G = id on the small
     structure, and G o F + id = d(H) on the big one.  Each side is a set
-    of (x, label, z) arrows from _compose_parity, and the arrows of each
-    sum that survive mod 2 are reported in sorted order.
+    of packed arrow keys from _compose_parity, and the arrows of each sum
+    that survive mod 2 are reported in sorted (x, label, z) order.
     """
     M, N = F.source, F.target
     _require_same_structure(G.source, N, "G must map the small structure back")
     _require_same_structure(G.target, M, "G must land in the big structure")
     _require_same_structure(H.source, M, "H must be a self-morphism of the big one")
     _require_same_structure(H.target, M, "H must be a self-morphism of the big one")
-    # arrow sets, each empty exactly when its identity holds; F o G is G
-    # then F, G o F is F then G
+    # (tag, key set, source, target), each set empty exactly when its
+    # identity holds; F o G is G then F, G o F is F then G
+    f_g = _compose_parity(G.steps, F.steps, len(N.names)) ^ _identity(N)
+    g_f = _compose_parity(F.steps, G.steps, len(M.names)) ^ _identity(M) ^ _d_parity(H)
     surviving = (
-        ("F not a chain map", _d_parity(F)),
-        ("G not a chain map", _d_parity(G)),
-        ("F o G differs from identity", _compose_parity(G.out, F.out, _DD_PRODUCT) ^ _identity(N)),
-        (
-            "G o F + id differs from d(H)",
-            _compose_parity(F.out, G.out, _DD_PRODUCT) ^ _identity(M) ^ _d_parity(H),
-        ),
+        ("F not a chain map", _d_parity(F), M, N),
+        ("G not a chain map", _d_parity(G), N, M),
+        ("F o G differs from identity", f_g, N, N),
+        ("G o F + id differs from d(H)", g_f, M, M),
     )
-    lines = tuple(f"{tag}: {_line(*arrow)}" for tag, arrows in surviving for arrow in sorted(arrows))
+    lines = tuple(
+        f"{tag}: {_line(*arrow)}"
+        for tag, keys, source, target in surviving
+        for arrow in _unpack(sorted(keys), source.names, target.names)
+    )
     return CheckReport(not lines, lines)
 
 
@@ -557,31 +637,31 @@ def verify_homotopy(F: DDMorphism, G: DDMorphism, H: DDMorphism) -> CheckReport:
 # cancellation
 
 
-_KINDS = {
-    DDStructure: ("DD", _DD_PRODUCT, _DD_UNITS),
-    DStructure: ("D", _D_PRODUCT, _D_UNITS),
-    ChainComplexF2: ("complex", _COMPLEX_PRODUCT, _COMPLEX_UNITS),
-}
+_KINDS = {DDStructure: "DD", DStructure: "D", ChainComplexF2: "complex"}
 
 
-def _graph_data(S):
-    """Uniform (kind, idempotents, out-adjacency, product table, unit
-    labels) view of a DD or D structure or a chain complex."""
+def _kind(S):
+    """'DD', 'D' or 'complex': the kinds reduce and isomorphic accept."""
     if type(S) not in _KINDS:
         raise ValueError(f"cannot reduce a {type(S).__name__}")
-    kind, product, units = _KINDS[type(S)]
-    return kind, S.idems, S.out, product, units
+    return _KINDS[type(S)]
 
 
 def _rebuild(S, names, arrows):
     """S with the named generators and the (source, label, target) arrows."""
-    keep = tuple(g for g, name in zip(S.generators, S.idems) if name in names)
+    keep = tuple(g for g, name in zip(S.generators, S.names) if name in names)
     return replace(S, generators=keep, arrows=frozenset((s, *label, t) for s, label, t in arrows))
 
 
+_DIGITS = re.compile(r"(\d+)")
+
+
 def _natural_key(name):
-    """Name sort key comparing embedded integers numerically."""
-    return tuple(int(p) if p.isdecimal() else p for p in re.split(r"(\d+)", name))
+    """Name sort key comparing embedded integers numerically: the split
+    puts text at even positions and decimal runs at odd ones."""
+    parts = _DIGITS.split(name)
+    parts[1::2] = map(int, parts[1::2])
+    return tuple(parts)
 
 
 def reduce(S, rng: random.Random | None = None):
@@ -597,55 +677,67 @@ def reduce(S, rng: random.Random | None = None):
     picks uniformly instead.  The homotopy type does not depend on the
     choice.
 
-    Arrows live in per-generator adjacency sets and the non-loop unit
-    arrows in one sorted index, so cancelling x -> y costs one toggle per
-    arrow at x or y plus in(y) * out(x) fill-in toggles, each a set
-    update and, for a unit arrow, a bisect into the index; nothing
-    rescans or re-sorts the whole arrow set.
+    Arrows live in per-generator adjacency sets over generator numbers
+    and label ids, and the non-loop unit arrows in one sorted index of
+    ints that order as (natural key of x, of y, x, y), so cancelling
+    x -> y costs one toggle per arrow at x or y plus in(y) * out(x)
+    fill-in toggles, each a set update and, for a unit arrow, a bisect
+    into the index; nothing rescans or re-sorts the whole arrow set.
     """
-    _, _, adjacency, product, unit_labels = _graph_data(S)
-    key = {g: _natural_key(g) for g in adjacency}
-    out = {g: set(steps) for g, steps in adjacency.items()}  # g -> {(label, target)}
-    into = {g: set() for g in adjacency}  # g -> {(source, label)}
-    for s, label, t in _triples(adjacency):
-        into[t].add((s, label))
-    # non-loop unit arrows, ascending by natural (source, target) order
+    _kind(S)
+    names, steps = S.names, S.steps
+    n = len(names)
+    # dense ranks of the natural keys, equal keys sharing one; generator
+    # numbers already run in name order
+    keys = [_natural_key(g) for g in names]
+    rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
+    rank = [rank_of[key] for key in keys]
+    unit, mul = _IS_UNIT, _MUL
+
+    def indexed(s, t):
+        return ((rank[s] * n + rank[t]) * n + s) * n + t
+
+    out = [set(row) for row in steps]  # g -> {(label, target)}
+    into = [set() for _ in range(n)]  # g -> {(source, label)}
+    for s, row in enumerate(steps):
+        for a, t in row:
+            into[t].add((s, a))
     units = sorted(
-        (key[s], key[t], s, t)
-        for s, label, t in _triples(adjacency)
-        if s != t and label in unit_labels
+        indexed(s, t) for s, row in enumerate(steps) for a, t in row if s != t and unit[a]
     )
 
-    def toggle(s, label, t):
-        indexed = s != t and label in unit_labels
-        if (label, t) in out[s]:
-            out[s].discard((label, t))
-            into[t].discard((s, label))
-            if indexed:
-                del units[bisect.bisect_left(units, (key[s], key[t], s, t))]
+    def toggle(s, a, t):
+        step = (a, t)
+        if step in out[s]:
+            out[s].discard(step)
+            into[t].discard((s, a))
+            if s != t and unit[a]:
+                del units[bisect.bisect_left(units, indexed(s, t))]
         else:
-            out[s].add((label, t))
-            into[t].add((s, label))
-            if indexed:
-                bisect.insort(units, (key[s], key[t], s, t))
+            out[s].add(step)
+            into[t].add((s, a))
+            if s != t and unit[a]:
+                bisect.insort(units, indexed(s, t))
 
     while units:
-        _, _, x, y = units[-1] if rng is None else units[rng.randrange(len(units))]
-        ins = [(w, label) for w, label in into[y] if w not in (x, y)]
-        outs = [(label, z) for label, z in out[x] if z not in (x, y)]
-        detached = {(g, label, t) for g in (x, y) for label, t in out[g]}
-        detached.update((s, label, g) for g in (x, y) for s, label in into[g])
+        key = units[-1] if rng is None else units[rng.randrange(len(units))]
+        x, y = key // n % n, key % n
+        ins = [(w, a) for w, a in into[y] if w != x and w != y]
+        outs = [(a, z) for a, z in out[x] if z != x and z != y]
+        detached = {(g, a, t) for g in (x, y) for a, t in out[g]}
+        detached.update((s, a, g) for g in (x, y) for s, a in into[g])
         for arrow in detached:
             toggle(*arrow)
-        for g in (x, y):
-            del out[g], into[g]
+        out[x] = out[y] = into[x] = into[y] = None
         for w, l1 in ins:
-            row = product[l1]
+            row = mul[l1]
             for l2, z in outs:
-                p = row.get(l2)
+                p = row[l2]
                 if p is not None:
                     toggle(w, p, z)
-    return _rebuild(S, out, _triples(out))
+    alive = [g for g in range(n) if out[g] is not None]
+    arrows = ((names[s], _LABELS[a], names[t]) for s in alive for a, t in out[s])
+    return _rebuild(S, {names[g] for g in alive}, arrows)
 
 
 # ---------------------------------------------------------------------------
@@ -677,36 +769,28 @@ def isomorphic(S1, S2):
     so size is not limited by the interpreter stack.  Both inputs must
     be the same kind of structure.
     """
-    kind1, attrs1, out1, _, _ = _graph_data(S1)
-    kind2, attrs2, out2, _, _ = _graph_data(S2)
+    kind1, kind2 = _kind(S1), _kind(S2)
     if kind1 != kind2:
         raise ValueError(f"cannot compare {kind1} with {kind2}")
     if isinstance(S1, DStructure) and S1.side != S2.side:
         raise ValueError("cannot compare D structures over different algebras")
-    k = len(attrs1)
-    if k != len(attrs2) or len(S1.arrows) != len(S2.arrows):
+    k = len(S1.names)
+    if k != len(S2.names) or len(S1.arrows) != len(S2.arrows):
         return None
 
-    names = [*attrs1, *attrs2]
-    labels = {}
-
-    def numbered(adjacency, start):
-        number = {g: v for v, g in enumerate(names[start : start + k], start)}
-        return {
-            (number[s], labels.setdefault(l, len(labels)), number[t])
-            for s, l, t in _triples(adjacency)
-        }
-
-    edges1, edges2 = numbered(out1, 0), numbered(out2, k)
+    # side 1 keeps its generator numbers, side 2's are shifted by k
+    names = [*S1.names, *S2.names]
+    edges1 = {(s, label, t) for s, row in enumerate(S1.steps) for label, t in row}
+    edges2 = {(s + k, label, t + k) for s, row in enumerate(S2.steps) for label, t in row}
 
     # adj[v]: (direction-tagged label * n, neighbour); adding the
     # neighbour's colour (< n) packs (label, colour) into one int
-    n, nlabels = 2 * k, len(labels)
+    n = 2 * k
     adj = [[] for _ in range(n)]
     loops = [[] for _ in range(n)]
     for s, label, t in edges1 | edges2:
         adj[s].append((label * n, t))
-        adj[t].append(((nlabels + label) * n, s))
+        adj[t].append(((_NLABELS + label) * n, s))
         if s == t:
             loops[s].append(label)
 
@@ -730,7 +814,7 @@ def isomorphic(S1, S2):
     ids = {}
     initial = [
         ids.setdefault((a, tuple(sorted(t for t, _ in adj[v])), tuple(sorted(loops[v]))), len(ids))
-        for v, a in enumerate([*attrs1.values(), *attrs2.values()])
+        for v, a in enumerate([*S1.idems.values(), *S2.idems.values()])
     ]
     if sorted(initial[:k]) != sorted(initial[k:]):
         return None

@@ -13,7 +13,7 @@ from bpc.pairing import (
 )
 from bpc.solid_torus import build_cfa_framed, build_cfa_infinity
 from bpc.structures import (
-    _LABEL,
+    _LABELS,
     AGenerator,
     AModule,
     ChainComplexF2,
@@ -29,8 +29,12 @@ from bpc.torus_link import build_cfdd_full
 
 
 def test_step_table_agrees_with_token_helpers():
-    assert set(_STEP) == set(_LABEL) - {()}
-    for label, (chord, rest) in _STEP.items():
+    assert len(_STEP) == len(_LABELS)
+    for label, step in zip(_LABELS, _STEP):
+        if not label:
+            assert step is None
+            continue
+        chord, rest = step
         consumed = label[-1]
         assert chord == (None if is_idempotent(consumed) else chord_interval(consumed))
         assert rest == (label[0] if len(label) == 2 else None)
@@ -277,5 +281,9 @@ def test_idempotent_mismatch_reported():
         (AGenerator("x", 2), AGenerator("y", 2)),
         frozenset({("x", ("2",), "y")}),
     )
-    with pytest.raises(ValueError, match="idempotent mismatch"):
+    with pytest.raises(ValueError) as error:
         box_right(module, S)
+    assert str(error.value) == (
+        "idempotent mismatch in inputs: operation lands on 'y' which does not pair with 'v'"
+    )
+

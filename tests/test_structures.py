@@ -6,7 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bpc.algebra import basis_tokens, is_idempotent, side_of, token_left_idem, token_right_idem
+from bpc.algebra import (
+    basis_tokens,
+    idem_token,
+    is_idempotent,
+    mul_basis,
+    side_of,
+    token_left_idem,
+    token_right_idem,
+)
 from bpc.pairing import box_left, box_right
 from bpc.solid_torus import build_cfa_framed
 from bpc.structures import (
@@ -30,7 +38,7 @@ from bpc.structures import (
     reduce,
     verify_homotopy,
 )
-from bpc.structures import _graph_data, _natural_key, _rebuild, _triples
+from bpc.structures import _KINDS, _LABELS, _natural_key, _rebuild
 from bpc.torus_link import build_cfdd_full, build_cfdd_simplified, build_equivalence
 
 
@@ -170,6 +178,42 @@ def test_non_string_generator_names_rejected():
             build()
 
 
+MIXED_NAMES = {
+    "complex": lambda: ChainComplexF2((1, "a"), frozenset()),
+    "DD": lambda: DDStructure((DDGenerator(1, 1, 1), DDGenerator("a", 1, 1)), frozenset()),
+    "D": lambda: DStructure("left", (DGenerator(1, 1), DGenerator("a", 1)), frozenset()),
+    "A": lambda: AModule((AGenerator(1, 1), AGenerator("a", 1)), frozenset()),
+}
+
+
+@pytest.mark.parametrize("build", MIXED_NAMES.values(), ids=MIXED_NAMES.keys())
+def test_mixed_type_names_rejected_before_sorting(build):
+    # sorting 1 against "a" raises TypeError, so the names are checked first
+    with pytest.raises(ValueError) as error:
+        build()
+    assert str(error.value) == "generator names must be strings, got 1"
+
+
+def test_duplicate_name_reported_is_the_least():
+    with pytest.raises(ValueError) as error:
+        ChainComplexF2(("b", "a", "b", "a"), frozenset())
+    assert str(error.value) == "duplicate generator name 'a'"
+
+
+def test_bad_d_and_complex_arrow_among_many_is_named():
+    D = box_right(build_cfa_framed(3), build_cfdd_full(4))
+    g = D.generators[0]
+    bad = (g.name, "r123" if g.idem == 2 else "r2", g.name)
+    with pytest.raises(ValueError) as error:
+        DStructure("left", D.generators, D.arrows | {bad})
+    assert str(error.value) == f"label incoherent on arrow {bad}"
+    C = box_left(build_cfa_framed(2), D)
+    bad = (C.generators[0], "nowhere")
+    with pytest.raises(ValueError) as error:
+        ChainComplexF2(C.generators, C.arrows | {bad})
+    assert str(error.value) == f"arrow endpoint missing: {bad}"
+
+
 def test_check_d_surgery_cycle_passes():
     gens = (DGenerator("w_ab", 1), DGenerator("w_x2b", 2), DGenerator("w_x4b", 2))
     arrows = {("w_ab", "r123", "w_x2b"), ("w_x2b", "r23", "w_x4b"), ("w_x4b", "r2", "w_ab")}
@@ -302,11 +346,19 @@ def test_reduce_complex_collapses_to_homology():
     assert len(red.generators) == 1 and not red.arrows
 
 
+def _label_product(u, v):
+    """u * v side by side, or None when some side's product is zero."""
+    p = tuple(mul_basis(a, b) for a, b in zip(u, v))
+    return None if None in p else p
+
+
 def _view(S):
-    """(kind, attrs, arrow triples, mul, unit) read from structures' graph
+    """(kind, attrs, arrow triples, mul, unit) read from structures' integer
     view, the shape the oracles below were written against."""
-    kind, attrs, out, product, units = _graph_data(S)
-    return kind, attrs, set(_triples(out)), lambda u, v: product[u].get(v), units.__contains__
+    names = S.names
+    arrows = {(names[s], _LABELS[a], names[t]) for s, row in enumerate(S.steps) for a, t in row}
+    unit = lambda label: all(map(is_idempotent, label))  # noqa: E731
+    return _KINDS[type(S)], S.idems, arrows, _label_product, unit
 
 
 def _reduce_reference(S, rng=None):
@@ -361,6 +413,9 @@ def test_reduce_breaks_natural_key_ties_by_name():
     # "a01" and "a1" have equal natural keys; the greater name goes first
     C = ChainComplexF2(("a01", "a1", "b"), frozenset({("b", "a01"), ("b", "a1")}))
     assert reduce(C).generators == ("a01",)
+    # equal source keys are ordered by the target's key before any name
+    C = ChainComplexF2(("a01", "a1", "b"), frozenset({("a01", "b"), ("a1", "a01")}))
+    assert reduce(C).generators == ("a1",)
     # superscript digits are not decimal: they stay text in the key
     C = ChainComplexF2(("²", "b"), frozenset({("b", "²")}))
     assert reduce(C).generators == ()
@@ -881,3 +936,161 @@ def test_verify_homotopy_matches_morphism_reference(n):
         "F o G differs from identity",
         "G o F + id differs from d(H)",
     }
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the tuple-keyed one it replaced: name-keyed
+# adjacency, (x, label, z) tuples toggled in a set, labels multiplied
+# token by token
+
+
+def _reference_out(S, arrows):
+    """{source name: [(label, target name)]} over (source, *label, target)."""
+    out = {g: [] for g in S.idems}
+    for arrow in arrows:
+        out[arrow[0]].append((arrow[1:-1], arrow[-1]))
+    return out
+
+
+def _reference_parity(first_out, second_out):
+    """(x, label, z) summed an odd number of times over two-step paths."""
+    odd = set()
+    for x, steps in first_out.items():
+        for a, y in steps:
+            for b, z in second_out[y]:
+                label = _label_product(a, b)
+                if label is not None:
+                    odd ^= {(x, label, z)}
+    return odd
+
+
+def _reference_line(x, label, z):
+    return f"{x} -> {z}: {'*'.join(label)}" if label else f"{x} -> {z}"
+
+
+def _reference_check(S):
+    out = _reference_out(S, S.arrows)
+    odd = _reference_parity(out, out)
+    lines = tuple(_reference_line(*k) for k in sorted(odd, key=lambda k: (k[0], k[2], k[1])))
+    return CheckReport(not lines, lines)
+
+
+def _reference_d(h):
+    out = _reference_out(h.source, h.arrows)
+    return _reference_parity(out, _reference_out(h.target, h.target.arrows)) ^ _reference_parity(
+        _reference_out(h.source, h.source.arrows), out
+    )
+
+
+def _reference_compose(g, f):
+    return _reference_parity(_reference_out(f.source, f.arrows), _reference_out(g.source, g.arrows))
+
+
+def _reference_identity(M):
+    return {
+        (x, (idem_token("left", a), idem_token("right", b)), x) for x, (a, b) in M.idems.items()
+    }
+
+
+def _reference_verify(F, G, H):
+    M, N = F.source, F.target
+    surviving = (
+        ("F not a chain map", _reference_d(F)),
+        ("G not a chain map", _reference_d(G)),
+        ("F o G differs from identity", _reference_compose(F, G) ^ _reference_identity(N)),
+        (
+            "G o F + id differs from d(H)",
+            _reference_compose(G, F) ^ _reference_identity(M) ^ _reference_d(H),
+        ),
+    )
+    lines = tuple(
+        f"{tag}: {_reference_line(*arrow)}" for tag, arrows in surviving for arrow in sorted(arrows)
+    )
+    return CheckReport(not lines, lines)
+
+
+def _named_arrows(arrows):
+    return {(x, *label, z) for x, label, z in arrows}
+
+
+# names whose sorted order differs from the order they are drawn in, and
+# from the order of their embedded integers
+NAMES = ("q", "a10", "a2", "b", "a1", "Z", "\u00e9", "x0", "a01")
+
+
+@st.composite
+def named_dd_structures(draw):
+    names = draw(st.permutations(NAMES))
+    idems = draw(st.lists(st.tuples(st.sampled_from((1, 2)), st.sampled_from((1, 2))), max_size=6))
+    gens = tuple(DDGenerator(name, l, r) for name, (l, r) in zip(names, idems))
+    return DDStructure(gens, frozenset(draw(_coherent_dd_arrows(gens, gens))))
+
+
+def _coherent_dd_arrows(sources, targets):
+    coherent = [
+        (x.name, l, r, y.name)
+        for x in sources
+        for y in targets
+        for l in LEFT_TOKENS
+        if (token_left_idem(l), token_right_idem(l)) == (x.left, y.left)
+        for r in RIGHT_TOKENS
+        if (token_left_idem(r), token_right_idem(r)) == (x.right, y.right)
+    ]
+    return st.sets(st.sampled_from(coherent), max_size=12) if coherent else st.just(set())
+
+
+@st.composite
+def d_structures(draw):
+    side = draw(st.sampled_from(("left", "right")))
+    names = draw(st.permutations(NAMES))
+    idems = draw(st.lists(st.sampled_from((1, 2)), max_size=6))
+    gens = tuple(DGenerator(name, e) for name, e in zip(names, idems))
+    coherent = [
+        (x.name, t, y.name)
+        for x in gens
+        for y in gens
+        for t in basis_tokens(side)
+        if (token_left_idem(t), token_right_idem(t)) == (x.idem, y.idem)
+    ]
+    arrows = draw(st.sets(st.sampled_from(coherent), max_size=12)) if coherent else set()
+    return DStructure(side, gens, frozenset(arrows))
+
+
+def _morphism(data, source, target):
+    arrows = data.draw(_coherent_dd_arrows(source.generators, target.generators))
+    return DDMorphism(source, target, frozenset(arrows))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(named_dd_structures(), dd_structures(), d_structures(), complexes()))
+def test_checks_match_tuple_reference(S):
+    check = {DDStructure: check_dd, DStructure: check_d, ChainComplexF2: check_complex}[type(S)]
+    assert check(S) == _reference_check(S)
+
+
+@PROPERTY_SETTINGS
+@given(named_dd_structures(), named_dd_structures(), st.booleans(), st.data())
+def test_morphism_calculus_matches_tuple_reference(M, N, identities, data):
+    if identities:
+        # F = G = id and H = 0 make every identity hold
+        N = M
+        F = G = identity_morphism(M)
+        H = DDMorphism(M, M, frozenset())
+    else:
+        F, G, H = _morphism(data, M, N), _morphism(data, N, M), _morphism(data, M, M)
+    for h in (F, G, H):
+        assert d_of_morphism(h).arrows == _named_arrows(_reference_d(h))
+    for g, f in ((G, F), (F, G), (H, H), (H, G)):
+        assert compose(g, f).arrows == _named_arrows(_reference_compose(g, f))
+    report = verify_homotopy(F, G, H)
+    assert report == _reference_verify(F, G, H)
+    assert report.ok or not identities
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_equivalence_matches_tuple_reference(n):
+    F, G, H = build_equivalence(n)
+    assert check_dd(F.source) == _reference_check(F.source)
+    assert check_dd(F.target) == _reference_check(F.target)
+    for case in ((F, G, H), (_without_first_arrow(F), G, H), (F, G, _with_extra_arrow(H))):
+        assert verify_homotopy(*case) == _reference_verify(*case)
