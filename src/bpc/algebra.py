@@ -133,10 +133,6 @@ def is_idempotent(token: str) -> bool:
     return _lookup(_IS_IDEM, token, "unknown algebra token")
 
 
-def is_chord(token: str) -> bool:
-    return not _lookup(_IS_IDEM, token, "unknown algebra token")
-
-
 def idem_index(token: str) -> int:
     return _lookup(_IDEM_INDEX, token, "not an idempotent token:")
 

@@ -20,15 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import _CHORD_INTERVAL, _PRODUCT, idem_token
-from .structures import (
-    _LABELS,
-    AModule,
-    ChainComplexF2,
-    DGenerator,
-    DStructure,
-    DDStructure,
-    _toggle,
-)
+from .structures import _LABELS, AModule, ChainComplexF2, DGenerator, DStructure, DDStructure
 
 # label id -> (chord interval of its last, consumed-side token, or None
 # for an idempotent; the left token of a DD label (l, r), or None), and
@@ -37,6 +29,8 @@ _STEP = tuple(
     (_CHORD_INTERVAL.get(label[-1]), label[0] if len(label) == 2 else None) if label else None
     for label in _LABELS
 )
+# left idempotent index -> its token, the label product a path starts from
+_LEFT_UNIT = {k: idem_token("left", k) for k in (1, 2)}
 
 DEFAULT_PATH_CAP = 64
 
@@ -135,13 +129,14 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
     names, index, steps = S.names, S.index, S.steps
     gens = tuple(DGenerator(named[a][index[d.name]], d.left) for a, d in pairs)
     parity = set()
+    add, remove = parity.add, parity.remove  # each arrow is toggled: a sum mod 2
     for a, d in pairs:
         mine = named[a]
         start = index[d.name]
         source = mine[start]
         # (label product so far, chord sequence so far, its trie children,
         # current generator)
-        stack = [(idem_token("left", d.left), (), trie[a], start)]
+        stack = [(_LEFT_UNIT[d.left], (), trie[a], start)]
         while stack:
             prod, seq, children, at = stack.pop()
             row = _PRODUCT[prod]
@@ -150,7 +145,11 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
                 chord, l = _STEP[label]
                 if chord is None:
                     if not seq:
-                        _toggle(parity, (source, l, mine[nxt]))
+                        key = (source, l, mine[nxt])
+                        if key in parity:
+                            remove(key)
+                        else:
+                            add(key)
                     continue
                 nprod = row[l]
                 if nprod is None:
@@ -162,7 +161,11 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
                     continue
                 nseq, targets, grandchildren = node
                 for tgt in targets:
-                    _toggle(parity, (source, nprod, _landing(named, tgt, nxt, names)))
+                    key = (source, nprod, _landing(named, tgt, nxt, names))
+                    if key in parity:
+                        remove(key)
+                    else:
+                        add(key)
                 if grandchildren:
                     stack.append((nprod, nseq, grandchildren, nxt))
     return DStructure("left", gens, frozenset(parity))
@@ -183,6 +186,7 @@ def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> Cha
     names, index, steps = S.names, S.index, S.steps
     gens = tuple(named[a][index[d.name]] for a, d in pairs)
     parity = set()
+    add, remove = parity.add, parity.remove  # each arrow is toggled: a sum mod 2
     for a, d in pairs:
         mine = named[a]
         start = index[d.name]
@@ -195,7 +199,11 @@ def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> Cha
                 chord = _STEP[label][0]
                 if chord is None:
                     if not seq:
-                        _toggle(parity, (source, mine[nxt]))
+                        key = (source, mine[nxt])
+                        if key in parity:
+                            remove(key)
+                        else:
+                            add(key)
                     continue
                 if depth >= horizon:
                     _guard_path(A, "box_left", source, seq + (chord,))
@@ -204,7 +212,11 @@ def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> Cha
                     continue
                 nseq, targets, grandchildren = node
                 for tgt in targets:
-                    _toggle(parity, (source, _landing(named, tgt, nxt, names)))
+                    key = (source, _landing(named, tgt, nxt, names))
+                    if key in parity:
+                        remove(key)
+                    else:
+                        add(key)
                 if grandchildren:
                     stack.append((nseq, grandchildren, nxt))
     return ChainComplexF2(gens, frozenset(parity))

@@ -22,6 +22,7 @@ from .algebra import (
     side_of,
 )
 from .structures import (
+    _LABELS,
     AGenerator,
     AModule,
     ChainComplexF2,
@@ -89,6 +90,18 @@ def _document(kind: str, sides, **fields) -> str:
     return "{\n" + ",\n".join(f'  "{k}": {fields[k]}' for k in sorted(fields)) + "\n}\n"
 
 
+# label id -> the start of an arrow object, up to its source name: fields
+# "left" and "right" for a DD label (l, r), "label" for a D label (t,),
+# none for the empty label of a complex
+_HEADS = [
+    "    {\n      "
+    + "".join(f'"{field}": "{token}",\n      ' for field, token in zip(fields, label))
+    + '"source": '
+    for label in _LABELS
+    for fields in [("left", "right") if len(label) == 2 else ("label",)]
+]
+
+
 def to_json(S) -> str:
     """S as a schema-version-1 document, laid out exactly as
     json.dumps(doc, indent=2, sort_keys=True) prints it, plus a newline.
@@ -96,35 +109,10 @@ def to_json(S) -> str:
     Each kind fills fixed templates, so every generator and arrow costs
     one string format.  Names are escaped by the encoder json.dumps uses;
     tokens and chord intervals are plain ASCII.  Generators are already
-    sorted by name at construction.
+    sorted by name at construction, and arrows are read from the
+    structure's steps: by source number, label id, then target number,
+    which is sorted arrow order.
     """
-    if isinstance(S, DDStructure):
-        q = {g.name: _quote(g.name) for g in S.generators}
-        left, right = _IDEM["left"], _IDEM["right"]
-        gens = [
-            f'    {{\n      "left": "{left[g.left]}",\n      "name": {q[g.name]},\n'
-            f'      "right": "{right[g.right]}"\n    }}'
-            for g in S.generators
-        ]
-        arrows = [
-            f'    {{\n      "left": "{l}",\n      "right": "{r}",\n'
-            f'      "source": {q[s]},\n      "target": {q[t]}\n    }}'
-            for s, l, r, t in sorted(S.arrows)
-        ]
-        return _document("DD", SIDES, arrows=_block(arrows), generators=_block(gens))
-    if isinstance(S, DStructure):
-        q = {g.name: _quote(g.name) for g in S.generators}
-        idem = _IDEM[S.side]
-        gens = [
-            f'    {{\n      "idem": "{idem[g.idem]}",\n      "name": {q[g.name]}\n    }}'
-            for g in S.generators
-        ]
-        arrows = [
-            f'    {{\n      "label": "{label}",\n      "source": {q[s]},\n'
-            f'      "target": {q[t]}\n    }}'
-            for s, label, t in sorted(S.arrows)
-        ]
-        return _document("D", (S.side,), arrows=_block(arrows), generators=_block(gens))
     if isinstance(S, AModule):
         q = {g.name: _quote(g.name) for g in S.generators}
         gens = [
@@ -146,18 +134,37 @@ def to_json(S) -> str:
             generators=_block(gens),
             operations=_block(ops),
         )
-    if isinstance(S, ChainComplexF2):
-        q = {g: _quote(g) for g in S.generators}
-        arrows = [
-            f'    {{\n      "source": {q[s]},\n      "target": {q[t]}\n    }}'
-            for s, t in sorted(S.arrows)
+    if not isinstance(S, (DDStructure, DStructure, ChainComplexF2)):
+        raise ValueError(f"cannot serialize a {type(S).__name__}")
+    q = [_quote(name) for name in S.names]
+    arrows = _block(
+        [
+            f'{_HEADS[a]}{source},\n      "target": {q[t]}\n    }}'
+            for source, steps in zip(q, S.steps)
+            for a, t in steps
         ]
-        gens = [f"    {q[g]}" for g in S.generators]
-        return _document("complex", (), arrows=_block(arrows), generators=_block(gens))
-    raise ValueError(f"cannot serialize a {type(S).__name__}")
+    )
+    if isinstance(S, DDStructure):
+        left, right = _IDEM["left"], _IDEM["right"]
+        gens = [
+            f'    {{\n      "left": "{left[g.left]}",\n      "name": {name},\n'
+            f'      "right": "{right[g.right]}"\n    }}'
+            for g, name in zip(S.generators, q)
+        ]
+        return _document("DD", SIDES, arrows=arrows, generators=_block(gens))
+    if isinstance(S, DStructure):
+        idem = _IDEM[S.side]
+        gens = [
+            f'    {{\n      "idem": "{idem[g.idem]}",\n      "name": {name}\n    }}'
+            for g, name in zip(S.generators, q)
+        ]
+        return _document("D", (S.side,), arrows=arrows, generators=_block(gens))
+    return _document("complex", (), arrows=arrows, generators=_block([f"    {name}" for name in q]))
 
 
-def from_dict(doc: dict):
+def _parse(doc):
+    """(constructor, arguments) of the structure the parsed document doc
+    describes, every field checked; the constructor checks the rest."""
     if not isinstance(doc, dict):
         raise ValueError("top level: expected an object")
     version = doc.get("schema_version")
@@ -200,7 +207,7 @@ def from_dict(doc: dict):
             _require_fields(a, _DD_ARROW, "arrow")
             src, tgt = _name(a["source"], "arrow"), _name(a["target"], "arrow")
             add((src, check_token(a["left"]), check_token(a["right"]), tgt))
-        return DDStructure(tuple(gens), frozenset(arrows))
+        return DDStructure, (tuple(gens), frozenset(arrows))
     if kind == "D":
         _require_fields(
             doc, {"schema_version", "kind", "sides", "generators", "arrows"}, "D"
@@ -217,7 +224,7 @@ def from_dict(doc: dict):
             _require_fields(a, {"source", "label", "target"}, "arrow")
             src, tgt = _name(a["source"], "arrow"), _name(a["target"], "arrow")
             arrows.add((src, check_token(a["label"]), tgt))
-        return DStructure(side, tuple(gens), frozenset(arrows))
+        return DStructure, (side, tuple(gens), frozenset(arrows))
     if kind == "A":
         _require_fields(
             doc,
@@ -240,10 +247,7 @@ def from_dict(doc: dict):
                 if c not in INTERVALS:
                     raise ValueError(f"unknown chord interval {c!r}")
             ops.add((_name(o["source"], "operation"), seq, _name(o["target"], "operation")))
-        cap = doc["capped_arity"]
-        if cap is not None and (type(cap) is not int or cap < 0):
-            raise ValueError(f"bad capped_arity {cap!r}")
-        return AModule(tuple(gens), frozenset(ops), cap)
+        return AModule, (tuple(gens), frozenset(ops), doc["capped_arity"])
     if kind == "complex":
         _require_fields(
             doc, {"schema_version", "kind", "sides", "generators", "arrows"}, "complex"
@@ -255,7 +259,7 @@ def from_dict(doc: dict):
         for a in _array(doc, "arrows"):
             _require_fields(a, {"source", "target"}, "arrow")
             arrows.add((_name(a["source"], "arrow"), _name(a["target"], "arrow")))
-        return ChainComplexF2(gens, frozenset(arrows))
+        return ChainComplexF2, (gens, frozenset(arrows))
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -264,4 +268,6 @@ def from_json(text: str):
         doc = json.loads(text)
     except RecursionError:
         raise ValueError("document nested too deeply") from None
-    return from_dict(doc)
+    make, args = _parse(doc)
+    del doc  # the structure builds its view without the document alive
+    return make(*args)

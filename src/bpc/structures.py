@@ -4,23 +4,25 @@ morphisms, cancellation, and isomorphism testing.
 All structures are immutable labeled directed multigraphs over the torus
 algebra.  Arrow labels are basis monomials (a single idempotent or chord
 token per side); a label that is a sum of basis elements is stored as
-parallel arrows, and arrow sets are kept reduced mod 2.  Idempotent
-coherence is enforced at construction: an arrow x ->(t) y can only carry
-a token whose forced idempotents agree with those of x and y.
+parallel arrows, and arrow sets are kept reduced mod 2.
 
-Each structure, and each morphism's arrow set, also has one cached
-integer view: generators numbered in sorted name order, labels ((l, r)
-for DD, (t,) for D, () for chain complexes) numbered once, in sorted
-label order, and ``steps[x]``, the sorted list of
-(label id, target number) of the arrows leaving x.  One table gives the
-id of every nonzero label product.  The structure equation of a type-DD
-structure with both algebra differentials zero says that for every
-generator pair (x, z) the mod-2 sum over two-step paths x -> y -> z of
-the label products vanishes; the checkers, the morphism differential and
-composition all evaluate that sum with one kernel, ``_compose_parity``,
-which toggles packed ints and names only the arrows that survive.
-``reduce``, ``isomorphic`` and the box products in ``bpc.pairing`` read
-the same steps.
+Each structure, and each morphism's arrow set, has one integer view,
+built at construction in the same pass over the arrows that checks
+them: generators numbered in sorted name order, labels ((l, r) for DD,
+(t,) for D, () for chain complexes) numbered once, in sorted label
+order, and ``steps[x]``, the sorted list of (label id, target number) of
+the arrows leaving x.  That pass enforces idempotent coherence: an arrow
+x ->(t) y can only carry a token whose forced idempotents agree with
+those of x and y.  One table gives the id of every nonzero label
+product.  The structure equation of a type-DD structure with both
+algebra differentials zero says that for every generator pair (x, z)
+the mod-2 sum over two-step paths x -> y -> z of the label products
+vanishes; the checkers, the morphism differential and composition all
+evaluate that sum with one kernel, ``_compose_parity``, which toggles
+packed ints and names only the arrows that survive.  ``reduce``,
+``isomorphic``, the box products and ``homology_rank`` in
+``bpc.pairing`` and ``to_json`` in ``bpc.serialize`` read the same
+steps.
 """
 
 import bisect
@@ -28,7 +30,6 @@ import random
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
 
 from .algebra import (
     _PRODUCT,
@@ -115,41 +116,27 @@ for _label in _LABELS:
     )
 del _label
 _IDEM_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
-# every coherent DD arrow as (left token, right token, source code, target
-# code), the code of idempotents (a, b) being 2 * a + b, and every
-# coherent D arrow over a side as (token, source idempotent, target
-# idempotent)
-_DD_VALID = frozenset(
-    (l, r, 2 * a + b, 2 * c + d) for (l, r), ((a, b), (c, d)) in _LABEL_ENDS[SIDES].items()
-)
-_D_VALID = {
-    side: frozenset((t, a, c) for (t,), ((a,), (c,)) in _LABEL_ENDS[side,].items())
-    for side in SIDES
+
+
+def _code(idems):
+    """One int per idempotent tuple: 2 * a + b for DD (a, b), a for D (a,)."""
+    code = 0
+    for e in idems:
+        code = 2 * code + e
+    return code
+
+
+# sides -> [8 * source code + target code of the arrows each label id may
+# carry over those sides, or None for a label of other sides]
+_ENDS = {
+    sides: [
+        8 * _code(ends[label][0]) + _code(ends[label][1]) if label in ends else None
+        for label in _LABELS
+    ]
+    for sides, ends in _LABEL_ENDS.items()
 }
 # code of an idempotent pair -> the id of the unit label fixing it
 _UNIT = {2 * a + b: _DD_ID[idem_token("left", a)][idem_token("right", b)] for a, b in _IDEM_PAIRS}
-
-
-def _steps(index, target_index, arrows, sides):
-    """[[(label id, target number)] for each generator in index] over
-    arrows (source, *label, target) whose labels carry one token per
-    side, targets numbered by target_index; each list is sorted, so it
-    runs in sorted arrow order."""
-    steps = [[] for _ in index]
-    if sides == 2:
-        ids = _DD_ID
-        for s, l, r, t in arrows:
-            steps[index[s]].append((ids[l][r], target_index[t]))
-    elif sides == 1:
-        ids = _D_ID
-        for s, a, t in arrows:
-            steps[index[s]].append((ids[a], target_index[t]))
-    else:
-        for s, t in arrows:
-            steps[index[s]].append((_BARE, target_index[t]))
-    for row in steps:
-        row.sort()
-    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +193,17 @@ def _normalize(struct, names):
 
 
 class _Numbered:
-    """Generators numbered in sorted name order, and the arrows as
-    per-generator steps (label id, target number)."""
+    """The integer view, set once at construction: ``names`` (sorted),
+    ``index`` ({name: number}), ``codes`` (each generator's idempotent
+    code, for DD and D) and ``steps``, per generator the sorted list of
+    (label id, target number) of its arrows."""
 
-    @cached_property
-    def names(self):
-        """Generator names, sorted."""
-        return tuple(g.name for g in self.generators)
-
-    @cached_property
-    def index(self):
-        """{name: number}."""
-        return {name: k for k, name in enumerate(self.names)}
-
-    @cached_property
-    def steps(self):
-        """[[(label id, target number)] per generator], in sorted arrow order."""
-        return _steps(self.index, self.index, self.arrows, self._SIDES)
+    def _number(self, names, codes, sides):
+        """Set the view; building the steps checks the arrows."""
+        index = {name: k for k, name in enumerate(names)}
+        self.__dict__.update(names=names, index=index, codes=codes)
+        steps = _checked_steps(self.arrows, self, self, sides, "arrow", "on arrow")
+        self.__dict__["steps"] = steps
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +218,10 @@ def _check_idems(idems, valid):
 
 
 def _check_labels(arrow, sides, src_idems, tgt_idems, missing: str, where: str):
-    """Raise unless both ends of the DD arrow (x, l, r, y), or D arrow
-    (x, t, y), are in src_idems and tgt_idems and each token of its label
-    lies on its side and carries x's idempotent on that side to y's.
-
-    Constructors test all arrows at once against _DD_VALID or _D_VALID
-    and call this only on a mismatch, for the precise message.
-    """
+    """Raise unless both ends of the DD arrow (x, l, r, y), D arrow
+    (x, t, y) or complex arrow (x, y) are in src_idems and tgt_idems and
+    each token of its label lies on its side and carries x's idempotent
+    on that side to y's."""
     x, label, y = arrow[0], arrow[1:-1], arrow[-1]
     if x not in src_idems or y not in tgt_idems:
         raise ValueError(f"{missing} endpoint missing: {arrow}")
@@ -259,27 +237,56 @@ def _check_labels(arrow, sides, src_idems, tgt_idems, missing: str, where: str):
             raise ValueError(f"{'' if one else side + ' '}label incoherent {where} {arrow}")
 
 
-def _check_dd_arrows(arrows, source, target, missing: str, where: str):
-    """Raise, naming an arrow, unless every DD arrow (x, l, r, y) runs
-    from a generator of the DD structure source to one of target with
-    coherent labels.
+def _resolve(arrows, source, target, sides):
+    """[[(label id, target number)] per generator of source] over the
+    arrows (x, *label, y) from source to target, one token per side in
+    each label, or None if an endpoint is not a generator or a label does
+    not carry x's idempotents to y's.
 
-    One set of (l, r, code of x, code of y) against _DD_VALID settles the
-    common case; only when that fails does the per-arrow loop run, to
-    name the first bad arrow with _check_labels.
+    One pass resolves each arrow's endpoint numbers and label id, checks
+    the idempotent codes against _ENDS and appends the step.
     """
-    src, tgt = source.codes, target.codes
+    index, target_index = source.index, target.index
+    codes8, target_codes, ends = [8 * c for c in source.codes], target.codes, _ENDS[sides]
+    steps = [[] for _ in source.names]
     try:
-        if {(l, r, src[x], tgt[y]) for x, l, r, y in arrows} <= _DD_VALID:
-            return
-    except KeyError:  # an endpoint that is not a generator
-        pass
-    src_idems, tgt_idems = source.idems, target.idems
-    ends = _LABEL_ENDS[SIDES]
-    for arrow in arrows:
-        x, l, r, y = arrow
-        if ends.get((l, r)) != (src_idems.get(x), tgt_idems.get(y)):
-            _check_labels(arrow, SIDES, src_idems, tgt_idems, missing, where)
+        if len(sides) == 2:
+            ids = _DD_ID
+            for s, l, r, t in arrows:
+                x, y, a = index[s], target_index[t], ids[l][r]
+                if ends[a] != codes8[x] + target_codes[y]:
+                    return None
+                steps[x].append((a, y))
+        elif sides:
+            ids = _D_ID
+            for s, l, t in arrows:
+                x, y, a = index[s], target_index[t], ids[l]
+                if ends[a] != codes8[x] + target_codes[y]:
+                    return None
+                steps[x].append((a, y))
+        else:
+            for s, t in arrows:
+                steps[index[s]].append((_BARE, target_index[t]))
+    except KeyError:
+        return None
+    return steps
+
+
+def _checked_steps(arrows, source, target, sides, missing: str, where: str):
+    """The steps of _resolve, each list sorted.  If _resolve finds a bad
+    arrow, the per-arrow loop names the first one with _check_labels,
+    and a ValueError is raised even if it names none."""
+    steps = _resolve(arrows, source, target, sides)
+    if steps is None:
+        src_idems, tgt_idems = source.idems, target.idems
+        ends = _LABEL_ENDS[sides]
+        for arrow in arrows:
+            if ends.get(arrow[1:-1]) != (src_idems.get(arrow[0]), tgt_idems.get(arrow[-1])):
+                _check_labels(arrow, sides, src_idems, tgt_idems, missing, where)
+        raise ValueError("arrow set rejected")
+    for row in steps:
+        row.sort()
+    return steps
 
 
 @dataclass(frozen=True)
@@ -288,22 +295,17 @@ class DDStructure(_Numbered):
 
     generators: tuple
     arrows: frozenset
-    _SIDES = 2
 
     def __post_init__(self):
         _normalize(self, [g.name for g in self.generators])
         _check_idems(self.idems, set(_IDEM_PAIRS))
-        _check_dd_arrows(self.arrows, self, self, "arrow", "on arrow")
+        gens = self.generators
+        self._number(tuple(g.name for g in gens), tuple(2 * g.left + g.right for g in gens), SIDES)
 
     @cached_property
     def idems(self):
         """{name: (left idempotent, right idempotent)}."""
         return {g.name: (g.left, g.right) for g in self.generators}
-
-    @cached_property
-    def codes(self):
-        """{name: 2 * left idempotent + right idempotent}."""
-        return {g.name: 2 * g.left + g.right for g in self.generators}
 
 
 @dataclass(frozen=True)
@@ -313,24 +315,14 @@ class DStructure(_Numbered):
     side: str
     generators: tuple
     arrows: frozenset
-    _SIDES = 1
 
     def __post_init__(self):
+        if self.side not in SIDES:
+            raise ValueError(f"unknown side {self.side!r}")
         _normalize(self, [g.name for g in self.generators])
-        idems = self.idems
-        _check_idems(idems, {(1,), (2,)})
-        codes = {g.name: g.idem for g in self.generators}
-        valid = _D_VALID.get(self.side, frozenset())
-        try:
-            if {(t, codes[x], codes[y]) for x, t, y in self.arrows} <= valid:
-                return
-        except KeyError:  # an endpoint that is not a generator
-            pass
-        sides, ends = (self.side,), _LABEL_ENDS.get((self.side,), {})
-        for arrow in self.arrows:
-            src, t, tgt = arrow
-            if ends.get((t,)) != (idems.get(src), idems.get(tgt)):
-                _check_labels(arrow, sides, idems, idems, "arrow", "on arrow")
+        _check_idems(self.idems, {(1,), (2,)})
+        gens = self.generators
+        self._number(tuple(g.name for g in gens), tuple(g.idem for g in gens), (self.side,))
 
     @cached_property
     def idems(self):
@@ -344,21 +336,10 @@ class ChainComplexF2(_Numbered):
 
     generators: tuple
     arrows: frozenset
-    _SIDES = 0
 
     def __post_init__(self):
         _normalize(self, tuple(self.generators))
-        gens, arrows = set(self.generators), self.arrows
-        # every arrow a pair of generators, else the loop names the first bad one
-        if not (gens.issuperset(chain.from_iterable(arrows)) and set(map(len, arrows)) <= {2}):
-            for src, tgt in arrows:
-                if src not in gens or tgt not in gens:
-                    raise ValueError(f"arrow endpoint missing: {(src, tgt)}")
-
-    @property
-    def names(self):
-        """Generator names, sorted: the generators themselves."""
-        return self.generators
+        self._number(self.generators, (), ())
 
     @cached_property
     def idems(self):
@@ -381,6 +362,9 @@ class AModule:
     capped_arity: int | None = None
 
     def __post_init__(self):
+        cap = self.capped_arity
+        if cap is not None and (type(cap) is not int or cap < 0):  # bool is not int here
+            raise ValueError(f"bad capped_arity {cap!r}")
         _normalize(self, [g.name for g in self.generators])
         occ = {g.name: g.occupancy for g in self.generators}
         for name, k in occ.items():
@@ -422,20 +406,15 @@ class DDMorphism:
     arrows: frozenset
 
     def __post_init__(self):
-        _check_dd_arrows(self.arrows, self.source, self.target, "morphism", "on")
-
-    @cached_property
-    def steps(self):
-        """[[(label id, target number)] per source generator], like
-        DDStructure.steps with targets numbered in the target."""
-        return _steps(self.source.index, self.target.index, self.arrows, 2)
+        steps = _checked_steps(self.arrows, self.source, self.target, SIDES, "morphism", "on")
+        self.__dict__["steps"] = steps  # as DDStructure.steps, targets numbered in the target
 
     def is_zero(self):
         return not self.arrows
 
 
 def identity_morphism(M: DDStructure) -> DDMorphism:
-    return DDMorphism(M, M, frozenset((x, *_LABELS[_UNIT[c]], x) for x, c in M.codes.items()))
+    return DDMorphism(M, M, frozenset((x, *_LABELS[_UNIT[c]], x) for x, c in zip(M.names, M.codes)))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +578,7 @@ def compose(g: DDMorphism, f: DDMorphism) -> DDMorphism:
 def _identity(M: DDStructure):
     """The packed keys of the identity of M."""
     n = len(M.names)
-    return {(x * _NLABELS + _UNIT[c]) * n + x for x, c in enumerate(M.codes.values())}
+    return {(x * _NLABELS + _UNIT[c]) * n + x for x, c in enumerate(M.codes)}
 
 
 def verify_homotopy(F: DDMorphism, G: DDMorphism, H: DDMorphism) -> CheckReport:

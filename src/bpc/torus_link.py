@@ -96,25 +96,23 @@ def _full_families(n, xy):
 
     Yields (family id, description, provenance, arrows).  Coincident
     summands inside one family instance (the "otherwise" degenerations)
-    are collapsed to a single arrow by building target sets.  ``xy`` is
+    are collapsed to a single arrow: F1 leaves out a mirror target equal
+    to the first, and the other families build target sets.  ``xy`` is
     the name table of ``_xy_names(n)``.
     """
     top = 2 * n - 1
 
+    # x{i}y{j} -> x{i+d}y{j-d}, d = 1 toward the diagonal, plus the mirror
+    # x{j-d}y{i+d} unless it is the same generator (|i - j| = 2)
     f1 = []
+    add = f1.append
     for i in range(1, top + 1):
         for j in range(1 + (i % 2 == 0), top + 1, 2):
-            if j - i > 2:
-                targets = {xy[j - 1][i + 1], xy[i + 1][j - 1]}
-            elif j - i == 2:
-                targets = {xy[i + 1][j - 1]}
-            elif i - j > 2:
-                targets = {xy[j + 1][i - 1], xy[i - 1][j + 1]}
-            elif i - j == 2:
-                targets = {xy[i - 1][j + 1]}
-            else:
-                continue
-            f1 += [(xy[i][j], "i2", "j2", t) for t in sorted(targets)]
+            if j != i:
+                d = 1 if j > i else -1
+                add((xy[i][j], "i2", "j2", xy[i + d][j - d]))
+                if abs(j - i) > 2:
+                    add((xy[i][j], "i2", "j2", xy[j - d][i + d]))
     yield ("F1", "provincial rectangles, unit labels, i,j=1..2n-1 same parity", "domain count", f1)
 
     f2 = []
@@ -337,24 +335,28 @@ def build_equivalence(n: int):
             ay_targets = xb_targets = {xy[top][top]}
         h_arrows.update((_ay(2 * k), "r3", "j2", t) for t in ay_targets)
         h_arrows.update((_xb(2 * k), "i2", "s3", t) for t in xb_targets)
+    # the set collapses the two names of {x_a y_b, x_b y_a} when a = b
+    add = h_arrows.add
     for i in range(1, top + 1):
         for j in range(1 + (i % 2 == 0), top + 1, 2):
+            x = xy[i][j]
             if i < j:
-                targets = pair(i + 1, j - 1)
+                add((x, "i2", "j2", xy[i + 1][j - 1]))
+                add((x, "i2", "j2", xy[j - 1][i + 1]))
                 if i != 1 and j != top:
-                    targets.add(xy[j + 1][i - 1])
-                h_arrows.update((xy[i][j], "i2", "j2", t) for t in targets)
+                    add((x, "i2", "j2", xy[j + 1][i - 1]))
             elif i > j:
                 if j == 1 and 3 <= i <= 2 * n - 3:
-                    unit_targets = pair(i - 1, 2)
-                    h_arrows.update((xy[i][j], "r23", "s23", t) for t in pair(i + 1, 2))
+                    add((x, "r23", "s23", xy[i + 1][2]))
+                    add((x, "r23", "s23", xy[2][i + 1]))
+                    a, b = i - 1, 2
                 else:
-                    unit_targets = pair(i - 1, j + 1)
-                h_arrows.update((xy[i][j], "i2", "j2", t) for t in unit_targets)
-            else:
-                if i == 1:
-                    h_arrows.add((xy[1][1], "r23", "s23", xy[2][2]))
-                elif i != top:
-                    h_arrows.add((xy[i][i], "i2", "j2", xy[i + 1][i - 1]))
+                    a, b = i - 1, j + 1
+                add((x, "i2", "j2", xy[a][b]))
+                add((x, "i2", "j2", xy[b][a]))
+            elif i == 1:
+                add((x, "r23", "s23", xy[2][2]))
+            elif i != top:
+                add((x, "i2", "j2", xy[i + 1][i - 1]))
     H = DDMorphism(M, M, frozenset(h_arrows))
     return F, G, H

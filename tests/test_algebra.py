@@ -11,7 +11,6 @@ from bpc.algebra import (
     chord_interval,
     chord_token,
     idem_index,
-    is_chord,
     is_idempotent,
     left_idem,
     mul_basis,
@@ -187,7 +186,6 @@ def test_token_helpers_against_oracle():
             assert side_of(token) == side
             assert check_token(token) == token
             assert is_idempotent(token) == (kind == "idem")
-            assert is_chord(token) == (kind == "chord")
             if kind == "idem":
                 assert idem_index(token) == value
                 assert token_left_idem(token) == token_right_idem(token) == value
@@ -207,7 +205,6 @@ UNKNOWN_TOKENS = ["i3", "j0", "r4", "s1234", "x1", "r", "", " r1", "R1", 1, None
 TOKEN_HELPERS = [
     side_of,
     is_idempotent,
-    is_chord,
     idem_index,
     chord_interval,
     token_left_idem,

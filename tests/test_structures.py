@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import sys
 
@@ -16,6 +17,7 @@ from bpc.algebra import (
     token_right_idem,
 )
 from bpc.pairing import box_left, box_right
+from bpc.serialize import to_json
 from bpc.solid_torus import build_cfa_framed
 from bpc.structures import (
     AGenerator,
@@ -163,6 +165,27 @@ def test_idempotent_indices_outside_one_two_rejected():
         with pytest.raises(ValueError) as error:
             build()
         assert str(error.value) == message
+
+
+@pytest.mark.parametrize("arrows", [frozenset(), frozenset({("a", "r1", "a")})])
+def test_d_structure_rejects_an_unknown_side(arrows):
+    # with no arrows this used to be accepted, and to_json then raised KeyError
+    with pytest.raises(ValueError) as error:
+        DStructure("up", (DGenerator("a", 1),), arrows)
+    assert str(error.value) == "unknown side 'up'"
+
+
+@pytest.mark.parametrize("cap", [True, -1, 2.0, "3"], ids=repr)
+def test_a_module_rejects_a_bad_capped_arity(cap):
+    # from_json refuses each of these, so to_json must never write one
+    with pytest.raises(ValueError) as error:
+        AModule((AGenerator("w", 1),), frozenset(), cap)
+    assert str(error.value) == f"bad capped_arity {cap!r}"
+
+
+@pytest.mark.parametrize("cap", [None, 0, 3])
+def test_a_module_accepts_none_or_a_non_negative_capped_arity(cap):
+    assert AModule((AGenerator("w", 1),), frozenset(), cap).capped_arity == cap
 
 
 def test_non_string_generator_names_rejected():
@@ -1094,3 +1117,59 @@ def test_equivalence_matches_tuple_reference(n):
     assert check_dd(F.target) == _reference_check(F.target)
     for case in ((F, G, H), (_without_first_arrow(F), G, H), (F, G, _with_extra_arrow(H))):
         assert verify_homotopy(*case) == _reference_verify(*case)
+
+
+# ---------------------------------------------------------------------------
+# the view each constructor builds while it checks the arrows, against the
+# separate lazy pass it replaced, and to_json's arrows, read from the view
+
+
+def _reference_steps(index, target_index, arrows):
+    """[[(label id, target number)] per source generator], each sorted."""
+    steps = [[] for _ in index]
+    for arrow in arrows:
+        steps[index[arrow[0]]].append((_LABELS.index(arrow[1:-1]), target_index[arrow[-1]]))
+    for row in steps:
+        row.sort()
+    return steps
+
+
+def _reference_index(S):
+    names = sorted(g if isinstance(S, ChainComplexF2) else g.name for g in S.generators)
+    return {name: k for k, name in enumerate(names)}
+
+
+@st.composite
+def named_complexes(draw):
+    names = draw(st.permutations(NAMES))[: draw(st.integers(0, 6))]
+    if not names:
+        return ChainComplexF2((), frozenset())
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    return ChainComplexF2(tuple(names), frozenset(draw(st.sets(pairs, max_size=10))))
+
+
+# the fields of a printed arrow, in the order of the arrow tuple
+ARROW_FIELDS = {
+    DDStructure: ("source", "left", "right", "target"),
+    DStructure: ("source", "label", "target"),
+    ChainComplexF2: ("source", "target"),
+}
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(named_dd_structures(), d_structures(), named_complexes()),
+    named_dd_structures(),
+    named_dd_structures(),
+    st.data(),
+)
+def test_views_match_reference_and_print_in_sorted_arrow_order(S, M, N, data):
+    index = _reference_index(S)
+    assert S.index == index
+    assert S.names == tuple(index)
+    assert S.steps == _reference_steps(index, index, S.arrows)
+    h = _morphism(data, M, N)
+    assert h.steps == _reference_steps(_reference_index(M), _reference_index(N), h.arrows)
+    fields = ARROW_FIELDS[type(S)]
+    printed = [tuple(a[f] for f in fields) for a in json.loads(to_json(S))["arrows"]]
+    assert printed == sorted(S.arrows)
