@@ -2,11 +2,8 @@
 
 from .algebra import mul_basis
 from .diagram import (
-    IndexData,
     RegionVector,
-    euler_measure,
     independent,
-    index,
     periodic_domains,
     provincially_admissible,
 )

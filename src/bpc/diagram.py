@@ -10,7 +10,6 @@ The boundary map from regions to curves is deliberately not modeled.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def region_names(n: int):
@@ -100,38 +99,3 @@ def provincially_admissible(n: int) -> bool:
     full = _rank2((d1.coeffs, d2.coeffs))
     restricted = _rank2((d1.coeffs[q], d2.coeffs[q]))
     return restricted == full
-
-
-@dataclass(frozen=True)
-class IndexData:
-    """Inputs of the expected-dimension formula for one domain."""
-
-    euler_measure: Fraction
-    n_x: Fraction
-    n_y: Fraction
-    left_chords: int = 0
-    right_chords: int = 0
-    left_linking: Fraction = Fraction(0)
-    right_linking: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        if self.left_chords < 0 or self.right_chords < 0:
-            raise ValueError("chord counts are nonnegative")
-
-
-def index(data: IndexData) -> Fraction:
-    """e + n_x + n_y + |rho^L| + |rho^R| + linking terms, exactly."""
-    return (
-        Fraction(data.euler_measure)
-        + Fraction(data.n_x)
-        + Fraction(data.n_y)
-        + data.left_chords
-        + data.right_chords
-        + Fraction(data.left_linking)
-        + Fraction(data.right_linking)
-    )
-
-
-def euler_measure(chi: int, convex_corners: int, concave_corners: int) -> Fraction:
-    """Euler characteristic corrected by a quarter per corner."""
-    return chi - Fraction(convex_corners, 4) + Fraction(concave_corners, 4)

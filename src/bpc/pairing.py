@@ -20,7 +20,15 @@ import math
 from dataclasses import dataclass
 
 from .algebra import _CHORD_INTERVAL, _PRODUCT, idem_token
-from .structures import _LABELS, AModule, ChainComplexF2, DGenerator, DStructure, DDStructure
+from .structures import (
+    _BARE,
+    _D_ID,
+    _LABELS,
+    AModule,
+    ChainComplexF2,
+    DStructure,
+    DDStructure,
+)
 
 # label id -> (chord interval of its last, consumed-side token, or None
 # for an idempotent; the left token of a DD label (l, r), or None), and
@@ -89,20 +97,27 @@ def _guard_path(module: AModule, where: str, source: str, seq: tuple):
     )
 
 
-def _pair_names(A: AModule, S, pairs):
-    """{module generator: [its product name with each generator of S,
-    by number, or None]} over the (a, d) pairs, so each product name is
-    formatted once."""
-    named = {a.name: [None] * len(S.names) for a in A.generators}
-    index = S.index
-    for a, d in pairs:
-        named[a][index[d.name]] = f"{a}*{d.name}"
-    return named
+def _products(A: AModule, S, idems):
+    """The sorted (name "a*x", a, x) of module generators a and generators
+    x of S with a's occupancy equal to idems[x] (a name may hold "*"),
+    and {a: [the number of a*x in that order, or None, by x]}."""
+    found = sorted(
+        [
+            (f"{a.name}*{name}", a.name, x)
+            for a in A.generators
+            for x, name in enumerate(S.names)
+            if idems[x] == a.occupancy
+        ]
+    )
+    numbers = {a.name: [None] * len(S.names) for a in A.generators}
+    for k, (_, a, x) in enumerate(found):
+        numbers[a][x] = k
+    return found, numbers
 
 
-def _landing(named, tgt, nxt, names):
-    """The product generator tgt*nxt, or a ValueError if they do not pair."""
-    out = named[tgt][nxt]
+def _landing(numbers, tgt, nxt, names):
+    """The number of the product generator tgt*nxt, or a ValueError."""
+    out = numbers[tgt][nxt]
     if out is None:
         raise ValueError(
             f"idempotent mismatch in inputs: operation lands on"
@@ -116,27 +131,23 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
     cfg = cfg or PairingConfig("right")
     if cfg.side != "right":
         raise ValueError("box_right consumes the right algebra")
+    if not isinstance(S, DDStructure):
+        raise ValueError(f"box_right needs a DDStructure, got {type(S).__name__}")
     _check_cap(cfg, A)
     trie = _op_trie(A)
     horizon = math.inf if A.capped_arity is None else A.capped_arity
-    pairs = [
-        (a.name, d)
-        for a in A.generators
-        for d in S.generators
-        if a.occupancy == d.right
-    ]
-    named = _pair_names(A, S, pairs)
-    names, index, steps = S.names, S.index, S.steps
-    gens = tuple(DGenerator(named[a][index[d.name]], d.left) for a, d in pairs)
-    parity = set()
-    add, remove = parity.add, parity.remove  # each arrow is toggled: a sum mod 2
-    for a, d in pairs:
-        mine = named[a]
-        start = index[d.name]
-        source = mine[start]
+    names, codes, steps = S.names, S.codes, S.steps
+    # a DD code is 2 * left + right, right in {1, 2}
+    found, numbers = _products(A, S, [2 - c % 2 for c in codes])
+    ids = _D_ID
+    rows = []
+    for name, a, start in found:
+        mine = numbers[a]
+        parity = set()  # (label, target): each arrow is toggled, a sum mod 2
+        add, remove = parity.add, parity.remove
         # (label product so far, chord sequence so far, its trie children,
         # current generator)
-        stack = [(_LEFT_UNIT[d.left], (), trie[a], start)]
+        stack = [(_LEFT_UNIT[(codes[start] - 1) // 2], (), trie[a], start)]
         while stack:
             prod, seq, children, at = stack.pop()
             row = _PRODUCT[prod]
@@ -145,7 +156,7 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
                 chord, l = _STEP[label]
                 if chord is None:
                     if not seq:
-                        key = (source, l, mine[nxt])
+                        key = (ids[l], mine[nxt])
                         if key in parity:
                             remove(key)
                         else:
@@ -155,20 +166,23 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
                 if nprod is None:
                     continue
                 if depth >= horizon:
-                    _guard_path(A, "box_right", source, seq + (chord,))
+                    _guard_path(A, "box_right", name, seq + (chord,))
                 node = children.get(chord)
                 if node is None:
                     continue
                 nseq, targets, grandchildren = node
+                lid = ids[nprod]
                 for tgt in targets:
-                    key = (source, nprod, _landing(named, tgt, nxt, names))
+                    key = (lid, _landing(numbers, tgt, nxt, names))
                     if key in parity:
                         remove(key)
                     else:
                         add(key)
                 if grandchildren:
                     stack.append((nprod, nseq, grandchildren, nxt))
-    return DStructure("left", gens, frozenset(parity))
+        rows.append(sorted(parity))
+    left = tuple((codes[x] - 1) // 2 for _, _, x in found)  # the left idempotent of x
+    return DStructure._from_rows(tuple(name for name, _, _ in found), left, rows, "left")
 
 
 def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> ChainComplexF2:
@@ -176,21 +190,20 @@ def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> Cha
     cfg = cfg or PairingConfig("left")
     if cfg.side != "left":
         raise ValueError("box_left consumes the left algebra")
+    if not isinstance(S, DStructure) or S.side != "left":
+        got = f"side {S.side!r}" if isinstance(S, DStructure) else type(S).__name__
+        raise ValueError(f"box_left needs a DStructure over the left algebra, got {got}")
     _check_cap(cfg, A)
     trie = _op_trie(A)
     horizon = math.inf if A.capped_arity is None else A.capped_arity
-    pairs = [
-        (a.name, d) for a in A.generators for d in S.generators if a.occupancy == d.idem
-    ]
-    named = _pair_names(A, S, pairs)
-    names, index, steps = S.names, S.index, S.steps
-    gens = tuple(named[a][index[d.name]] for a, d in pairs)
-    parity = set()
+    names, steps = S.names, S.steps
+    found, numbers = _products(A, S, S.codes)
+    m = len(found)
+    parity = set()  # packed keys source * m + target
     add, remove = parity.add, parity.remove  # each arrow is toggled: a sum mod 2
-    for a, d in pairs:
-        mine = named[a]
-        start = index[d.name]
-        source = mine[start]
+    for source, (name, a, start) in enumerate(found):
+        mine = numbers[a]
+        base = source * m
         stack = [((), trie[a], start)]
         while stack:
             seq, children, at = stack.pop()
@@ -199,31 +212,37 @@ def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> Cha
                 chord = _STEP[label][0]
                 if chord is None:
                     if not seq:
-                        key = (source, mine[nxt])
+                        key = base + mine[nxt]
                         if key in parity:
                             remove(key)
                         else:
                             add(key)
                     continue
                 if depth >= horizon:
-                    _guard_path(A, "box_left", source, seq + (chord,))
+                    _guard_path(A, "box_left", name, seq + (chord,))
                 node = children.get(chord)
                 if node is None:
                     continue
                 nseq, targets, grandchildren = node
                 for tgt in targets:
-                    key = (source, _landing(named, tgt, nxt, names))
+                    key = base + _landing(numbers, tgt, nxt, names)
                     if key in parity:
                         remove(key)
                     else:
                         add(key)
                 if grandchildren:
                     stack.append((nseq, grandchildren, nxt))
-    return ChainComplexF2(gens, frozenset(parity))
+    rows = [[] for _ in found]
+    for key in sorted(parity):
+        x, t = divmod(key, m)
+        rows[x].append((_BARE, t))
+    return ChainComplexF2._from_rows(tuple(name for name, _, _ in found), None, rows)
 
 
 def homology_rank(C: ChainComplexF2) -> int:
     """dim - 2 rank(boundary), by exact elimination over F2."""
+    if not isinstance(C, ChainComplexF2):
+        raise ValueError(f"homology_rank needs a ChainComplexF2, got {type(C).__name__}")
     # rows[g]: the boundary of generator g as a bitset over generator numbers
     rows = []
     for steps in C.steps:

@@ -22,6 +22,7 @@ from .algebra import (
     side_of,
 )
 from .structures import (
+    _DD_CODE,
     _LABELS,
     AGenerator,
     AModule,
@@ -37,6 +38,8 @@ SCHEMA_VERSION = 1
 # side -> {idempotent index -> token}, and its inverse
 _IDEM = {side: {k: idem_token(side, k) for k in (1, 2)} for side in SIDES}
 _INDEX = {side: {t: k for k, t in tokens.items()} for side, tokens in _IDEM.items()}
+# DD idempotent code -> (left token, right token)
+_DD_TOKENS = {c: (_IDEM["left"][a], _IDEM["right"][b]) for (a, b), c in _DD_CODE.items()}
 _TOKENS = frozenset(basis_tokens("left") + basis_tokens("right"))
 _DD_GENERATOR = {"name", "left", "right"}
 _DD_ARROW = {"source", "left", "right", "target"}
@@ -108,10 +111,10 @@ def to_json(S) -> str:
 
     Each kind fills fixed templates, so every generator and arrow costs
     one string format.  Names are escaped by the encoder json.dumps uses;
-    tokens and chord intervals are plain ASCII.  Generators are already
-    sorted by name at construction, and arrows are read from the
-    structure's steps: by source number, label id, then target number,
-    which is sorted arrow order.
+    tokens and chord intervals are plain ASCII.  A DD, D or complex is
+    printed from its numbered view: generators from ``names`` (sorted at
+    construction) and ``codes``, arrows from ``steps`` by source number,
+    label id, then target number, which is sorted arrow order.
     """
     if isinstance(S, AModule):
         q = {g.name: _quote(g.name) for g in S.generators}
@@ -145,18 +148,17 @@ def to_json(S) -> str:
         ]
     )
     if isinstance(S, DDStructure):
-        left, right = _IDEM["left"], _IDEM["right"]
         gens = [
-            f'    {{\n      "left": "{left[g.left]}",\n      "name": {name},\n'
-            f'      "right": "{right[g.right]}"\n    }}'
-            for g, name in zip(S.generators, q)
+            f'    {{\n      "left": "{_DD_TOKENS[c][0]}",\n      "name": {name},\n'
+            f'      "right": "{_DD_TOKENS[c][1]}"\n    }}'
+            for c, name in zip(S.codes, q)
         ]
         return _document("DD", SIDES, arrows=arrows, generators=_block(gens))
     if isinstance(S, DStructure):
         idem = _IDEM[S.side]
         gens = [
-            f'    {{\n      "idem": "{idem[g.idem]}",\n      "name": {name}\n    }}'
-            for g, name in zip(S.generators, q)
+            f'    {{\n      "idem": "{idem[c]}",\n      "name": {name}\n    }}'
+            for c, name in zip(S.codes, q)
         ]
         return _document("D", (S.side,), arrows=arrows, generators=_block(gens))
     return _document("complex", (), arrows=arrows, generators=_block([f"    {name}" for name in q]))

@@ -6,30 +6,32 @@ algebra.  Arrow labels are basis monomials (a single idempotent or chord
 token per side); a label that is a sum of basis elements is stored as
 parallel arrows, and arrow sets are kept reduced mod 2.
 
-Each structure, and each morphism's arrow set, has one integer view,
-built at construction in the same pass over the arrows that checks
-them: generators numbered in sorted name order, labels ((l, r) for DD,
-(t,) for D, () for chain complexes) numbered once, in sorted label
-order, and ``steps[x]``, the sorted list of (label id, target number) of
-the arrows leaving x.  That pass enforces idempotent coherence: an arrow
-x ->(t) y can only carry a token whose forced idempotents agree with
-those of x and y.  One table gives the id of every nonzero label
-product.  The structure equation of a type-DD structure with both
-algebra differentials zero says that for every generator pair (x, z)
-the mod-2 sum over two-step paths x -> y -> z of the label products
-vanishes; the checkers, the morphism differential and composition all
-evaluate that sum with one kernel, ``_compose_parity``, which toggles
-packed ints and names only the arrows that survive.  ``reduce``,
-``isomorphic``, the box products and ``homology_rank`` in
-``bpc.pairing`` and ``to_json`` in ``bpc.serialize`` read the same
-steps.
+A DD or D structure or a chain complex stores only its numbered view:
+``names`` (sorted), ``codes`` (each generator's idempotent code: 2 *
+left + right for DD, the idempotent for D, 0 for a complex, derived),
+``steps[x]`` (the sorted (label id, target number) of the arrows
+leaving x, labels (l, r), (t,) or () numbered in sorted label order)
+and a D structure's ``side``; a DD morphism stores source, target and
+steps.  ``generators``, ``arrows``, ``idems`` and ``index`` are derived
+on first read.  One internal constructor takes that view and checks it:
+distinct string names, valid codes, and every arrow x ->(t) y carrying
+tokens whose forced idempotents agree with those of x and y.  The public
+constructors resolve named generators and arrows into it; ``reduce``,
+the box products and the morphism calculus hand over rows.  The
+structure equation of a type-DD structure with both algebra
+differentials zero says that for every generator pair (x, z) the mod-2
+sum over two-step paths x -> y -> z of the label products (one table
+gives each nonzero product's id) vanishes; the checkers, the morphism
+differential and composition evaluate it with one kernel,
+``_compose_parity``, which toggles packed ints.
 """
 
 import bisect
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .algebra import (
     _PRODUCT,
@@ -162,6 +164,11 @@ class AGenerator:
     occupancy: int  # idempotent class this generator pairs with
 
 
+# (left, right) idempotents of a DD generator -> its code; anything else
+# is invalid and coded 0
+_DD_CODE = {pair: _code(pair) for pair in _IDEM_PAIRS}
+
+
 def _check_unique(names):
     """Raise unless the generator names are distinct strings, naming the
     first non-string in the given order or else the least repeated name.
@@ -181,170 +188,244 @@ def _check_unique(names):
         seen.add(n)
 
 
-def _normalize(struct, names):
-    """Check the generator names, then sort generators by name so equality
-    ignores construction order."""
-    _check_unique(names)
-    key = (lambda g: g) if isinstance(struct, ChainComplexF2) else (lambda g: g.name)
-    object.__setattr__(struct, "generators", tuple(sorted(struct.generators, key=key)))
-    for attr in ("arrows", "operations"):
-        if hasattr(struct, attr):
-            object.__setattr__(struct, attr, frozenset(getattr(struct, attr)))
+_name = attrgetter("name")
 
 
-class _Numbered:
-    """The integer view, set once at construction: ``names`` (sorted),
-    ``index`` ({name: number}), ``codes`` (each generator's idempotent
-    code, for DD and D) and ``steps``, per generator the sorted list of
-    (label id, target number) of its arrows."""
+def _sorted(generators, key):
+    """The generators sorted by name, their names checked first in the
+    given order, so names that do not sort raise a ValueError."""
+    _check_unique([key(g) for g in generators])
+    return tuple(sorted(generators, key=key))
 
-    def _number(self, names, codes, sides):
-        """Set the view; building the steps checks the arrows."""
-        index = {name: k for k, name in enumerate(names)}
-        self.__dict__.update(names=names, index=index, codes=codes)
-        steps = _checked_steps(self.arrows, self, self, sides, "arrow", "on arrow")
-        self.__dict__["steps"] = steps
+
+def _outside(name, idems):
+    return ValueError(f"generator {name!r} has idempotent index outside {{1, 2}}: {idems}")
+
+
+def _check_side(side):
+    if side not in SIDES:
+        raise ValueError(f"unknown side {side!r}")
 
 
 # ---------------------------------------------------------------------------
-# type-DD structures
+# arrows: resolved by name into rows, checked on ints, named on failure
 
 
-def _check_idems(idems, valid):
-    """Raise, naming a generator, unless every value of idems is in valid."""
-    if not valid.issuperset(idems.values()):
-        name = next(g for g, e in idems.items() if e not in valid)
-        raise ValueError(f"generator {name!r} has idempotent index outside {{1, 2}}: {idems[name]}")
-
-
-def _check_labels(arrow, sides, src_idems, tgt_idems, missing: str, where: str):
-    """Raise unless both ends of the DD arrow (x, l, r, y), D arrow
-    (x, t, y) or complex arrow (x, y) are in src_idems and tgt_idems and
-    each token of its label lies on its side and carries x's idempotent
-    on that side to y's."""
-    x, label, y = arrow[0], arrow[1:-1], arrow[-1]
-    if x not in src_idems or y not in tgt_idems:
-        raise ValueError(f"{missing} endpoint missing: {arrow}")
-    x_idems, y_idems = src_idems[x], tgt_idems[y]
-    one = len(label) == 1
-    for t, side in zip(label, sides):
-        if side_of(t) != side:
-            if one:
-                raise ValueError(f"label {t!r} not on side {side!r}")
-            raise ValueError(f"arrow labels on wrong sides: {arrow}")
-    for t, side, a, b in zip(label, sides, x_idems, y_idems):
-        if token_left_idem(t) != a or token_right_idem(t) != b:
-            raise ValueError(f"{'' if one else side + ' '}label incoherent {where} {arrow}")
-
-
-def _resolve(arrows, source, target, sides):
-    """[[(label id, target number)] per generator of source] over the
-    arrows (x, *label, y) from source to target, one token per side in
-    each label, or None if an endpoint is not a generator or a label does
-    not carry x's idempotents to y's.
-
-    One pass resolves each arrow's endpoint numbers and label id, checks
-    the idempotent codes against _ENDS and appends the step.
-    """
-    index, target_index = source.index, target.index
-    codes8, target_codes, ends = [8 * c for c in source.codes], target.codes, _ENDS[sides]
-    steps = [[] for _ in source.names]
+def _resolve(arrows, index, target_index, sides):
+    """[sorted [(label id, target number)] per source number] over the
+    arrows (x, *label, y), one token per side in each label, x numbered
+    by index and y by target_index; None if an endpoint or a token is
+    unknown.  Coherence is left to the constructor."""
+    steps = [[] for _ in index]
     try:
         if len(sides) == 2:
             ids = _DD_ID
             for s, l, r, t in arrows:
-                x, y, a = index[s], target_index[t], ids[l][r]
-                if ends[a] != codes8[x] + target_codes[y]:
-                    return None
-                steps[x].append((a, y))
+                steps[index[s]].append((ids[l][r], target_index[t]))
         elif sides:
             ids = _D_ID
             for s, l, t in arrows:
-                x, y, a = index[s], target_index[t], ids[l]
-                if ends[a] != codes8[x] + target_codes[y]:
-                    return None
-                steps[x].append((a, y))
+                steps[index[s]].append((ids[l], target_index[t]))
         else:
             for s, t in arrows:
                 steps[index[s]].append((_BARE, target_index[t]))
     except KeyError:
         return None
-    return steps
-
-
-def _checked_steps(arrows, source, target, sides, missing: str, where: str):
-    """The steps of _resolve, each list sorted.  If _resolve finds a bad
-    arrow, the per-arrow loop names the first one with _check_labels,
-    and a ValueError is raised even if it names none."""
-    steps = _resolve(arrows, source, target, sides)
-    if steps is None:
-        src_idems, tgt_idems = source.idems, target.idems
-        ends = _LABEL_ENDS[sides]
-        for arrow in arrows:
-            if ends.get(arrow[1:-1]) != (src_idems.get(arrow[0]), tgt_idems.get(arrow[-1])):
-                _check_labels(arrow, sides, src_idems, tgt_idems, missing, where)
-        raise ValueError("arrow set rejected")
     for row in steps:
         row.sort()
     return steps
 
 
-@dataclass(frozen=True)
+def _coherent(steps, codes, target_codes, ends):
+    """Whether steps holds one row per code and each step (a, y) of
+    generator x has ends[a] == 8 * codes[x] + target_codes[y]."""
+    if len(steps) != len(codes):
+        return False
+    try:
+        for c, row in zip(codes, steps):
+            c *= 8
+            for a, y in row:
+                if ends[a] != c + target_codes[y]:
+                    return False
+    except (IndexError, TypeError):
+        return False
+    return True
+
+
+def _reject(arrows, sides, src_idems, tgt_idems, missing: str, where: str):
+    """Raise a ValueError naming the first DD arrow (x, l, r, y), D arrow
+    (x, t, y) or complex arrow (x, y) with an end not in src_idems or
+    tgt_idems, or a token off its side or not carrying x's idempotent on
+    that side to y's; a general one if no arrow is named."""
+    ends = _LABEL_ENDS[sides]
+    for arrow in arrows:
+        x, label, y = arrow[0], arrow[1:-1], arrow[-1]
+        if ends.get(label) == (src_idems.get(x), tgt_idems.get(y)):
+            continue
+        if x not in src_idems or y not in tgt_idems:
+            raise ValueError(f"{missing} endpoint missing: {arrow}")
+        one = len(label) == 1
+        for t, side in zip(label, sides):
+            if side_of(t) != side:
+                if one:
+                    raise ValueError(f"label {t!r} not on side {side!r}")
+                raise ValueError(f"arrow labels on wrong sides: {arrow}")
+        for t, side, a, b in zip(label, sides, src_idems[x], tgt_idems[y]):
+            if token_left_idem(t) != a or token_right_idem(t) != b:
+                raise ValueError(f"{'' if one else side + ' '}label incoherent {where} {arrow}")
+    raise ValueError("arrow set rejected")
+
+
+def _arrows(names, steps, target_names):
+    """The arrows (source name, *label, target name) of steps."""
+    labels = _LABELS
+    return frozenset(
+        [(s, *labels[a], target_names[t]) for s, row in zip(names, steps) for a, t in row]
+    )
+
+
+# ---------------------------------------------------------------------------
+# structures and DD morphisms
+
+
+class _Frozen:
+    """Immutable: state and cached values go straight into __dict__.
+    ``_from_rows(*view)`` is the internal constructor: it stores the view
+    through ``_set``, which checks it.  Equality compares the ``_STATE``
+    attributes, and the hash all but the last (the steps)."""
+
+    @classmethod
+    def _from_rows(cls, *view):
+        self = object.__new__(cls)
+        self._set(*view)
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._STATE)
+
+    def __hash__(self):
+        return hash((type(self).__name__, *[getattr(self, f) for f in self._STATE[:-1]]))
+
+
+class _Numbered(_Frozen):
+    """A DD or D structure or a chain complex (see the module docstring
+    for what is stored and what derived)."""
+
+    _FIELDS = ("generators", "arrows")
+    _STATE = ("side", "names", "codes", "steps")
+    side = None
+
+    def _adopt(self, gens, names, codes, arrows, side=None):
+        """The public route: keep gens and arrows as the derived values,
+        resolve the arrows by name and call the internal constructor."""
+        arrows = frozenset(arrows)
+        index = {name: k for k, name in enumerate(names)}
+        self.__dict__.update(generators=gens, arrows=arrows, index=index)
+        sides = self._SIDES if side is None else (side,)
+        self._set(names, codes, _resolve(arrows, index, index, sides), side)
+
+    def _set(self, names, codes, steps, side=None):
+        """Check and store the view: the side (D), distinct string names,
+        a valid code per generator, then rows coherent with the codes."""
+        d = self.__dict__
+        if self._SIDES is None:
+            _check_side(side)
+            d["side"] = side
+        sides = self._SIDES if side is None else (side,)
+        _check_unique(names)
+        d.update(names=names, steps=steps)
+        if codes is not None:
+            d["codes"] = codes
+        codes, valid = self.codes, self._VALID
+        if not valid.issuperset(codes):
+            name = next(name for name, c in zip(names, codes) if c not in valid)
+            raise _outside(name, self.idems[name])
+        if steps is None or not _coherent(steps, codes, codes, _ENDS[sides]):
+            _reject(self.arrows, sides, self.idems, self.idems, "arrow", "on arrow")
+
+    @cached_property
+    def arrows(self):
+        return _arrows(self.names, self.steps, self.names)
+
+    @cached_property
+    def index(self):
+        """{name: number}."""
+        return {name: k for k, name in enumerate(self.names)}
+
+    @cached_property
+    def idems(self):
+        """{name: idempotent tuple}: (left, right), (idem,) or ()."""
+        return {name: self._IDEMS(g) for name, g in zip(self.names, self.generators)}
+
+
 class DDStructure(_Numbered):
     """Generators plus arrows (source, left token, right token, target)."""
 
-    generators: tuple
-    arrows: frozenset
+    _SIDES = SIDES
+    _VALID = frozenset(_DD_CODE.values())
+    _IDEMS = attrgetter("left", "right")
 
-    def __post_init__(self):
-        _normalize(self, [g.name for g in self.generators])
-        _check_idems(self.idems, set(_IDEM_PAIRS))
-        gens = self.generators
-        self._number(tuple(g.name for g in gens), tuple(2 * g.left + g.right for g in gens), SIDES)
+    def __init__(self, generators, arrows):
+        gens = _sorted(generators, _name)
+        codes = tuple(_DD_CODE.get((g.left, g.right), 0) for g in gens)
+        self._adopt(gens, tuple(map(_name, gens)), codes, arrows)
 
     @cached_property
-    def idems(self):
-        """{name: (left idempotent, right idempotent)}."""
-        return {g.name: (g.left, g.right) for g in self.generators}
+    def generators(self):  # code 2 * left + right, right in {1, 2}
+        names, codes = self.names, self.codes
+        return tuple(DDGenerator(x, (c - 1) // 2, 2 - c % 2) for x, c in zip(names, codes))
 
 
-@dataclass(frozen=True)
 class DStructure(_Numbered):
     """One-sided specialization of DDStructure (single label per arrow)."""
 
-    side: str
-    generators: tuple
-    arrows: frozenset
+    _FIELDS = ("side", "generators", "arrows")
+    _SIDES = None  # the side is stored
+    _VALID = frozenset((1, 2))
+    _IDEMS = staticmethod(lambda g: (g.idem,))
 
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"unknown side {self.side!r}")
-        _normalize(self, [g.name for g in self.generators])
-        _check_idems(self.idems, {(1,), (2,)})
-        gens = self.generators
-        self._number(tuple(g.name for g in gens), tuple(g.idem for g in gens), (self.side,))
+    def __init__(self, side, generators, arrows):
+        _check_side(side)
+        gens = _sorted(generators, _name)
+        self._adopt(gens, tuple(map(_name, gens)), tuple(g.idem for g in gens), arrows, side)
 
     @cached_property
-    def idems(self):
-        """{name: (idempotent,)}."""
-        return {g.name: (g.idem,) for g in self.generators}
+    def generators(self):
+        return tuple(map(DGenerator, self.names, self.codes))
 
 
-@dataclass(frozen=True)
 class ChainComplexF2(_Numbered):
     """Basis plus unlabeled boundary arrows; everything over F2."""
 
-    generators: tuple
-    arrows: frozenset
+    _SIDES = ()
+    _VALID = frozenset((0,))
+    _IDEMS = staticmethod(lambda g: ())
 
-    def __post_init__(self):
-        _normalize(self, tuple(self.generators))
-        self._number(self.generators, (), ())
+    def __init__(self, generators, arrows):
+        gens = _sorted(generators, lambda g: g)
+        self._adopt(gens, gens, None, arrows)
 
     @cached_property
-    def idems(self):
-        """{name: ()}: complexes carry no idempotents."""
-        return {g: () for g in self.generators}
+    def generators(self):
+        return self.names
+
+    @cached_property
+    def codes(self):
+        """All 0: complexes carry no idempotents."""
+        return (0,) * len(self.names)
 
 
 @dataclass(frozen=True)
@@ -365,12 +446,15 @@ class AModule:
         cap = self.capped_arity
         if cap is not None and (type(cap) is not int or cap < 0):  # bool is not int here
             raise ValueError(f"bad capped_arity {cap!r}")
-        _normalize(self, [g.name for g in self.generators])
+        object.__setattr__(self, "generators", _sorted(self.generators, _name))
+        object.__setattr__(self, "operations", frozenset(self.operations))
         occ = {g.name: g.occupancy for g in self.generators}
         for name, k in occ.items():
             if type(k) is not int:  # True == 1 and 1.0 == 1 would pass the next check
                 raise ValueError(f"generator {name!r} has non-integer occupancy {k!r}")
-        _check_idems(occ, {1, 2})
+        for name, k in occ.items():
+            if k not in (1, 2):
+                raise _outside(name, k)
         for src, seq, tgt in self.operations:
             if src not in occ or tgt not in occ:
                 raise ValueError(f"operation endpoint missing: {(src, seq, tgt)}")
@@ -397,24 +481,36 @@ class AModule:
         return max((len(seq) for _, seq, _ in self.operations), default=0)
 
 
-@dataclass(frozen=True)
-class DDMorphism:
-    """Arrow collection between two DD structures over the same algebras."""
+class DDMorphism(_Frozen):
+    """Arrow collection between two DD structures over the same algebras;
+    its steps number targets in the target."""
 
-    source: DDStructure
-    target: DDStructure
-    arrows: frozenset
+    _FIELDS = ("source", "target", "arrows")
+    _STATE = ("source", "target", "steps")
 
-    def __post_init__(self):
-        steps = _checked_steps(self.arrows, self.source, self.target, SIDES, "morphism", "on")
-        self.__dict__["steps"] = steps  # as DDStructure.steps, targets numbered in the target
+    def __init__(self, source, target, arrows):
+        for role, end in (("source", source), ("target", target)):
+            if not isinstance(end, DDStructure):
+                got = type(end).__name__
+                raise ValueError(f"a DD morphism's {role} must be a DDStructure, got {got}")
+        self.__dict__["arrows"] = arrows = frozenset(arrows)
+        self._set(source, target, _resolve(arrows, source.index, target.index, SIDES))
+
+    def _set(self, source, target, steps):
+        self.__dict__.update(source=source, target=target, steps=steps)
+        if steps is None or not _coherent(steps, source.codes, target.codes, _ENDS[SIDES]):
+            _reject(self.arrows, SIDES, source.idems, target.idems, "morphism", "on")
+
+    @cached_property
+    def arrows(self):
+        return _arrows(self.source.names, self.steps, self.target.names)
 
     def is_zero(self):
-        return not self.arrows
+        return not any(self.steps)
 
 
 def identity_morphism(M: DDStructure) -> DDMorphism:
-    return DDMorphism(M, M, frozenset((x, *_LABELS[_UNIT[c]], x) for x, c in zip(M.names, M.codes)))
+    return DDMorphism._from_rows(M, M, [[(_UNIT[c], x)] for x, c in enumerate(M.codes)])
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +652,12 @@ def _d_parity(h: DDMorphism):
 
 def _morphism(source, target, odd):
     """The DDMorphism source -> target with the arrows of the packed keys."""
-    arrows = frozenset((x, *label, z) for x, label, z in _unpack(odd, source.names, target.names))
-    return DDMorphism(source, target, arrows)
+    nz, rows = len(target.names), [[] for _ in source.names]
+    for key in sorted(odd):  # in (x, label, z) order, so each row is sorted
+        xa, z = divmod(key, nz)
+        x, a = divmod(xa, _NLABELS)
+        rows[x].append((a, z))
+    return DDMorphism._from_rows(source, target, rows)
 
 
 def d_of_morphism(h: DDMorphism) -> DDMorphism:
@@ -624,12 +724,6 @@ def _kind(S):
     if type(S) not in _KINDS:
         raise ValueError(f"cannot reduce a {type(S).__name__}")
     return _KINDS[type(S)]
-
-
-def _rebuild(S, names, arrows):
-    """S with the named generators and the (source, label, target) arrows."""
-    keep = tuple(g for g, name in zip(S.generators, S.names) if name in names)
-    return replace(S, generators=keep, arrows=frozenset((s, *label, t) for s, label, t in arrows))
 
 
 _DIGITS = re.compile(r"(\d+)")
@@ -715,8 +809,11 @@ def reduce(S, rng: random.Random | None = None):
                 if p is not None:
                     toggle(w, p, z)
     alive = [g for g in range(n) if out[g] is not None]
-    arrows = ((names[s], _LABELS[a], names[t]) for s in alive for a, t in out[s])
-    return _rebuild(S, {names[g] for g in alive}, arrows)
+    number = {g: k for k, g in enumerate(alive)}  # survivors keep their name order
+    rows = [sorted([(a, number[t]) for a, t in out[g]]) for g in alive]
+    codes = S.codes
+    view = tuple(names[g] for g in alive), tuple(codes[g] for g in alive), rows
+    return type(S)._from_rows(*view, S.side)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +827,7 @@ def isomorphic(S1, S2):
     "Practical graph isomorphism II", arXiv 1301.1493) on the disjoint
     union of both labeled graphs, generators and labels numbered as ints
     and colour ids shared by the two sides.  A generator starts coloured
-    by its idempotents, in/out label multisets and self-loop labels; each
+    by its idempotent code, in/out label multisets and self-loop labels; each
     refinement round recolours it by (colour, sorted (label, neighbour
     colour) over its in- and out-arrows) until the number of colours
     stops growing or every colour holds one generator per side.  A colour
@@ -754,7 +851,7 @@ def isomorphic(S1, S2):
     if isinstance(S1, DStructure) and S1.side != S2.side:
         raise ValueError("cannot compare D structures over different algebras")
     k = len(S1.names)
-    if k != len(S2.names) or len(S1.arrows) != len(S2.arrows):
+    if k != len(S2.names) or sum(map(len, S1.steps)) != sum(map(len, S2.steps)):
         return None
 
     # side 1 keeps its generator numbers, side 2's are shifted by k
@@ -793,7 +890,7 @@ def isomorphic(S1, S2):
     ids = {}
     initial = [
         ids.setdefault((a, tuple(sorted(t for t, _ in adj[v])), tuple(sorted(loops[v]))), len(ids))
-        for v, a in enumerate([*S1.idems.values(), *S2.idems.values()])
+        for v, a in enumerate([*S1.codes, *S2.codes])
     ]
     if sorted(initial[:k]) != sorted(initial[k:]):
         return None

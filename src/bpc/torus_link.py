@@ -13,7 +13,8 @@ prefixes every name with "u_".
 
 from dataclasses import dataclass
 
-from .structures import DDGenerator, DDMorphism, DDStructure
+from .algebra import SIDES
+from .structures import _DD_CODE, DDMorphism, DDStructure, _resolve
 
 _KINDS = ("ab", "a_y", "x_b", "xy", "a_y_odd", "x_b_odd")
 
@@ -213,18 +214,29 @@ def _xy_names(n):
     ]
 
 
-def _dd_generators(n, xy, include_charged):
-    """The generators of ``enumerate_generators(n)``, in its order, with
-    the xy names taken from the table xy."""
+def _dd(named, arrows):
+    """The DDStructure on the (name, idempotent code) pairs named, in any
+    order, and the arrows between those names."""
+    named.sort()
+    names = tuple(name for name, _ in named)
+    index = {name: k for k, name in enumerate(names)}
+    steps = _resolve(arrows, index, index, SIDES)
+    return DDStructure._from_rows(names, tuple(code for _, code in named), steps)
+
+
+def _named(n, xy, include_charged):
+    """(name, idempotent code) of each generator of ``enumerate_generators(n)``,
+    with the xy names taken from the table xy."""
     top = 2 * n - 1
-    gens = [DDGenerator("ab", 1, 1)]
-    gens += [DDGenerator(_ay(j), 1, 2) for j in range(2, top, 2)]
-    gens += [DDGenerator(_xb(i), 2, 1) for i in range(2, top, 2)]
-    gens += [DDGenerator(name, 2, 2) for row in xy for name in row if name]
+    a_y, x_b = _DD_CODE[1, 2], _DD_CODE[2, 1]
+    named = [("ab", _DD_CODE[1, 1])]
+    named += [(_ay(j), a_y) for j in range(2, top, 2)]
+    named += [(_xb(i), x_b) for i in range(2, top, 2)]
+    named += [(name, _DD_CODE[2, 2]) for row in xy for name in row if name]
     if include_charged:
-        gens += [DDGenerator(_ay(j), 1, 2) for j in range(1, top + 1, 2)]
-        gens += [DDGenerator(_xb(i), 2, 1) for i in range(1, top + 1, 2)]
-    return tuple(gens)
+        named += [(_ay(j), a_y) for j in range(1, top + 1, 2)]
+        named += [(_xb(i), x_b) for i in range(1, top + 1, 2)]
+    return named
 
 
 def build_cfdd_full(n: int, include_charged: bool = False) -> DDStructure:
@@ -241,7 +253,7 @@ def _build_full(n, xy, include_charged=False):
     arrows = set()
     for _, _, _, family in _full_families(n, xy):
         arrows.update(family)
-    return DDStructure(_dd_generators(n, xy, include_charged), frozenset(arrows))
+    return _dd(_named(n, xy, include_charged), arrows)
 
 
 def full_build_log(n: int):
@@ -258,10 +270,10 @@ def build_cfdd_simplified(n: int) -> DDStructure:
     if n < 2:
         raise ValueError("the simplified model needs n >= 2")
     top = 2 * n - 1
-    gens = [DDGenerator("u_ab", 1, 1)]
-    gens += [DDGenerator(f"u_{_ay(2 * k)}", 1, 2) for k in range(1, n)]
-    gens += [DDGenerator(f"u_{_xb(2 * k)}", 2, 1) for k in range(1, n)]
-    gens += [DDGenerator(f"u_{_xy(k, k)}", 2, 2) for k in range(1, top + 1)]
+    named = [("u_ab", _DD_CODE[1, 1])]
+    named += [(f"u_{_ay(2 * k)}", _DD_CODE[1, 2]) for k in range(1, n)]
+    named += [(f"u_{_xb(2 * k)}", _DD_CODE[2, 1]) for k in range(1, n)]
+    named += [(f"u_{_xy(k, k)}", _DD_CODE[2, 2]) for k in range(1, top + 1)]
 
     arrows = set()
     arrows.add(("u_ab", "r123", "s123", f"u_{_xy(1, 1)}"))
@@ -278,7 +290,7 @@ def build_cfdd_simplified(n: int) -> DDStructure:
         arrows.add((f"u_{_xy(k, k)}", "r2", "s23", f"u_{_ay(m)}"))
         arrows.add((f"u_{_xy(k, k)}", "r23", "s2", f"u_{_xb(m)}"))
     arrows.add((f"u_{_xy(top, top)}", "r2", "s2", "u_ab"))
-    return DDStructure(tuple(gens), frozenset(arrows))
+    return _dd(named, arrows)
 
 
 def build_equivalence(n: int):

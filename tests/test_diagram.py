@@ -1,15 +1,10 @@
 import random
-from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
 from bpc.diagram import (
-    IndexData,
     RegionVector,
-    euler_measure,
     independent,
-    index,
     periodic_domains,
     provincially_admissible,
     region_names,
@@ -92,50 +87,3 @@ def test_region_vector_validation():
         RegionVector.from_dict(2, {"Q9": 1})
     with pytest.raises(ValueError):
         RegionVector(2, (0, 1))
-
-
-def test_euler_measure_values():
-    assert euler_measure(1, 4, 0) == 0
-    assert euler_measure(1, 3, 1) == Fraction(1, 2)
-    assert euler_measure(0, 0, 0) == 0
-
-
-def test_index_of_embedded_rectangle():
-    e = euler_measure(1, 4, 0)  # convex 4-gon: 1 - 4/4
-    d = IndexData(e, Fraction(1, 2), Fraction(1, 2))
-    assert index(d) == 1
-
-
-def test_index_zero_data():
-    assert index(IndexData(Fraction(0), Fraction(0), Fraction(0))) == 0
-
-
-def test_index_with_linking_term():
-    d = IndexData(
-        Fraction(0),
-        Fraction(1, 2),
-        Fraction(1, 2),
-        left_chords=1,
-        left_linking=Fraction(-1, 2),
-    )
-    assert index(d) == Fraction(3, 2)
-
-
-def test_index_linear_in_each_field():
-    rng = random.Random(11)
-
-    def rand_frac():
-        return Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-
-    base = IndexData(rand_frac(), rand_frac(), rand_frac(), 1, 2, rand_frac(), rand_frac())
-    for fieldname in ("euler_measure", "n_x", "n_y", "left_linking", "right_linking"):
-        delta = rand_frac()
-        bumped = replace(base, **{fieldname: getattr(base, fieldname) + delta})
-        assert index(bumped) - index(base) == delta
-    bumped = replace(base, left_chords=base.left_chords + 3)
-    assert index(bumped) - index(base) == 3
-
-
-def test_chord_counts_nonnegative():
-    with pytest.raises(ValueError):
-        IndexData(Fraction(0), Fraction(0), Fraction(0), left_chords=-1)

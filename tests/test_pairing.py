@@ -20,6 +20,7 @@ from bpc.structures import (
     DGenerator,
     DStructure,
     DDGenerator,
+    DDMorphism,
     DDStructure,
     check_d,
     isomorphic,
@@ -158,6 +159,52 @@ def test_homology_rank_edge_cases():
     bad = ChainComplexF2(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
     with pytest.raises(ValueError):
         homology_rank(bad)
+
+
+RIGHT_D = DStructure("right", (DGenerator("x", 1), DGenerator("y", 2)), {("x", "s1", "y")})
+WRONG_KINDS = {
+    # a right D structure used to pass as a complex, a DD structure raised
+    # AttributeError in box_left, and a D structure in box_right too
+    "box_left of a right D": (
+        lambda: box_left(build_cfa_framed(1), RIGHT_D),
+        "box_left needs a DStructure over the left algebra, got side 'right'",
+    ),
+    "box_left of a DD": (
+        lambda: box_left(build_cfa_framed(1), build_cfdd_full(1)),
+        "box_left needs a DStructure over the left algebra, got DDStructure",
+    ),
+    "box_right of a D": (
+        lambda: box_right(build_cfa_framed(1), RIGHT_D),
+        "box_right needs a DDStructure, got DStructure",
+    ),
+    # homology_rank returned 1 for a D structure and named d^2 for a DD one
+    "homology_rank of a D": (
+        lambda: homology_rank(DStructure("left", (DGenerator("z", 1),), frozenset())),
+        "homology_rank needs a ChainComplexF2, got DStructure",
+    ),
+    "homology_rank of a DD": (
+        lambda: homology_rank(build_cfdd_full(2)),
+        "homology_rank needs a ChainComplexF2, got DDStructure",
+    ),
+    # a DD morphism into a D structure used to construct
+    "DD morphism to a D": (
+        lambda: DDMorphism(
+            build_cfdd_full(2), box_right(build_cfa_framed(3), build_cfdd_full(2)), frozenset()
+        ),
+        "a DD morphism's target must be a DDStructure, got DStructure",
+    ),
+    "DD morphism from a complex": (
+        lambda: DDMorphism(ChainComplexF2((), frozenset()), build_cfdd_full(1), frozenset()),
+        "a DD morphism's source must be a DDStructure, got ChainComplexF2",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", WRONG_KINDS.values(), ids=WRONG_KINDS)
+def test_wrong_kind_or_side_rejected(build, message):
+    with pytest.raises(ValueError) as error:
+        build()
+    assert str(error.value) == message
 
 
 def test_homology_rank_eliminates_equal_rows():

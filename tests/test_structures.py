@@ -18,7 +18,7 @@ from bpc.algebra import (
 )
 from bpc.pairing import box_left, box_right
 from bpc.serialize import to_json
-from bpc.solid_torus import build_cfa_framed
+from bpc.solid_torus import build_cfa, build_cfa_framed
 from bpc.structures import (
     AGenerator,
     AModule,
@@ -40,7 +40,7 @@ from bpc.structures import (
     reduce,
     verify_homotopy,
 )
-from bpc.structures import _KINDS, _LABELS, _natural_key, _rebuild
+from bpc.structures import _KINDS, _LABELS, _natural_key
 from bpc.torus_link import build_cfdd_full, build_cfdd_simplified, build_equivalence
 
 
@@ -410,7 +410,15 @@ def _reduce_reference(S, rng=None):
                 if p is not None:
                     arrows ^= {(w, p, z)}
         names -= {x, y}
-    return _rebuild(S, names, arrows)
+    return _rebuilt(S, names, arrows)
+
+
+def _rebuilt(S, names, arrows):
+    """S's kind on its named generators and the (source, label, target)
+    arrows, through the public constructor."""
+    gens = tuple(g for g, name in zip(S.generators, S.names) if name in names)
+    arrows = frozenset((s, *label, t) for s, label, t in arrows)
+    return DStructure(S.side, gens, arrows) if isinstance(S, DStructure) else type(S)(gens, arrows)
 
 
 def _reduce_inputs():
@@ -1173,3 +1181,149 @@ def test_views_match_reference_and_print_in_sorted_arrow_order(S, M, N, data):
     fields = ARROW_FIELDS[type(S)]
     printed = [tuple(a[f] for f in fields) for a in json.loads(to_json(S))["arrows"]]
     assert printed == sorted(S.arrows)
+
+
+# ---------------------------------------------------------------------------
+# the two construction routes: results handed over as numbered rows must
+# equal the public constructor's rebuild from their derived generators
+# and arrows, and the internal constructor checks as the public one does
+
+
+def _public(S):
+    """S rebuilt through the public constructor from its derived values."""
+    if isinstance(S, DDMorphism):
+        return DDMorphism(S.source, S.target, S.arrows)
+    if isinstance(S, DStructure):
+        return DStructure(S.side, S.generators, S.arrows)
+    return type(S)(S.generators, S.arrows)
+
+
+def _assert_routes_agree(S):
+    R = _public(S)
+    assert R == S and hash(R) == hash(S)
+    assert R.steps == S.steps
+    if isinstance(S, DDMorphism):
+        return
+    assert (R.side, R.names, R.codes, R.index) == (S.side, S.names, S.codes, S.index)
+    assert to_json(R) == to_json(S)
+
+
+def _rows_results():
+    for n in range(1, 9):
+        yield build_cfdd_full(n)
+        if n >= 2:
+            yield build_cfdd_simplified(n)
+    yield build_cfdd_full(3, include_charged=True)
+    for n in (1, 2, 3):
+        S = build_cfdd_full(n)
+        for right in (1, 2, 3, 4, "inf"):
+            D = box_right(build_cfa(right), S)
+            yield D
+            for left in (1, 2, 3, 4, "inf"):
+                yield box_left(build_cfa(left), D)
+    for S in (build_cfdd_full(5), box_right(build_cfa_framed(3), build_cfdd_full(4))):
+        yield reduce(S)
+        for seed in (1, 2, 3):
+            yield reduce(S, random.Random(seed))
+    yield reduce(box_left(build_cfa_framed(2), box_right(build_cfa_framed(3), build_cfdd_full(2))))
+    for n in (3, 4, 5):
+        F, G, H = build_equivalence(n)
+        yield from (d_of_morphism(F), d_of_morphism(H), compose(G, F), compose(H, G))
+        yield identity_morphism(F.source)
+
+
+def test_numbered_results_match_the_public_route():
+    for S in _rows_results():
+        _assert_routes_agree(S)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(named_dd_structures(), dd_structures(), d_structures(), complexes()),
+    st.randoms(use_true_random=False),
+)
+def test_numbered_results_match_the_public_route_on_random_structures(S, rng):
+    _assert_routes_agree(S)
+    _assert_routes_agree(reduce(S))
+    _assert_routes_agree(reduce(S, rng))
+    internal = type(S)._from_rows(S.names, S.codes, S.steps, S.side)
+    assert internal == S and to_json(internal) == to_json(S)
+
+
+@PROPERTY_SETTINGS
+@given(named_dd_structures(), named_dd_structures(), st.data())
+def test_numbered_morphisms_match_the_public_route_on_random_structures(M, N, data):
+    F, G = _morphism(data, M, N), _morphism(data, N, M)
+    for h in (d_of_morphism(F), compose(G, F), compose(F, G), identity_morphism(M)):
+        _assert_routes_agree(h)
+
+
+def _message(build):
+    with pytest.raises(ValueError) as error:
+        build()
+    return str(error.value)
+
+
+RS2, R2 = _LABELS.index(("r2", "s2")), _LABELS.index(("r2",))
+HOPF_EMPTY = two_generator_dd(())
+INTERNAL_AND_PUBLIC = {
+    "duplicate name": (
+        lambda: DDStructure._from_rows(("a", "a"), (3, 3), [[], []]),
+        lambda: DDStructure((DDGenerator("a", 1, 1), DDGenerator("a", 1, 1)), frozenset()),
+    ),
+    "non-string name": (
+        lambda: DStructure._from_rows((1,), (1,), [[]], "left"),
+        lambda: DStructure("left", (DGenerator(1, 1),), frozenset()),
+    ),
+    "bad DD code": (
+        lambda: DDStructure._from_rows(("a", "b"), (7, 3), [[], []]),
+        lambda: DDStructure((DDGenerator("b", 1, 1), DDGenerator("a", 3, 1)), frozenset()),
+    ),
+    "bad D code": (
+        lambda: DStructure._from_rows(("p",), (0,), [[]], "left"),
+        lambda: DStructure("left", (DGenerator("p", 0),), frozenset()),
+    ),
+    "unknown side": (
+        lambda: DStructure._from_rows(("a",), (1,), [[]], "up"),
+        lambda: DStructure("up", (DGenerator("a", 1),), frozenset()),
+    ),
+    "incoherent row": (
+        lambda: DDStructure._from_rows(("ab", "x1y1"), (3, 6), [[(RS2, 1)], []]),
+        lambda: two_generator_dd({("ab", "r2", "s2", "x1y1")}),
+    ),
+    "incoherent D row": (
+        lambda: DStructure._from_rows(("a", "b"), (1, 2), [[(R2, 1)], []], "left"),
+        lambda: DStructure("left", (DGenerator("a", 1), DGenerator("b", 2)), {("a", "r2", "b")}),
+    ),
+    "incoherent morphism row": (
+        lambda: DDMorphism._from_rows(HOPF_EMPTY, HOPF_EMPTY, [[(RS2, 1)], []]),
+        lambda: DDMorphism(HOPF_EMPTY, HOPF_EMPTY, {("ab", "r2", "s2", "x1y1")}),
+    ),
+}
+
+
+@pytest.mark.parametrize("internal, public", INTERNAL_AND_PUBLIC.values(), ids=INTERNAL_AND_PUBLIC)
+def test_internal_constructor_raises_the_public_messages(internal, public):
+    assert _message(internal) == _message(public)
+
+
+def test_numbered_results_derive_generators_and_arrows_on_first_read():
+    S = build_cfdd_full(3)
+    D = box_right(build_cfa_framed(2), S)
+    results = (S, D, box_left(build_cfa_framed(3), D), reduce(S), reduce(D))
+    for R in results:
+        assert "generators" not in vars(R) and "arrows" not in vars(R)
+        assert R.generators and R.arrows
+        assert "generators" in vars(R) and "arrows" in vars(R)
+
+
+def test_structures_are_immutable():
+    S = build_cfdd_full(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        S.names = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del S.steps
+    assert repr(two_generator_dd(())) == (
+        "DDStructure(generators=(DDGenerator(name='ab', left=1, right=1),"
+        " DDGenerator(name='x1y1', left=2, right=2)), arrows=frozenset())"
+    )
