@@ -22,7 +22,10 @@ from .algebra import (
     side_of,
 )
 from .structures import (
+    _BARE,
     _DD_CODE,
+    _DD_ID,
+    _D_ID,
     _LABELS,
     AGenerator,
     AModule,
@@ -35,14 +38,10 @@ from .structures import (
 
 SCHEMA_VERSION = 1
 
-# side -> {idempotent index -> token}, and its inverse
+# side -> {idempotent index -> token}
 _IDEM = {side: {k: idem_token(side, k) for k in (1, 2)} for side in SIDES}
-_INDEX = {side: {t: k for k, t in tokens.items()} for side, tokens in _IDEM.items()}
 # DD idempotent code -> (left token, right token)
 _DD_TOKENS = {c: (_IDEM["left"][a], _IDEM["right"][b]) for (a, b), c in _DD_CODE.items()}
-_TOKENS = frozenset(basis_tokens("left") + basis_tokens("right"))
-_DD_GENERATOR = {"name", "left", "right"}
-_DD_ARROW = {"source", "left", "right", "target"}
 
 
 def _require_fields(obj: dict, fields: set, where: str):
@@ -164,69 +163,138 @@ def to_json(S) -> str:
     return _document("complex", (), arrows=arrows, generators=_block([f"    {name}" for name in q]))
 
 
+# kind -> (structure class, generator class, generator idempotent fields,
+# arrow label fields); a complex's generators are bare names
+_NUMBERED = {
+    "DD": (DDStructure, DDGenerator, ("left", "right"), ("left", "right")),
+    "D": (DStructure, DGenerator, ("idem",), ("label",)),
+    "complex": (ChainComplexF2, None, (), ()),
+}
+# kind -> (the sides a document may carry, the message if it carries others)
+_SIDES = {
+    "DD": ([["left", "right"]], "DD structures carry sides ['left', 'right']"),
+    "D": ([["left"], ["right"]], "D structures carry one side"),
+    "complex": ([[]], "complexes carry no algebra labels"),
+}
+# side -> {token: label id}; sides -> {idempotent token: code}, nested left
+# then right for DD
+_D_IDS = {side: {t: _D_ID[t] for t in basis_tokens(side)} for side in SIDES}
+_CODES = {(side,): {token: k for k, token in _IDEM[side].items()} for side in SIDES}
+_CODES[SIDES] = {
+    _IDEM["left"][a]: {_IDEM["right"][b]: _DD_CODE[a, b] for b in (1, 2)} for a in (1, 2)
+}
+
+
+def _rows(doc, kind, sides):
+    """(names, codes, rows) of a DD, D or complex document: the sorted
+    generator names, their idempotent codes, and per source number the
+    sorted (label id, target number) of its arrow objects, each filed
+    straight into its row.  None at the first object that is not exactly
+    its fields with string names and known tokens and endpoints; the
+    named route then finds the message.  An object with the right number
+    of fields and every field read has exactly the right fields."""
+    gens = _array(doc, "generators")
+    fields = _NUMBERED[kind][2]
+    try:
+        if kind == "complex":
+            if not all(type(g) is str for g in gens):
+                return None
+            named = [(g, 0) for g in gens]
+        else:
+            named = []
+            for g in gens:
+                if type(g) is not dict or len(g) != 1 + len(fields) or type(g["name"]) is not str:
+                    return None
+                code = _CODES[sides]
+                for field in fields:
+                    code = code[g[field]]
+                named.append((g["name"], code))
+        named.sort()
+        names = tuple(name for name, _ in named)
+        index = {name: k for k, name in enumerate(names)}
+        rows = [[] for _ in names]
+        arrows = _array(doc, "arrows")
+        if kind == "DD":
+            for a in arrows:
+                if type(a) is not dict or len(a) != 4:
+                    return None
+                step = _DD_ID[a["left"]][a["right"]], index[a["target"]]
+                rows[index[a["source"]]].append(step)
+        elif kind == "D":
+            ids = _D_IDS[sides[0]]
+            for a in arrows:
+                if type(a) is not dict or len(a) != 3:
+                    return None
+                rows[index[a["source"]]].append((ids[a["label"]], index[a["target"]]))
+        else:
+            for a in arrows:
+                if type(a) is not dict or len(a) != 2:
+                    return None
+                rows[index[a["source"]]].append((_BARE, index[a["target"]]))
+    except (KeyError, TypeError):  # a missing field, or an unknown or unhashable value
+        return None
+    for row in rows:
+        row.sort()
+    return names, tuple(code for _, code in named), rows
+
+
+def _from_view(cls, names, codes, rows, side):
+    """The structure of class cls on the view, checked by the internal
+    constructor; then a ValueError naming any arrow listed twice, since
+    an arrow repeated in a sum over F2 cancels and none is printed so."""
+    S = cls._from_rows(names, codes, rows, side)
+    for x, row in enumerate(rows):
+        if len(set(row)) < len(row):
+            a, t = next(step for step, following in zip(row, row[1:]) if step == following)
+            raise ValueError(f"arrow listed twice: {(names[x], *_LABELS[a], names[t])}")
+    return S
+
+
+def _named(doc, kind, sides):
+    """(constructor, arguments) of the document through the public
+    constructor, every object checked field by field, in order."""
+    cls, gen_cls, idem_fields, label_fields = _NUMBERED[kind]
+    gens = []
+    for g in _array(doc, "generators"):
+        if gen_cls is None:
+            gens.append(_name(g, "generator"))
+            continue
+        _require_fields(g, {"name", *idem_fields}, "generator")
+        name = _name(g["name"], "generator")
+        gens.append(gen_cls(name, *[_idem(s, g[f]) for s, f in zip(sides, idem_fields)]))
+    arrows = set()
+    for a in _array(doc, "arrows"):
+        _require_fields(a, {"source", "target", *label_fields}, "arrow")
+        src, tgt = _name(a["source"], "arrow"), _name(a["target"], "arrow")
+        arrows.add((src, *[check_token(a[f]) for f in label_fields], tgt))
+    side = sides[:1] if kind == "D" else ()
+    return cls, (*side, tuple(gens), frozenset(arrows))
+
+
 def _parse(doc):
     """(constructor, arguments) of the structure the parsed document doc
-    describes, every field checked; the constructor checks the rest."""
+    describes, every field checked; the constructor checks the rest.  A
+    DD, D or complex document is read straight into its numbered view;
+    one that does not read cleanly is read again by name, so each fault
+    gets the public constructor's message."""
     if not isinstance(doc, dict):
         raise ValueError("top level: expected an object")
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
     kind = doc.get("kind")
-    if kind == "DD":
+    if kind in ("DD", "D", "complex"):
         _require_fields(
-            doc, {"schema_version", "kind", "sides", "generators", "arrows"}, "DD"
+            doc, {"schema_version", "kind", "sides", "generators", "arrows"}, kind
         )
-        if doc["sides"] != ["left", "right"]:
-            raise ValueError("DD structures carry sides ['left', 'right']")
-        # Each object whose fields are exactly right and all strings, with
-        # known tokens, is read directly; anything else goes through the
-        # field-by-field checks that name what is wrong.
-        left, right = _INDEX["left"], _INDEX["right"]
-        gens = []
-        for g in _array(doc, "generators"):
-            if type(g) is dict and g.keys() == _DD_GENERATOR:
-                name, l, r = g["name"], g["left"], g["right"]
-                if type(name) is type(l) is type(r) is str and l in left and r in right:
-                    gens.append(DDGenerator(name, left[l], right[r]))
-                    continue
-            _require_fields(g, _DD_GENERATOR, "generator")
-            gens.append(
-                DDGenerator(
-                    _name(g["name"], "generator"),
-                    _idem("left", g["left"]),
-                    _idem("right", g["right"]),
-                )
-            )
-        arrows = set()
-        add = arrows.add
-        for a in _array(doc, "arrows"):
-            if type(a) is dict and a.keys() == _DD_ARROW:
-                s, l, r, t = a["source"], a["left"], a["right"], a["target"]
-                if type(s) is type(l) is type(r) is type(t) is str and l in _TOKENS and r in _TOKENS:
-                    add((s, l, r, t))
-                    continue
-            _require_fields(a, _DD_ARROW, "arrow")
-            src, tgt = _name(a["source"], "arrow"), _name(a["target"], "arrow")
-            add((src, check_token(a["left"]), check_token(a["right"]), tgt))
-        return DDStructure, (tuple(gens), frozenset(arrows))
-    if kind == "D":
-        _require_fields(
-            doc, {"schema_version", "kind", "sides", "generators", "arrows"}, "D"
-        )
-        if doc["sides"] not in (["left"], ["right"]):
-            raise ValueError("D structures carry one side")
-        side = doc["sides"][0]
-        gens = []
-        for g in _array(doc, "generators"):
-            _require_fields(g, {"name", "idem"}, "generator")
-            gens.append(DGenerator(_name(g["name"], "generator"), _idem(side, g["idem"])))
-        arrows = set()
-        for a in _array(doc, "arrows"):
-            _require_fields(a, {"source", "label", "target"}, "arrow")
-            src, tgt = _name(a["source"], "arrow"), _name(a["target"], "arrow")
-            arrows.add((src, check_token(a["label"]), tgt))
-        return DStructure, (side, tuple(gens), frozenset(arrows))
+        allowed, message = _SIDES[kind]
+        if doc["sides"] not in allowed:
+            raise ValueError(message)
+        sides = tuple(doc["sides"])
+        view = _rows(doc, kind, sides)
+        if view is None:
+            return _named(doc, kind, sides)
+        return _from_view, (_NUMBERED[kind][0], *view, sides[0] if kind == "D" else None)
     if kind == "A":
         _require_fields(
             doc,
@@ -250,18 +318,6 @@ def _parse(doc):
                     raise ValueError(f"unknown chord interval {c!r}")
             ops.add((_name(o["source"], "operation"), seq, _name(o["target"], "operation")))
         return AModule, (tuple(gens), frozenset(ops), doc["capped_arity"])
-    if kind == "complex":
-        _require_fields(
-            doc, {"schema_version", "kind", "sides", "generators", "arrows"}, "complex"
-        )
-        if doc["sides"] != []:
-            raise ValueError("complexes carry no algebra labels")
-        gens = tuple(_name(g, "generator") for g in _array(doc, "generators"))
-        arrows = set()
-        for a in _array(doc, "arrows"):
-            _require_fields(a, {"source", "target"}, "arrow")
-            arrows.add((_name(a["source"], "arrow"), _name(a["target"], "arrow")))
-        return ChainComplexF2, (gens, frozenset(arrows))
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -271,5 +327,5 @@ def from_json(text: str):
     except RecursionError:
         raise ValueError("document nested too deeply") from None
     make, args = _parse(doc)
-    del doc  # the structure builds its view without the document alive
+    del doc  # the structure is built and checked without the document alive
     return make(*args)

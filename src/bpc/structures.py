@@ -15,9 +15,11 @@ and a D structure's ``side``; a DD morphism stores source, target and
 steps.  ``generators``, ``arrows``, ``idems`` and ``index`` are derived
 on first read.  One internal constructor takes that view and checks it:
 distinct string names, valid codes, and every arrow x ->(t) y carrying
-tokens whose forced idempotents agree with those of x and y.  The public
-constructors resolve named generators and arrows into it; ``reduce``,
-the box products and the morphism calculus hand over rows.  The
+tokens whose forced idempotents agree with those of x and y.  Every
+internal producer hands it rows: the torus-link builders, the JSON
+parser, ``reduce``, the box products and the morphism calculus.  Only
+the public constructors, which take named generators and arrows by
+design, resolve names into rows (``_resolve``).  The
 structure equation of a type-DD structure with both algebra
 differentials zero says that for every generator pair (x, z) the mod-2
 sum over two-step paths x -> y -> z of the label products (one table

@@ -59,6 +59,31 @@ def test_check_rejects_corrupted_structure(capsys, tmp_path):
     assert "r23*s23" in stdout  # the surviving product names the missing piece
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda arrows: arrows.insert(1, dict(arrows[0])),
+            "arrow listed twice: ('a_y2', 'r1', 'j2', 'x1y1')",
+        ),
+        (
+            lambda arrows: arrows[0].update(target="nowhere"),
+            "arrow endpoint missing: ('a_y2', 'r1', 'j2', 'nowhere')",
+        ),
+    ],
+    ids=["repeated arrow", "unknown endpoint"],
+)
+def test_check_rejects_malformed_arrows(capsys, tmp_path, edit, message):
+    out = tmp_path / "s.json"
+    run(capsys, "gen", "--n", "2", "--out", str(out))
+    doc = json.loads(out.read_text())
+    edit(doc["arrows"])
+    out.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "check", "--in", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {out}: {message}\n"
+
+
 def test_equiv(capsys):
     assert run(capsys, "equiv", "--n", "3")[0] == 0
     assert run(capsys, "equiv", "--n", "2")[0] == 2

@@ -160,6 +160,50 @@ def test_malformed_dd_objects_give_exact_messages(gens, arrows, message):
     assert str(err.value) == message
 
 
+# a structure of each numbered kind and the message naming its first
+# arrow listed twice
+REPEATS = [
+    (build_cfdd_full(1), "arrow listed twice: ('ab', 'r1', 's3', 'x1y1')"),
+    (
+        DStructure("right", (DGenerator("x", 1), DGenerator("y", 2)), {("x", "s1", "y")}),
+        "arrow listed twice: ('x', 's1', 'y')",
+    ),
+    (ChainComplexF2(("a", "b", "c"), frozenset({("a", "b")})), "arrow listed twice: ('a', 'b')"),
+]
+
+
+@pytest.mark.parametrize("S, message", REPEATS, ids=["DD", "D", "complex"])
+def test_arrow_listed_twice_is_rejected(S, message):
+    """Over F2 a repeated arrow cancels, and to_json never prints one, so
+    the parser names it instead of reading the two as one."""
+    doc = json.loads(to_json(S))
+    assert from_json(json.dumps(doc)) == S
+    doc["arrows"].append(dict(doc["arrows"][0]))
+    with pytest.raises(ValueError) as err:
+        from_json(json.dumps(doc))
+    assert str(err.value) == message
+
+
+def test_arrow_listed_twice_keeps_the_older_messages_first():
+    """A document with a repeated arrow and another fault gets the other
+    fault's message, as before repeats were rejected."""
+    doc = json.loads(to_json(build_cfdd_full(1)))
+    doc["arrows"].append(dict(doc["arrows"][0]))
+    doc["generators"].append(dict(doc["generators"][0]))
+    with pytest.raises(ValueError, match="duplicate generator name 'ab'"):
+        from_json(json.dumps(doc))
+    doc = json.loads(to_json(build_cfdd_full(1)))
+    doc["arrows"] += [dict(doc["arrows"][0]), dict(doc["arrows"][0], target="zz")]
+    with pytest.raises(ValueError) as err:
+        from_json(json.dumps(doc))
+    assert str(err.value) == "arrow endpoint missing: ('ab', 'r1', 's3', 'zz')"
+
+
+def test_public_constructors_keep_set_semantics():
+    arrows = [("a", "b"), ("a", "b")]
+    assert ChainComplexF2(("a", "b"), arrows) == ChainComplexF2(("a", "b"), arrows[:1])
+
+
 # (field, a non-integer JSON value that equals an accepted integer, message)
 INTEGER_FIELDS = [
     ("schema_version", True, "unsupported schema_version True"),

@@ -1,5 +1,10 @@
+import hashlib
+import json
+import pathlib
+
 import pytest
 
+from bpc.serialize import to_json
 from bpc.structures import check_dd
 from bpc.torus_link import (
     TorusLinkGenerator,
@@ -144,3 +149,49 @@ def test_equivalence_spec_values():
 def test_equivalence_rejects_small_n():
     with pytest.raises(ValueError):
         build_equivalence(2)
+
+
+# sha256 digests recorded before the builders filled numbered rows
+# directly: to_json of each build, and for build_equivalence the sorted
+# arrows of F, G and H as a JSON array
+BUILDER_DIGESTS = json.loads(
+    pathlib.Path(__file__).with_name("builder_digests.json").read_text(encoding="utf-8")
+)
+
+
+def _morphism_arrows(n, k):
+    return json.dumps(sorted(build_equivalence(n)[k].arrows))
+
+
+BUILDER_OUTPUTS = {
+    **{f"build_cfdd_full({n})": lambda n=n: to_json(build_cfdd_full(n)) for n in (12, 16, 24, 32)},
+    "build_cfdd_full(12, include_charged=True)": lambda: to_json(
+        build_cfdd_full(12, include_charged=True)
+    ),
+    **{f"build_cfdd_simplified({n})": lambda n=n: to_json(build_cfdd_simplified(n)) for n in (12, 32)},
+    **{
+        f"build_equivalence({n}) {name}": lambda n=n, k=k: _morphism_arrows(n, k)
+        for n in (3, 8, 16)
+        for k, name in enumerate("FGH")
+    },
+}
+
+
+def test_builder_digests_are_all_recorded():
+    assert list(BUILDER_OUTPUTS) == list(BUILDER_DIGESTS)
+
+
+@pytest.mark.parametrize("case", BUILDER_OUTPUTS)
+def test_builder_output_bytes(case):
+    text = BUILDER_OUTPUTS[case]()
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILDER_DIGESTS[case]
+
+
+def test_families_are_disjoint():
+    """The build files every family's arrows into rows without a set, so
+    the per-family counts of the log must add up to the arrow count."""
+    for n in range(1, 41):
+        counts = [int(line.split("; ")[1].split()[0]) for line in full_build_log(n)[1:]]
+        S = build_cfdd_full(n)
+        assert len(counts) == 14
+        assert sum(counts) == sum(map(len, S.steps)) == len(S.arrows)
