@@ -17,10 +17,10 @@ def parse_slope(text: str):
     """CLI slope syntax: 'inf' or a positive decimal integer."""
     if text == INFINITY:
         return INFINITY
-    try:
-        m = int(text)
-    except ValueError:
+    # int() alone would also take signs, spaces, underscores and non-ASCII digits
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"bad slope {text!r}: expected 'inf' or a positive integer")
+    m = int(text)
     if m < 1:
         raise ValueError(f"bad slope {text!r}: framings must be >= 1")
     return m

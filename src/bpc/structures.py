@@ -731,12 +731,20 @@ def _kind(S):
 _DIGITS = re.compile(r"(\d+)")
 
 
-def _natural_key(name):
-    """Name sort key comparing embedded integers numerically: the split
-    puts text at even positions and decimal runs at odd ones."""
-    parts = _DIGITS.split(name)
-    parts[1::2] = map(int, parts[1::2])
-    return tuple(parts)
+def _index_halves(names):
+    """(hi, lo): hi[s] = (rank s * n^2 + s) * n and lo[t] = rank t * n^2 + t,
+    so hi[s] + lo[t] orders as (rank s, rank t, s, t), rank being the dense
+    rank of the natural key (decimal runs, read as ints, at odd positions)."""
+    n = len(names)
+    keys = list(map(_DIGITS.split, names))
+    for parts in keys:
+        parts[1::2] = map(int, parts[1::2])
+    lo, rank, prev = [0] * n, -1, None
+    for g in sorted(range(n), key=keys.__getitem__):
+        if keys[g] != prev:
+            rank, prev = rank + 1, keys[g]
+        lo[g] = rank * n * n + g
+    return [v * n for v in lo], lo
 
 
 def reduce(S, rng: random.Random | None = None):
@@ -754,62 +762,58 @@ def reduce(S, rng: random.Random | None = None):
 
     Arrows live in per-generator adjacency sets over generator numbers
     and label ids, and the non-loop unit arrows in one sorted index of
-    ints that order as (natural key of x, of y, x, y), so cancelling
-    x -> y costs one toggle per arrow at x or y plus in(y) * out(x)
-    fill-in toggles, each a set update and, for a unit arrow, a bisect
-    into the index; nothing rescans or re-sorts the whole arrow set.
+    ints ordered as (natural key of x, of y, x, y).  Cancelling x -> y
+    unlinks each arrow at x or y from its other end's set and the index,
+    then makes in(y) * out(x) fill-in toggles, each a set update and,
+    for a unit arrow, a bisect into the index; nothing rescans or
+    re-sorts the whole arrow set.
     """
     _kind(S)
     names, steps = S.names, S.steps
     n = len(names)
-    # dense ranks of the natural keys, equal keys sharing one; generator
-    # numbers already run in name order
-    keys = [_natural_key(g) for g in names]
-    rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
-    rank = [rank_of[key] for key in keys]
+    hi, lo = _index_halves(names)
     unit, mul = _IS_UNIT, _MUL
-
-    def indexed(s, t):
-        return ((rank[s] * n + rank[t]) * n + s) * n + t
-
     out = [set(row) for row in steps]  # g -> {(label, target)}
     into = [set() for _ in range(n)]  # g -> {(source, label)}
     for s, row in enumerate(steps):
         for a, t in row:
             into[t].add((s, a))
     units = sorted(
-        indexed(s, t) for s, row in enumerate(steps) for a, t in row if s != t and unit[a]
+        hi[s] + lo[t] for s, row in enumerate(steps) for a, t in row if s != t and unit[a]
     )
-
-    def toggle(s, a, t):
-        step = (a, t)
-        if step in out[s]:
-            out[s].discard(step)
-            into[t].discard((s, a))
-            if s != t and unit[a]:
-                del units[bisect.bisect_left(units, indexed(s, t))]
-        else:
-            out[s].add(step)
-            into[t].add((s, a))
-            if s != t and unit[a]:
-                bisect.insort(units, indexed(s, t))
-
     while units:
         key = units[-1] if rng is None else units[rng.randrange(len(units))]
         x, y = key // n % n, key % n
         ins = [(w, a) for w, a in into[y] if w != x and w != y]
         outs = [(a, z) for a, z in out[x] if z != x and z != y]
-        detached = {(g, a, t) for g in (x, y) for a, t in out[g]}
-        detached.update((s, a, g) for g in (x, y) for s, a in into[g])
-        for arrow in detached:
-            toggle(*arrow)
+        for g in (x, y):
+            for a, t in out[g]:
+                if t != x and t != y:
+                    into[t].remove((g, a))
+                if unit[a] and t != g:
+                    del units[bisect.bisect_left(units, hi[g] + lo[t])]
+            for s, a in into[g]:
+                if s != x and s != y:
+                    out[s].remove((a, g))
+                    if unit[a]:
+                        del units[bisect.bisect_left(units, hi[s] + lo[g])]
         out[x] = out[y] = into[x] = into[y] = None
         for w, l1 in ins:
-            row = mul[l1]
+            row, ow, hw = mul[l1], out[w], hi[w]
             for l2, z in outs:
                 p = row[l2]
-                if p is not None:
-                    toggle(w, p, z)
+                if p is None:
+                    continue
+                if (p, z) in ow:
+                    ow.remove((p, z))
+                    into[z].remove((w, p))
+                    if unit[p] and w != z:
+                        del units[bisect.bisect_left(units, hw + lo[z])]
+                else:
+                    ow.add((p, z))
+                    into[z].add((w, p))
+                    if unit[p] and w != z:
+                        bisect.insort(units, hw + lo[z])
     alive = [g for g in range(n) if out[g] is not None]
     number = {g: k for k, g in enumerate(alive)}  # survivors keep their name order
     rows = [sorted([(a, number[t]) for a, t in out[g]]) for g in alive]

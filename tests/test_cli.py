@@ -117,6 +117,16 @@ def test_pair_usage_errors(capsys):
     assert run(capsys, "pair", "--n", "0", "--right", "2")[0] == 2
 
 
+@pytest.mark.parametrize("side", ["--left", "--right"])
+@pytest.mark.parametrize("slope", ["1_0", " 2", "+3", "\u0663"])
+def test_pair_rejects_slopes_only_int_accepts(capsys, side, slope):
+    argv = ["pair", "--n", "2", "--left", "2", "--right", "3"]
+    argv[argv.index(side) + 1] = slope
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: bad slope {slope!r}: expected 'inf' or a positive integer\n"
+
+
 def test_pair_cap_from_environment(capsys, monkeypatch):
     # BPC_CAP is not read: pair prints the same bytes whatever it holds
     expected = run(capsys, "pair", "--n", "2", "--right", "2")

@@ -79,6 +79,14 @@ def test_parse_slope():
             parse_slope(bad)
 
 
+@pytest.mark.parametrize("text", ["1_0", " 2", "2 ", "+3", "\u0663", "3\u0663", "Inf", "\u00b2"])
+def test_parse_slope_takes_only_ascii_digits(text):
+    # int() accepts all but the last two of these
+    with pytest.raises(ValueError) as info:
+        parse_slope(text)
+    assert str(info.value) == f"bad slope {text!r}: expected 'inf' or a positive integer"
+
+
 def test_build_cfa_dispatch():
     assert build_cfa(INFINITY).capped_arity == 18  # default family cap 16
     assert build_cfa(4).capped_arity is None

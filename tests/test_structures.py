@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -40,7 +41,7 @@ from bpc.structures import (
     reduce,
     verify_homotopy,
 )
-from bpc.structures import _KINDS, _LABELS, _natural_key
+from bpc.structures import _KINDS, _LABELS
 from bpc.torus_link import build_cfdd_full, build_cfdd_simplified, build_equivalence
 
 
@@ -384,6 +385,13 @@ def _view(S):
     return _KINDS[type(S)], S.idems, arrows, _label_product, unit
 
 
+def _natural_key(name):
+    """Embedded decimal runs compared as integers."""
+    parts = re.split(r"(\d+)", name)
+    parts[1::2] = map(int, parts[1::2])
+    return tuple(parts)
+
+
 def _reduce_reference(S, rng=None):
     """The rescanning cancellation loop reduce replaced, kept as its oracle:
     every step re-sorts all unit arrows and rebuilds the arrow set."""
@@ -392,7 +400,7 @@ def _reduce_reference(S, rng=None):
     while True:
         units = sorted(
             ((s, t) for s, label, t in arrows if unit(label) and s != t),
-            key=lambda a: (_natural_key(a[0]), _natural_key(a[1])),
+            key=lambda a: (_natural_key(a[0]), _natural_key(a[1]), *a),
         )
         if not units:
             break
@@ -421,6 +429,37 @@ def _rebuilt(S, names, arrows):
     return DStructure(S.side, gens, arrows) if isinstance(S, DStructure) else type(S)(gens, arrows)
 
 
+# names whose natural keys tie (a01/a1, a3/a\u0663), digit runs of several
+# lengths and a non-ASCII decimal digit
+_TIED_NAMES = ("a01", "a1", "a3", "a\u0663", "a9", "a10", "a100", "b", "b2x9", "b2x10", "x01y1")
+
+
+def _random_structure(kind, rng):
+    """A random DD, D or complex structure on 8 of _TIED_NAMES with
+    random idempotents, its arrows a random set of the coherent ones,
+    unit self-loops and parallel labels included."""
+    names = rng.sample(_TIED_NAMES, 8)
+    if kind == "complex":
+        arrows = {(s, t) for s in names for t in names if rng.random() < 0.2}
+        return ChainComplexF2(tuple(names), frozenset(arrows))
+    sides = ("left", "right") if kind == "DD" else ("left",)
+    idems = {name: tuple(rng.choice((1, 2)) for _ in sides) for name in names}
+    tokens = [basis_tokens(side) for side in sides]
+    arrows = set()
+    for s in names:
+        for t in names:
+            labels = [()]
+            for ends, side_tokens in zip(zip(idems[s], idems[t]), tokens):
+                fits = [k for k in side_tokens if (token_left_idem(k), token_right_idem(k)) == ends]
+                labels = [(*label, k) for label in labels for k in fits]
+            arrows.update((s, *label, t) for label in labels if rng.random() < 0.2)
+    if kind == "DD":
+        gens = tuple(DDGenerator(name, *idems[name]) for name in names)
+        return DDStructure(gens, frozenset(arrows))
+    gens = tuple(DGenerator(name, *idems[name]) for name in names)
+    return DStructure("left", gens, frozenset(arrows))
+
+
 def _reduce_inputs():
     for n in range(1, 9):
         S = build_cfdd_full(n)
@@ -428,6 +467,10 @@ def _reduce_inputs():
         yield f"DD-n{n}", S
         yield f"D-n{n}", D
         yield f"complex-n{n}", box_left(build_cfa_framed(2), D)
+    rng = random.Random(12)
+    for k in range(6):
+        for kind in ("DD", "D", "complex"):
+            yield f"random-{kind}-{k}", _random_structure(kind, rng)
 
 
 REDUCE_INPUTS = dict(_reduce_inputs())
@@ -452,11 +495,13 @@ def test_reduce_breaks_natural_key_ties_by_name():
     assert reduce(C).generators == ()
 
 
-def test_reduce_full_model_n48():
-    red = reduce(build_cfdd_full(48))
+@pytest.mark.parametrize("n", [48, 96])
+def test_reduce_full_model(n):
+    # at n=96 the 18,432 generators put the index keys near 2**57
+    red = reduce(build_cfdd_full(n))
     assert check_dd(red).ok
-    assert len(red.generators) == 4 * 48 - 2 == 190
-    assert len(red.arrows) == len(build_cfdd_simplified(48).arrows)
+    assert len(red.generators) == 4 * n - 2
+    assert len(red.arrows) == len(build_cfdd_simplified(n).arrows)
 
 
 def test_isomorphic_reflexive_and_symmetric():
