@@ -31,11 +31,9 @@ from .structures import (
     verify_homotopy,
 )
 from .torus_link import (
-    TorusLinkGenerator,
     build_cfdd_full,
     build_cfdd_simplified,
     build_equivalence,
-    enumerate_generators,
     full_build_log,
 )
 

@@ -137,10 +137,6 @@ def idem_index(token: str) -> int:
     return _lookup(_IDEM_INDEX, token, "not an idempotent token:")
 
 
-def chord_interval(token: str) -> str:
-    return _lookup(_CHORD_INTERVAL, token, "not a chord token:")
-
-
 def token_left_idem(token: str) -> int:
     return _lookup(_LEFT_IDEM, token, "unknown algebra token")
 

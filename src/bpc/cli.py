@@ -18,6 +18,20 @@ class UsageError(Exception):
     pass
 
 
+def _integer(option: str, signed: bool = False):
+    """The argparse type of option: ASCII digits, after one '-' if signed,
+    read by the rule of ``solid_torus.parse_slope``.  Its UsageError is
+    not one of the errors argparse reports itself, so it reaches main."""
+
+    def parse(text):
+        if not solid_torus._decimal(text[1:] if signed and text[:1] == "-" else text):
+            sign = " after an optional '-'" if signed else ""
+            raise UsageError(f"{option} takes ASCII digits{sign}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
 def _write(path, text):
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -119,8 +133,6 @@ def cmd_pair(args):
 
 
 def cmd_reduce(args):
-    if args.check_orders < 0:
-        raise UsageError(f"--check-orders must be at least 0, got {args.check_orders}")
     S = _load_structure(args.infile)
     reduced = structures.reduce(S)
     if args.check_orders:
@@ -162,11 +174,13 @@ def build_parser():
         prog="bpc",
         description="Exact bordered bimodule calculus for (2,2n) torus-link complements.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    parser.add_argument(
+        "--seed", type=_integer("--seed", signed=True), default=0, help="seed for randomized checks"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="build a type-DD structure")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer("--n"), required=True)
     p.add_argument("--form", choices=("full", "simplified"), default="full")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
@@ -176,11 +190,11 @@ def build_parser():
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("equiv", help="verify the homotopy equivalence data")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer("--n"), required=True)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("pair", help="box tensor with solid tori")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer("--n"), required=True)
     p.add_argument("--left", default=None, help="slope glued on the left: inf or m >= 1")
     p.add_argument("--right", default=None, help="slope glued on the right: inf or m >= 1")
     p.add_argument("--reduce", action="store_true")
@@ -192,7 +206,7 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.add_argument(
         "--check-orders",
-        type=int,
+        type=_integer("--check-orders"),
         default=0,
         metavar="K",
         help=(
@@ -208,15 +222,14 @@ def build_parser():
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("domains", help="periodic domains of the diagram")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer("--n"), required=True)
     p.set_defaults(func=cmd_domains)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

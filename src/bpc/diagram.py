@@ -45,9 +45,6 @@ class RegionVector:
             raise ValueError(f"unknown regions: {sorted(unknown)}")
         return cls(n, tuple(coeffs.get(name, 0) for name in names))
 
-    def coeff(self, region: str) -> int:
-        return self.coeffs[region_names(self.n).index(region)]
-
     def items(self):
         return tuple(zip(region_names(self.n), self.coeffs))
 

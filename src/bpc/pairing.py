@@ -11,7 +11,9 @@ module generator passes through unchanged, while a path of chord labels
 is matched against a single operation of the module table, the residual
 labels multiplying up along the way.  Strict unitality: a path of
 length >= 2 containing an idempotent consumed-side label contributes
-nothing.  Finiteness comes from pruning on zero residual products and
+nothing.  Both products run this one walk (``_walk``); a box_right
+residual is a left label (l,), starting from the left unit, and a
+box_left residual is the empty label.  Finiteness comes from pruning on zero residual products and
 on sequences that leave the table's prefix tree, so no path is longer
 than the module's longest operation; a path cap below that is rejected.
 """
@@ -19,11 +21,14 @@ than the module's longest operation; a path cap below that is rejected.
 import math
 from dataclasses import dataclass
 
-from .algebra import _CHORD_INTERVAL, _PRODUCT, idem_token
+from .algebra import _CHORD_INTERVAL
 from .structures import (
     _BARE,
-    _D_ID,
+    _LABEL_ID,
     _LABELS,
+    _MUL,
+    _NLABELS,
+    _UNIT,
     AModule,
     ChainComplexF2,
     DStructure,
@@ -31,14 +36,12 @@ from .structures import (
 )
 
 # label id -> (chord interval of its last, consumed-side token, or None
-# for an idempotent; the left token of a DD label (l, r), or None), and
-# None for the empty label
+# for an idempotent; the id of the residual label left without it: (l,)
+# of a DD label (l, r), () of a D label (t,)), and None for the empty label
 _STEP = tuple(
-    (_CHORD_INTERVAL.get(label[-1]), label[0] if len(label) == 2 else None) if label else None
+    (_CHORD_INTERVAL.get(label[-1]), _LABEL_ID[label[:-1]]) if label else None
     for label in _LABELS
 )
-# left idempotent index -> its token, the label product a path starts from
-_LEFT_UNIT = {k: idem_token("left", k) for k in (1, 2)}
 
 DEFAULT_PATH_CAP = 64
 
@@ -115,15 +118,71 @@ def _products(A: AModule, S, idems):
     return found, numbers
 
 
-def _landing(numbers, tgt, nxt, names):
-    """The number of the product generator tgt*nxt, or a ValueError."""
-    out = numbers[tgt][nxt]
-    if out is None:
-        raise ValueError(
-            f"idempotent mismatch in inputs: operation lands on"
-            f" {tgt!r} which does not pair with {names[nxt]!r}"
-        )
-    return out
+def _walk(A: AModule, S, cfg: PairingConfig, where: str, consumed, units):
+    """(found, rows) of A boxed with the DD or D structure S: found as
+    ``_products`` gives it for the consumed-side idempotents consumed[x]
+    of S's generators, and per product generator the sorted (label id,
+    target number) of its arrows, each label the residual product of a
+    path, started from the label units[x] of its first generator x."""
+    _check_cap(cfg, A)
+    trie = _op_trie(A)
+    horizon = math.inf if A.capped_arity is None else A.capped_arity
+    names, steps = S.names, S.steps
+    found, numbers = _products(A, S, consumed)
+    m = len(found)
+    width = _NLABELS * m
+    parity = set()  # packed keys source * width + label * m + target
+    add, remove = parity.add, parity.remove  # each arrow is toggled: a sum mod 2
+    step_of, mul = _STEP, _MUL
+    for source, (name, a, start) in enumerate(found):
+        mine = numbers[a]
+        base = source * width
+        # (residual product so far, chord sequence so far, its trie
+        # children, current generator)
+        stack = [(units[start], (), trie[a], start)]
+        while stack:
+            prod, seq, children, at = stack.pop()
+            row = mul[prod]
+            capped = len(seq) + 1 >= horizon  # one more chord reaches the family cap
+            for label, nxt in steps[at]:
+                chord, rest = step_of[label]
+                if chord is None:
+                    if not seq:
+                        key = base + rest * m + mine[nxt]
+                        if key in parity:
+                            remove(key)
+                        else:
+                            add(key)
+                    continue
+                nprod = row[rest]
+                if nprod is None:
+                    continue
+                if capped:
+                    _guard_path(A, where, name, seq + (chord,))
+                node = children.get(chord)
+                if node is None:
+                    continue
+                nseq, targets, grandchildren = node
+                lid = base + nprod * m
+                for tgt in targets:
+                    t = numbers[tgt][nxt]
+                    if t is None:
+                        raise ValueError(
+                            f"idempotent mismatch in inputs: operation lands on"
+                            f" {tgt!r} which does not pair with {names[nxt]!r}"
+                        )
+                    key = lid + t
+                    if key in parity:
+                        remove(key)
+                    else:
+                        add(key)
+                if grandchildren:
+                    stack.append((nprod, nseq, grandchildren, nxt))
+    rows = [[] for _ in found]
+    for key in sorted(parity):  # in (source, label, target) order
+        x, step = divmod(key, width)
+        rows[x].append(divmod(step, m))  # (label, target)
+    return found, rows
 
 
 def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> DStructure:
@@ -133,55 +192,11 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
         raise ValueError("box_right consumes the right algebra")
     if not isinstance(S, DDStructure):
         raise ValueError(f"box_right needs a DDStructure, got {type(S).__name__}")
-    _check_cap(cfg, A)
-    trie = _op_trie(A)
-    horizon = math.inf if A.capped_arity is None else A.capped_arity
-    names, codes, steps = S.names, S.codes, S.steps
-    # a DD code is 2 * left + right, right in {1, 2}
-    found, numbers = _products(A, S, [2 - c % 2 for c in codes])
-    ids = _D_ID
-    rows = []
-    for name, a, start in found:
-        mine = numbers[a]
-        parity = set()  # (label, target): each arrow is toggled, a sum mod 2
-        add, remove = parity.add, parity.remove
-        # (label product so far, chord sequence so far, its trie children,
-        # current generator)
-        stack = [(_LEFT_UNIT[(codes[start] - 1) // 2], (), trie[a], start)]
-        while stack:
-            prod, seq, children, at = stack.pop()
-            row = _PRODUCT[prod]
-            depth = len(seq) + 1
-            for label, nxt in steps[at]:
-                chord, l = _STEP[label]
-                if chord is None:
-                    if not seq:
-                        key = (ids[l], mine[nxt])
-                        if key in parity:
-                            remove(key)
-                        else:
-                            add(key)
-                    continue
-                nprod = row[l]
-                if nprod is None:
-                    continue
-                if depth >= horizon:
-                    _guard_path(A, "box_right", name, seq + (chord,))
-                node = children.get(chord)
-                if node is None:
-                    continue
-                nseq, targets, grandchildren = node
-                lid = ids[nprod]
-                for tgt in targets:
-                    key = (lid, _landing(numbers, tgt, nxt, names))
-                    if key in parity:
-                        remove(key)
-                    else:
-                        add(key)
-                if grandchildren:
-                    stack.append((nprod, nseq, grandchildren, nxt))
-        rows.append(sorted(parity))
-    left = tuple((codes[x] - 1) // 2 for _, _, x in found)  # the left idempotent of x
+    codes = S.codes  # 2 * left + right, right in {1, 2}
+    # a path starts from the residual of its first generator's unit label (i, j): (i,)
+    units = [_STEP[_UNIT[c]][1] for c in codes]
+    found, rows = _walk(A, S, cfg, "box_right", [2 - c % 2 for c in codes], units)
+    left = tuple((codes[x] - 1) // 2 for _, _, x in found)
     return DStructure._from_rows(tuple(name for name, _, _ in found), left, rows, "left")
 
 
@@ -193,49 +208,7 @@ def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> Cha
     if not isinstance(S, DStructure) or S.side != "left":
         got = f"side {S.side!r}" if isinstance(S, DStructure) else type(S).__name__
         raise ValueError(f"box_left needs a DStructure over the left algebra, got {got}")
-    _check_cap(cfg, A)
-    trie = _op_trie(A)
-    horizon = math.inf if A.capped_arity is None else A.capped_arity
-    names, steps = S.names, S.steps
-    found, numbers = _products(A, S, S.codes)
-    m = len(found)
-    parity = set()  # packed keys source * m + target
-    add, remove = parity.add, parity.remove  # each arrow is toggled: a sum mod 2
-    for source, (name, a, start) in enumerate(found):
-        mine = numbers[a]
-        base = source * m
-        stack = [((), trie[a], start)]
-        while stack:
-            seq, children, at = stack.pop()
-            depth = len(seq) + 1
-            for label, nxt in steps[at]:
-                chord = _STEP[label][0]
-                if chord is None:
-                    if not seq:
-                        key = base + mine[nxt]
-                        if key in parity:
-                            remove(key)
-                        else:
-                            add(key)
-                    continue
-                if depth >= horizon:
-                    _guard_path(A, "box_left", name, seq + (chord,))
-                node = children.get(chord)
-                if node is None:
-                    continue
-                nseq, targets, grandchildren = node
-                for tgt in targets:
-                    key = base + _landing(numbers, tgt, nxt, names)
-                    if key in parity:
-                        remove(key)
-                    else:
-                        add(key)
-                if grandchildren:
-                    stack.append((nseq, grandchildren, nxt))
-    rows = [[] for _ in found]
-    for key in sorted(parity):
-        x, t = divmod(key, m)
-        rows[x].append((_BARE, t))
+    found, rows = _walk(A, S, cfg, "box_left", S.codes, (_BARE,) * len(S.names))
     return ChainComplexF2._from_rows(tuple(name for name, _, _ in found), None, rows)
 
 

@@ -13,12 +13,18 @@ INFINITY = "inf"
 DEFAULT_FAMILY_CAP = 16
 
 
+def _decimal(text: str) -> bool:
+    """Whether text is ASCII decimal digits only, the CLI's rule for every
+    integer: int() alone would also take signs, spaces, underscores and
+    non-ASCII digits."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_slope(text: str):
     """CLI slope syntax: 'inf' or a positive decimal integer."""
     if text == INFINITY:
         return INFINITY
-    # int() alone would also take signs, spaces, underscores and non-ASCII digits
-    if not (text.isascii() and text.isdigit()):
+    if not _decimal(text):
         raise ValueError(f"bad slope {text!r}: expected 'inf' or a positive integer")
     m = int(text)
     if m < 1:

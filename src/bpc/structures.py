@@ -255,12 +255,13 @@ def _coherent(steps, codes, target_codes, ends):
 
 
 def _reject(arrows, sides, src_idems, tgt_idems, missing: str, where: str):
-    """Raise a ValueError naming the first DD arrow (x, l, r, y), D arrow
-    (x, t, y) or complex arrow (x, y) with an end not in src_idems or
-    tgt_idems, or a token off its side or not carrying x's idempotent on
-    that side to y's; a general one if no arrow is named."""
+    """Raise a ValueError naming the least faulty arrow by repr (a set's
+    order varies from run to run, and names need not sort): a DD arrow
+    (x, l, r, y), D arrow (x, t, y) or complex arrow (x, y) with an end
+    not in src_idems or tgt_idems, or a token off its side or not carrying
+    x's idempotent on that side to y's; a general one if none is named."""
     ends = _LABEL_ENDS[sides]
-    for arrow in arrows:
+    for arrow in sorted(arrows, key=repr):
         x, label, y = arrow[0], arrow[1:-1], arrow[-1]
         if ends.get(label) == (src_idems.get(x), tgt_idems.get(y)):
             continue
@@ -457,7 +458,8 @@ class AModule:
         for name, k in occ.items():
             if k not in (1, 2):
                 raise _outside(name, k)
-        for src, seq, tgt in self.operations:
+        # in repr order, so the fault named does not depend on the set's order
+        for src, seq, tgt in sorted(self.operations, key=repr):
             if src not in occ or tgt not in occ:
                 raise ValueError(f"operation endpoint missing: {(src, seq, tgt)}")
             if not seq:

@@ -11,77 +11,9 @@ Generator naming: "ab", "a_y4", "x2_b", "x3y5"; the simplified model
 prefixes every name with "u_".
 """
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .structures import _DD_CODE, _DD_ID, DDMorphism, DDStructure
-
-_KINDS = ("ab", "a_y", "x_b", "xy", "a_y_odd", "x_b_odd")
-
-
-@dataclass(frozen=True)
-class TorusLinkGenerator:
-    """One intersection-point pair of the (2,2n) diagram."""
-
-    kind: str
-    i: int | None = None
-    j: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-
-    @property
-    def name(self) -> str:
-        if self.kind == "ab":
-            return "ab"
-        if self.kind.startswith("a_y"):
-            return f"a_y{self.j}"
-        if self.kind.startswith("x_b"):
-            return f"x{self.i}_b"
-        return f"x{self.i}y{self.j}"
-
-    @property
-    def left_idem(self) -> int:
-        return 1 if self.kind in ("ab", "a_y", "a_y_odd") else 2
-
-    @property
-    def right_idem(self) -> int:
-        return 1 if self.kind in ("ab", "x_b", "x_b_odd") else 2
-
-    @property
-    def summand(self) -> int:
-        # generators occupying both right arcs sit in the -1 summand,
-        # both left arcs in the +1 summand
-        if self.kind == "a_y_odd":
-            return -1
-        if self.kind == "x_b_odd":
-            return 1
-        return 0
-
-
-def enumerate_generators(n: int):
-    """All 2n^2+2n generators with their algebra-summand charge."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    out = [(TorusLinkGenerator("ab"), 0)]
-    for j in range(2, 2 * n - 1, 2):
-        out.append((TorusLinkGenerator("a_y", j=j), 0))
-    for i in range(2, 2 * n - 1, 2):
-        out.append((TorusLinkGenerator("x_b", i=i), 0))
-    for i in range(1, 2 * n):
-        for j in range(1, 2 * n):
-            if (i - j) % 2 == 0:
-                out.append((TorusLinkGenerator("xy", i=i, j=j), 0))
-    for j in range(1, 2 * n, 2):
-        out.append((TorusLinkGenerator("a_y_odd", j=j), -1))
-    for i in range(1, 2 * n, 2):
-        out.append((TorusLinkGenerator("x_b_odd", i=i), 1))
-    return out
-
-
-def _xy(i, j):
-    return f"x{i}y{j}"
 
 
 def _ay(j):
@@ -237,29 +169,23 @@ def _distinct_tables(n):
     return -1, range(-2, -2 - n, -1), range(-2 - n, -2 - 2 * n, -1), xy
 
 
-def build_cfdd_full(n: int, include_charged: bool = False) -> DDStructure:
-    """The full type-DD structure of the (2,2n) torus-link complement.
-
-    Only the neutral summand carries arrows; ``include_charged`` appends
-    the 2n charged generators as isolated vertices.
-    """
-    return _build_full(n, include_charged)[0]
+def build_cfdd_full(n: int) -> DDStructure:
+    """The full type-DD structure of the (2,2n) torus-link complement:
+    its 2n^2 generators of the neutral algebra summand, the only one
+    that carries arrows."""
+    return _build_full(n)[0]
 
 
-def _build_full(n, include_charged=False):
-    """``build_cfdd_full(n, include_charged)`` and the number tables (ab,
-    ay, xb, xy) that ``_full_families`` reads.  The families are
-    disjoint, so their arrows go straight into the rows."""
+def _build_full(n):
+    """``build_cfdd_full(n)`` and the number tables (ab, ay, xb, xy) that
+    ``_full_families`` reads.  The families are disjoint, so their arrows
+    go straight into the rows."""
     xy = _xy_names(n)
     top = 2 * n - 1
-    a_y, x_b = _DD_CODE[1, 2], _DD_CODE[2, 1]
     named = [("ab", _DD_CODE[1, 1])]
-    named += [(_ay(j), a_y) for j in range(2, top, 2)]
-    named += [(_xb(i), x_b) for i in range(2, top, 2)]
+    named += [(_ay(j), _DD_CODE[1, 2]) for j in range(2, top, 2)]
+    named += [(_xb(i), _DD_CODE[2, 1]) for i in range(2, top, 2)]
     named += [(name, _DD_CODE[2, 2]) for row in xy for name in row if name]
-    if include_charged:
-        named += [(_ay(j), a_y) for j in range(1, top + 1, 2)]
-        named += [(_xb(i), x_b) for i in range(1, top + 1, 2)]
     names, codes, number = _numbered(named)
     tables = (
         number["ab"],
@@ -293,7 +219,7 @@ def _build_simplified(n):
     top = 2 * n - 1
     ay = [f"u_{_ay(2 * k)}" for k in range(n)]
     xb = [f"u_{_xb(2 * k)}" for k in range(n)]
-    d = [f"u_{_xy(k, k)}" for k in range(top + 1)]
+    d = [f"u_x{k}y{k}" for k in range(top + 1)]
     named = [("u_ab", _DD_CODE[1, 1])]
     named += [(name, _DD_CODE[1, 2]) for name in ay[1:]]
     named += [(name, _DD_CODE[2, 1]) for name in xb[1:]]

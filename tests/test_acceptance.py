@@ -25,7 +25,6 @@ from bpc.torus_link import (
     build_cfdd_full,
     build_cfdd_simplified,
     build_equivalence,
-    enumerate_generators,
 )
 
 
@@ -43,12 +42,13 @@ def report(number, name, elapsed=None):
     print(f"criterion {number:2d} {name}: PASS{suffix}")
 
 
-def test_criterion_01_generator_census():
+def test_criterion_01_generator_census(census_oracle):
     with Timer() as t:
-        for n in range(1, 9):
-            gens = enumerate_generators(n)
-            assert len(gens) == 2 * n * n + 2 * n
-            assert sum(1 for _, s in gens if s == 0) == 2 * n * n
+        for n in range(1, 31):
+            want = sorted(g for gens in census_oracle(n).values() for g in gens)
+            assert len(want) == 2 * n * n
+            S = build_cfdd_full(n)
+            assert [(g.name, g.left, g.right) for g in S.generators] == want
     assert t.elapsed < 1.0
     report(1, "generator census", t.elapsed)
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -210,6 +213,46 @@ def test_reduce_roundtrip(capsys, tmp_path):
     )
     assert code == 0
     assert len(json.loads(stdout)["generators"]) == 8
+
+
+def _integer_argv(option, value, path):
+    """A command line that reads value for option and would succeed if
+    value were 3."""
+    return {
+        "--n": ["gen", "--n", value, "--form", "simplified"],
+        "--seed": ["--seed", value, "equiv", "--n", "3"],
+        "--check-orders": ["reduce", "--in", str(path), "--check-orders", value],
+    }[option]
+
+
+@pytest.mark.parametrize("value", ["1_0", "+3", " 3", "3 ", "\u0663", "3.0", "", "-3"], ids=repr)
+@pytest.mark.parametrize("option", ["--n", "--seed", "--check-orders"])
+def test_integer_options_take_ascii_digits_only(capsys, tmp_path, option, value):
+    # int() would take all but the last three; --seed alone takes "-3"
+    path = tmp_path / "trefoil.json"
+    run(capsys, "pair", "--n", "2", "--right", "2", "--out", str(path))
+    assert run(capsys, *_integer_argv(option, "3", path))[0] == 0
+    code, stdout, stderr = run(capsys, *_integer_argv(option, value, path))
+    if option == "--seed" and value == "-3":
+        assert code == 0
+        return
+    sign = " after an optional '-'" if option == "--seed" else ""
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {option} takes ASCII digits{sign}, got {value!r}\n"
+
+
+def test_check_names_the_same_missing_endpoint_under_any_hash_seed(tmp_path):
+    doc = json.loads(to_json(ChainComplexF2(("a",), frozenset())))
+    doc["arrows"] = [{"source": "a", "target": y} for y in "bcdefgh"]
+    path = tmp_path / "strangers.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(sys.modules["bpc"].__file__))
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        argv = [sys.executable, "-m", "bpc.cli", "check", "--in", str(path)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        want = f"error: {path}: arrow endpoint missing: ('a', 'b')\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", want), seed
 
 
 def test_reduce_negative_check_orders_is_usage_error(capsys, tmp_path):

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from bpc.algebra import chord_interval, is_idempotent
+from bpc.algebra import chord_token, is_idempotent, side_of
 from bpc.pairing import (
     _STEP,
     PairingConfig,
@@ -38,8 +38,12 @@ def test_step_table_agrees_with_token_helpers():
             continue
         chord, rest = step
         consumed = label[-1]
-        assert chord == (None if is_idempotent(consumed) else chord_interval(consumed))
-        assert rest == (label[0] if len(label) == 2 else None)
+        if is_idempotent(consumed):
+            assert chord is None
+        else:
+            assert chord_token(side_of(consumed), chord) == consumed
+        # the residual: (l,) of a DD label (l, r), () of a D label (t,)
+        assert _LABELS[rest] == label[:-1]
 
 
 def test_infinity_surgery_arrows():

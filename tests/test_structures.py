@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import random
+import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -1258,7 +1260,9 @@ def _rows_results():
         yield build_cfdd_full(n)
         if n >= 2:
             yield build_cfdd_simplified(n)
-    yield build_cfdd_full(3, include_charged=True)
+    # two generators that carry no arrows, beside a two-arrow cycle
+    gens = [DDGenerator(x, *idems) for x, idems in zip("abcd", [(1, 1), (2, 2), (1, 2), (2, 1)])]
+    yield DDStructure(gens, {("a", "r123", "s123", "b"), ("b", "r2", "s2", "a")})
     for n in (1, 2, 3):
         S = build_cfdd_full(n)
         for right in (1, 2, 3, 4, "inf"):
@@ -1372,3 +1376,36 @@ def test_structures_are_immutable():
         "DDStructure(generators=(DDGenerator(name='ab', left=1, right=1),"
         " DDGenerator(name='x1y1', left=2, right=2)), arrows=frozenset())"
     )
+
+
+# public constructions with several faults, and the message naming the
+# least faulty arrow or operation by repr
+SEVERAL_FAULTS = {
+    "missing endpoints": (
+        "DDStructure([DDGenerator('a', 1, 1)], [('a', 'r1', 's1', y) for y in 'bcdefgh'])",
+        "arrow endpoint missing: ('a', 'r1', 's1', 'b')",
+    ),
+    "incoherent arrows": (
+        "DDStructure([DDGenerator(x, 1, 1) for x in 'abcdefg'], [(x, 'r2', 's2', 'a') for x in 'abcdefg'])",
+        "left label incoherent on arrow ('a', 'r2', 's2', 'a')",
+    ),
+    "module operations": (
+        "AModule((AGenerator('w', 1),), {('w', ('3',), y) for y in 'stuvxyz'})",
+        "operation endpoint missing: ('w', ('3',), 's')",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", SEVERAL_FAULTS.values(), ids=SEVERAL_FAULTS)
+def test_rejection_names_the_same_fault_under_any_hash_seed(build, message):
+    """Sets of strings iterate in an order that depends on PYTHONHASHSEED,
+    so each construction runs in a fresh interpreter per seed."""
+    script = (
+        "from bpc.structures import AGenerator, AModule, DDGenerator, DDStructure\n"
+        f"try:\n    {build}\nexcept ValueError as e:\n    print(e)\n"
+    )
+    src = os.path.dirname(os.path.dirname(sys.modules["bpc"].__file__))
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == (0, message + "\n", ""), seed

@@ -7,71 +7,44 @@ import pytest
 from bpc.serialize import to_json
 from bpc.structures import check_dd
 from bpc.torus_link import (
-    TorusLinkGenerator,
     build_cfdd_full,
     build_cfdd_simplified,
     build_equivalence,
-    enumerate_generators,
     full_build_log,
 )
 
 
-def census_oracle(n):
-    """Group-by-group enumeration, independent of the library's loops."""
-    neutral = 1  # ab
-    neutral += len([j for j in range(1, 2 * n) if j % 2 == 0]) * 2  # a_y, x_b
-    neutral += len(
-        [(i, j) for i in range(1, 2 * n) for j in range(1, 2 * n) if (i + j) % 2 == 0]
-    )
-    charged = 2 * len([i for i in range(1, 2 * n) if i % 2 == 1])
-    return neutral, charged
+def _group(name):
+    """The census group of a generator name."""
+    if name == "ab":
+        return "ab"
+    if name.startswith("a_y"):
+        return "a_y"
+    return "x_b" if name.endswith("_b") else "xy"
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_generator_census(n):
-    gens = enumerate_generators(n)
-    neutral, charged = census_oracle(n)
-    assert len(gens) == 2 * n * n + 2 * n == neutral + charged
-    assert sum(1 for _, s in gens if s == 0) == 2 * n * n == neutral
-    assert sum(1 for _, s in gens if s == -1) == n
-    assert sum(1 for _, s in gens if s == 1) == n
+@pytest.mark.parametrize("n", range(1, 31))
+def test_generator_census(n, census_oracle):
+    groups = census_oracle(n)
+    assert sum(map(len, groups.values())) == 2 * n * n
+    S = build_cfdd_full(n)
+    found = {group: [] for group in groups}
+    for g in S.generators:
+        found[_group(g.name)].append((g.name, g.left, g.right))
+    assert found == {group: sorted(gens) for group, gens in groups.items()}
 
 
-def test_summand_assignment():
-    gens = dict((g.name, s) for g, s in enumerate_generators(2))
-    assert gens["a_y1"] == -1 and gens["a_y3"] == -1
-    assert gens["x1_b"] == 1 and gens["x3_b"] == 1
-    assert gens["a_y2"] == 0 and gens["x2_b"] == 0 and gens["x1y3"] == 0
-
-
-def test_hopf_summand_zero_generators():
-    neutral = [g.name for g, s in enumerate_generators(1) if s == 0]
-    assert sorted(neutral) == ["ab", "x1y1"]
-
-
-def test_generator_kinds_and_idempotents():
-    g = TorusLinkGenerator("xy", i=3, j=5)
-    assert g.name == "x3y5" and g.left_idem == 2 and g.right_idem == 2
-    g = TorusLinkGenerator("a_y", j=4)
-    assert g.name == "a_y4" and g.left_idem == 1 and g.right_idem == 2
-    with pytest.raises(ValueError):
-        TorusLinkGenerator("zz")
-
-
-@pytest.mark.parametrize("charged", [False, True])
-def test_direct_generators_match_enumeration(charged):
+def test_direct_generators_match_enumeration(census_oracle):
+    """The numbered view: names in sorted order, each with its code 2 *
+    left + right."""
     for n in range(1, 31):
-        want = sorted(
-            (g.name, g.left_idem, g.right_idem)
-            for g, summand in enumerate_generators(n)
-            if summand == 0 or charged
-        )
-        S = build_cfdd_full(n, include_charged=charged)
-        assert [(g.name, g.left, g.right) for g in S.generators] == want
+        want = sorted(g for gens in census_oracle(n).values() for g in gens)
+        S = build_cfdd_full(n)
+        assert list(zip(S.names, S.codes)) == [(x, 2 * left + right) for x, left, right in want]
 
 
 def test_enumerate_rejects_bad_n():
-    for build in (enumerate_generators, build_cfdd_full, full_build_log):
+    for build in (build_cfdd_full, full_build_log):
         with pytest.raises(ValueError, match="n must be a positive integer"):
             build(0)
 
@@ -121,16 +94,6 @@ def test_simplified_rejects_n1():
         build_cfdd_simplified(1)
 
 
-def test_include_charged_adds_isolated_generators():
-    S = build_cfdd_full(2, include_charged=True)
-    assert len(S.generators) == 12
-    names = {g.name for g in S.generators}
-    assert {"a_y1", "a_y3", "x1_b", "x3_b"} <= names
-    used = {s for s, _, _, _ in S.arrows} | {t for _, _, _, t in S.arrows}
-    assert used.isdisjoint({"a_y1", "a_y3", "x1_b", "x3_b"})
-    assert check_dd(S).ok
-
-
 def test_build_log_lists_every_family():
     log = full_build_log(3)
     for k in range(1, 15):
@@ -165,9 +128,6 @@ def _morphism_arrows(n, k):
 
 BUILDER_OUTPUTS = {
     **{f"build_cfdd_full({n})": lambda n=n: to_json(build_cfdd_full(n)) for n in (12, 16, 24, 32)},
-    "build_cfdd_full(12, include_charged=True)": lambda: to_json(
-        build_cfdd_full(12, include_charged=True)
-    ),
     **{f"build_cfdd_simplified({n})": lambda n=n: to_json(build_cfdd_simplified(n)) for n in (12, 32)},
     **{
         f"build_equivalence({n}) {name}": lambda n=n, k=k: _morphism_arrows(n, k)
