@@ -134,6 +134,11 @@ def cmd_pair(args):
 
 def cmd_reduce(args):
     S = _load_structure(args.infile)
+    if not isinstance(S, (DDStructure, DStructure, ChainComplexF2)):
+        raise UsageError(
+            "reduce expects a serialized DD structure, D structure or complex,"
+            f" got {type(S).__name__}"
+        )
     reduced = structures.reduce(S)
     if args.check_orders:
         rng = random.Random(args.seed)

@@ -123,7 +123,12 @@ def _walk(A: AModule, S, cfg: PairingConfig, where: str, consumed, units):
     ``_products`` gives it for the consumed-side idempotents consumed[x]
     of S's generators, and per product generator the sorted (label id,
     target number) of its arrows, each label the residual product of a
-    path, started from the label units[x] of its first generator x."""
+    path, started from the label units[x] of its first generator x.
+
+    Each product generator's first step is taken inline: an idempotent
+    step toggles its arrow, a chord step enters the trie, and only paths
+    that continue go on the stack, where idempotent steps are dropped
+    (strict unitality).  Most products never leave the first step."""
     _check_cap(cfg, A)
     trie = _op_trie(A)
     horizon = math.inf if A.capped_arity is None else A.capped_arity
@@ -134,25 +139,60 @@ def _walk(A: AModule, S, cfg: PairingConfig, where: str, consumed, units):
     parity = set()  # packed keys source * width + label * m + target
     add, remove = parity.add, parity.remove  # each arrow is toggled: a sum mod 2
     step_of, mul = _STEP, _MUL
+
+    def hit(lid, targets, nxt):
+        """Toggle the arrows lid + t to the products t of each target with nxt."""
+        for tgt in targets:
+            t = numbers[tgt][nxt]
+            if t is None:
+                raise ValueError(
+                    f"idempotent mismatch in inputs: operation lands on"
+                    f" {tgt!r} which does not pair with {names[nxt]!r}"
+                )
+            key = lid + t
+            if key in parity:
+                remove(key)
+            else:
+                add(key)
+
+    first_capped = horizon <= 1  # one chord reaches the family cap
+    # (residual product so far, chord sequence so far, its trie children,
+    # current generator) of each path that continues; empty between sources
+    stack = []
+    push, pop = stack.append, stack.pop
     for source, (name, a, start) in enumerate(found):
         mine = numbers[a]
         base = source * width
-        # (residual product so far, chord sequence so far, its trie
-        # children, current generator)
-        stack = [(units[start], (), trie[a], start)]
+        row = mul[units[start]]
+        children = trie[a]
+        for label, nxt in steps[start]:
+            chord, rest = step_of[label]
+            if chord is None:
+                key = base + rest * m + mine[nxt]
+                if key in parity:
+                    remove(key)
+                else:
+                    add(key)
+                continue
+            nprod = row[rest]
+            if nprod is None:
+                continue
+            if first_capped:
+                _guard_path(A, where, name, (chord,))
+            node = children.get(chord)
+            if node is None:
+                continue
+            nseq, targets, grandchildren = node
+            hit(base + nprod * m, targets, nxt)
+            if grandchildren:
+                push((nprod, nseq, grandchildren, nxt))
         while stack:
-            prod, seq, children, at = stack.pop()
+            prod, seq, children, at = pop()
             row = mul[prod]
             capped = len(seq) + 1 >= horizon  # one more chord reaches the family cap
             for label, nxt in steps[at]:
                 chord, rest = step_of[label]
                 if chord is None:
-                    if not seq:
-                        key = base + rest * m + mine[nxt]
-                        if key in parity:
-                            remove(key)
-                        else:
-                            add(key)
                     continue
                 nprod = row[rest]
                 if nprod is None:
@@ -163,21 +203,9 @@ def _walk(A: AModule, S, cfg: PairingConfig, where: str, consumed, units):
                 if node is None:
                     continue
                 nseq, targets, grandchildren = node
-                lid = base + nprod * m
-                for tgt in targets:
-                    t = numbers[tgt][nxt]
-                    if t is None:
-                        raise ValueError(
-                            f"idempotent mismatch in inputs: operation lands on"
-                            f" {tgt!r} which does not pair with {names[nxt]!r}"
-                        )
-                    key = lid + t
-                    if key in parity:
-                        remove(key)
-                    else:
-                        add(key)
+                hit(base + nprod * m, targets, nxt)
                 if grandchildren:
-                    stack.append((nprod, nseq, grandchildren, nxt))
+                    push((nprod, nseq, grandchildren, nxt))
     rows = [[] for _ in found]
     for key in sorted(parity):  # in (source, label, target) order
         x, step = divmod(key, width)

@@ -723,10 +723,13 @@ def verify_homotopy(F: DDMorphism, G: DDMorphism, H: DDMorphism) -> CheckReport:
 _KINDS = {DDStructure: "DD", DStructure: "D", ChainComplexF2: "complex"}
 
 
-def _kind(S):
-    """'DD', 'D' or 'complex': the kinds reduce and isomorphic accept."""
+def _kind(S, caller):
+    """'DD', 'D' or 'complex': the kinds reduce and isomorphic accept;
+    anything else is a ValueError naming the caller."""
     if type(S) not in _KINDS:
-        raise ValueError(f"cannot reduce a {type(S).__name__}")
+        raise ValueError(
+            f"{caller} needs a DDStructure, DStructure or ChainComplexF2, got {type(S).__name__}"
+        )
     return _KINDS[type(S)]
 
 
@@ -770,7 +773,7 @@ def reduce(S, rng: random.Random | None = None):
     for a unit arrow, a bisect into the index; nothing rescans or
     re-sorts the whole arrow set.
     """
-    _kind(S)
+    _kind(S, "reduce")
     names, steps = S.names, S.steps
     n = len(names)
     hi, lo = _index_halves(names)
@@ -853,7 +856,7 @@ def isomorphic(S1, S2):
     so size is not limited by the interpreter stack.  Both inputs must
     be the same kind of structure.
     """
-    kind1, kind2 = _kind(S1), _kind(S2)
+    kind1, kind2 = _kind(S1, "isomorphic"), _kind(S2, "isomorphic")
     if kind1 != kind2:
         raise ValueError(f"cannot compare {kind1} with {kind2}")
     if isinstance(S1, DStructure) and S1.side != S2.side:

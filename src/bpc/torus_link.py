@@ -16,14 +16,6 @@ from itertools import chain
 from .structures import _DD_CODE, _DD_ID, DDMorphism, DDStructure
 
 
-def _ay(j):
-    return f"a_y{j}"
-
-
-def _xb(i):
-    return f"x{i}_b"
-
-
 def _full_families(n, ab, ay, xb, xy):
     """The fourteen arrow families of the full structure.
 
@@ -127,18 +119,6 @@ def _full_families(n, ab, ay, xb, xy):
     )
 
 
-def _xy_names(n):
-    """Table xy[i][j] = "x{i}y{j}" for i, j = 1..2n-1 of equal parity
-    (None elsewhere), so each name is formatted once per build."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    top = 2 * n - 1
-    return [
-        [f"x{i}y{j}" if i and j and (i - j) % 2 == 0 else None for j in range(top + 1)]
-        for i in range(top + 1)
-    ]
-
-
 def _numbered(named):
     """(names, codes, {name: number}) of the (name, idempotent code)
     pairs named, in any order: names sorted, numbers their positions."""
@@ -180,21 +160,59 @@ def _build_full(n):
     """``build_cfdd_full(n)`` and the number tables (ab, ay, xb, xy) that
     ``_full_families`` reads.  The families are disjoint, so their arrows
     go straight into the rows."""
-    xy = _xy_names(n)
-    top = 2 * n - 1
-    named = [("ab", _DD_CODE[1, 1])]
-    named += [(_ay(j), _DD_CODE[1, 2]) for j in range(2, top, 2)]
-    named += [(_xb(i), _DD_CODE[2, 1]) for i in range(2, top, 2)]
-    named += [(name, _DD_CODE[2, 2]) for row in xy for name in row if name]
-    names, codes, number = _numbered(named)
-    tables = (
-        number["ab"],
-        [None] + [number[_ay(2 * k)] for k in range(1, n)],
-        [None] + [number[_xb(2 * k)] for k in range(1, n)],
-        [[name and number[name] for name in row] for row in xy],
-    )
+    names, codes, tables = _full_numbering(n)
     arrows = chain.from_iterable(family for *_, family in _full_families(n, *tables))
     return DDStructure._from_rows(names, codes, _rows(len(names), arrows)), tables
+
+
+def _full_numbering(n):
+    """(names, codes, (ab, ay, xb, xy)) of the full structure's generators.
+
+    Generators are numbered in plain string order of their names, which
+    follows from the naming scheme, so the names are formatted once,
+    already in that order, and nothing is sorted but the indices: first
+    a_y{j} for j in order of str(j), then ab, then one block of n names
+    per i = 1..2n-1 in order of f"{i}:" (the character after a name's
+    first index, "_" or "y", sorts after every digit): x{i}_b, if i is
+    even, then x{i}y{j} for the j of i's parity in order of str(j).
+    """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    top = 2 * n - 1
+    by_str = sorted(range(1, top + 1), key=str)
+    evens = [j for j in by_str if j % 2 == 0]
+    odds = [j for j in by_str if j % 2]
+    # place[j]: the offset of x{i}y{j} in i's block (x{i}_b, if any, is 0)
+    place = [None] * (top + 1)
+    for k, j in enumerate(evens, 1):
+        place[j] = k
+    for k, j in enumerate(odds):
+        place[j] = k
+    ay = [None] + [place[j] - 1 for j in range(2, top, 2)]
+    names = [f"a_y{j}" for j in evens] + ["ab"]
+    codes = [_DD_CODE[1, 2]] * (n - 1) + [_DD_CODE[1, 1]]
+    xb = [None] * n
+    xy = [None] * (top + 1)
+    even_block = [_DD_CODE[2, 1]] + [_DD_CODE[2, 2]] * (n - 1)
+    odd_block = [_DD_CODE[2, 2]] * n
+    even_tails, odd_tails = [str(j) for j in evens], [str(j) for j in odds]
+    even_places, odd_places = place[2::2], place[1::2]
+    for i in sorted(range(1, top + 1), key=lambda i: f"{i}:"):
+        start = len(names)
+        row = [None] * (top + 1)
+        head = f"x{i}y"
+        if i % 2:
+            names += [head + tail for tail in odd_tails]
+            codes += odd_block
+            row[1::2] = [start + k for k in odd_places]
+        else:
+            xb[i // 2] = start
+            names.append(f"x{i}_b")
+            names += [head + tail for tail in even_tails]
+            codes += even_block
+            row[2::2] = [start + k for k in even_places]
+        xy[i] = row
+    return tuple(names), tuple(codes), (n - 1, ay, xb, xy)
 
 
 def full_build_log(n: int):
@@ -217,8 +235,8 @@ def _build_simplified(n):
     if n < 2:
         raise ValueError("the simplified model needs n >= 2")
     top = 2 * n - 1
-    ay = [f"u_{_ay(2 * k)}" for k in range(n)]
-    xb = [f"u_{_xb(2 * k)}" for k in range(n)]
+    ay = [f"u_a_y{2 * k}" for k in range(n)]
+    xb = [f"u_x{2 * k}_b" for k in range(n)]
     d = [f"u_x{k}y{k}" for k in range(top + 1)]
     named = [("u_ab", _DD_CODE[1, 1])]
     named += [(name, _DD_CODE[1, 2]) for name in ay[1:]]

@@ -7,7 +7,7 @@ import pytest
 
 from bpc.cli import main
 from bpc.serialize import from_json, to_json
-from bpc.solid_torus import build_cfa_framed
+from bpc.solid_torus import build_cfa, build_cfa_framed
 from bpc.structures import ChainComplexF2
 
 
@@ -203,6 +203,17 @@ def test_non_integer_fields_are_usage_errors(capsys, tmp_path, command, field, v
     path.write_text(json.dumps(doc))
     code, stdout, stderr = run(capsys, command, "--in", str(path))
     assert (code, stdout, stderr) == (2, "", f"error: {path}: {message}\n")
+
+
+def test_reduce_rejects_a_module_document(capsys, tmp_path):
+    # a module document used to reach reduce and exit 1 naming "a AModule"
+    a_path = tmp_path / "a.json"
+    a_path.write_text(to_json(build_cfa(2)))
+    code, stdout, stderr = run(capsys, "reduce", "--in", str(a_path))
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        "error: reduce expects a serialized DD structure, D structure or complex, got AModule\n"
+    )
 
 
 def test_reduce_roundtrip(capsys, tmp_path):

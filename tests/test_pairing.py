@@ -202,6 +202,15 @@ WRONG_KINDS = {
         lambda: DDMorphism(ChainComplexF2((), frozenset()), build_cfdd_full(1), frozenset()),
         "a DD morphism's source must be a DDStructure, got ChainComplexF2",
     ),
+    # both named reduce, which isomorphic was not
+    "reduce of a module": (
+        lambda: reduce(build_cfa_framed(2)),
+        "reduce needs a DDStructure, DStructure or ChainComplexF2, got AModule",
+    ),
+    "isomorphic of modules": (
+        lambda: isomorphic(build_cfa_framed(2), build_cfa_framed(2)),
+        "isomorphic needs a DDStructure, DStructure or ChainComplexF2, got AModule",
+    ),
 }
 
 
@@ -286,6 +295,18 @@ def test_family_cap_guard():
         box_left(build_cfa_infinity(0), D)
     # the default cap is far beyond any live path of these pairings
     box_right(build_cfa_infinity(), build_cfdd_full(6))
+
+
+def test_family_cap_guard_on_the_first_step():
+    # a first chord step with a nonzero product at the cap is flagged
+    # before the table is consulted: chord 3 is not in this module's table
+    A = AModule((AGenerator("w", 1),), frozenset({("w", ("123",), "w")}), capped_arity=1)
+    with pytest.raises(PathCapExceeded) as error:
+        box_right(A, build_cfdd_full(2))
+    assert str(error.value) == (
+        "module family cap 1 touched (rebuild it with a larger cap)"
+        " during box_right from 'w*ab' along chords 3"
+    )
 
 
 def test_pairing_terminates_on_cyclic_structures():
@@ -390,3 +411,28 @@ def test_swap_symmetry(n, left, right):
     fillings (left, right) and (right, left) are homeomorphic manifolds."""
     S = build_cfdd_full(n)
     assert _rank(S, left, right) == _rank(S, right, left)
+
+
+# the fillings that print 0 today
+_RANK_ZERO = {(1, 1, 1), (2, 1, "inf"), (2, "inf", 1)} | {(n, "inf", n - 1) for n in range(3, 7)}
+
+
+@pytest.mark.parametrize(
+    "n, left, right",
+    [
+        pytest.param(
+            n,
+            left,
+            right,
+            marks=[pytest.mark.xfail(strict=True, reason="ROADMAP item 1")]
+            if (n, left, right) in _RANK_ZERO
+            else [],
+        )
+        for n in range(1, 7)
+        for left in (1, 2, 3, 4, 5, "inf")
+        for right in (1, 2, 3, 4, 5, "inf")
+    ],
+)
+def test_rank_is_at_least_one(n, left, right):
+    """HF-hat of a closed 3-manifold is never zero."""
+    assert _rank(build_cfdd_full(n), left, right) >= 1

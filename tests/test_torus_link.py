@@ -7,6 +7,7 @@ import pytest
 from bpc.serialize import to_json
 from bpc.structures import check_dd
 from bpc.torus_link import (
+    _full_numbering,
     build_cfdd_full,
     build_cfdd_simplified,
     build_equivalence,
@@ -155,3 +156,24 @@ def test_families_are_disjoint():
         S = build_cfdd_full(n)
         assert len(counts) == 14
         assert sum(counts) == sum(map(len, S.steps)) == len(S.arrows)
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 500, 501])
+def test_full_numbering_follows_string_order(n):
+    """The full build numbers its generators by arithmetic on the naming
+    scheme; the result is plain string order, also where the indices
+    pass from 3 to 4 digits (2n - 1 = 999, 1001), and each number table
+    entry names its generator.  The codes are checked against the census
+    by ``test_direct_generators_match_enumeration``."""
+    names, codes, (ab, ay, xb, xy) = _full_numbering(n)
+    assert names == tuple(sorted(names))
+    assert len(names) == len(codes) == 2 * n * n
+    assert names[ab] == "ab"
+    for k in range(1, n):
+        assert names[ay[k]] == f"a_y{2 * k}"
+        assert names[xb[k]] == f"x{2 * k}_b"
+    top = 2 * n - 1
+    for i in range(1, top + 1):
+        row = xy[i]
+        for j in range(1 + (i % 2 == 0), top + 1, 2):
+            assert names[row[j]] == f"x{i}y{j}"
