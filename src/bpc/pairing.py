@@ -13,9 +13,11 @@ labels multiplying up along the way.  Strict unitality: a path of
 length >= 2 containing an idempotent consumed-side label contributes
 nothing.  Both products run this one walk (``_walk``); a box_right
 residual is a left label (l,), starting from the left unit, and a
-box_left residual is the empty label.  Finiteness comes from pruning on zero residual products and
-on sequences that leave the table's prefix tree, so no path is longer
-than the module's longest operation; a path cap below that is rejected.
+box_left residual is the empty label.  Finiteness comes from pruning on
+zero residual products and on sequences that leave the table's prefix
+tree, so no path is longer than the module's longest operation.  The
+one bound a path can reach is the family cap of a truncated module,
+which raises ``PathCapExceeded``.
 """
 
 import math
@@ -33,6 +35,7 @@ from .structures import (
     ChainComplexF2,
     DStructure,
     DDStructure,
+    check_complex,
 )
 
 # label id -> (chord interval of its last, consumed-side token, or None
@@ -48,7 +51,9 @@ DEFAULT_PATH_CAP = 64
 
 @dataclass(frozen=True)
 class PairingConfig:
-    """Which algebra the module consumes, and the hard path bound."""
+    """Which algebra the module consumes.  ``path_cap`` is kept for callers
+    that still pass it and is not read: prefix pruning already bounds
+    every path by the module's longest operation."""
 
     side: str = "right"
     path_cap: int = DEFAULT_PATH_CAP
@@ -58,8 +63,9 @@ class PairingConfig:
             raise ValueError(f"unknown side {self.side!r}")
 
 
-class PathCapExceeded(RuntimeError):
-    """Path enumeration hit a cap; the result would be unreliable."""
+class PathCapExceeded(ValueError):
+    """A path reached a truncated module's family cap; the result would be
+    unreliable."""
 
 
 def _op_trie(module: AModule):
@@ -76,20 +82,6 @@ def _op_trie(module: AModule):
             children = node[2]
         node[1].extend(targets)
     return trie
-
-
-def _check_cap(cfg: PairingConfig, module: AModule):
-    """Reject a path cap below the module's longest operation.
-
-    Paths are extended only along proper prefixes of table sequences, so
-    no chord sequence gets longer than max_arity; this check is what
-    keeps every path within the cap.
-    """
-    if cfg.path_cap < module.max_arity:
-        raise ValueError(
-            f"path cap {cfg.path_cap} is smaller than the longest module operation"
-            f" (arity {module.max_arity})"
-        )
 
 
 def _guard_path(module: AModule, where: str, source: str, seq: tuple):
@@ -118,7 +110,7 @@ def _products(A: AModule, S, idems):
     return found, numbers
 
 
-def _walk(A: AModule, S, cfg: PairingConfig, where: str, consumed, units):
+def _walk(A: AModule, S, where: str, consumed, units):
     """(found, rows) of A boxed with the DD or D structure S: found as
     ``_products`` gives it for the consumed-side idempotents consumed[x]
     of S's generators, and per product generator the sorted (label id,
@@ -128,11 +120,15 @@ def _walk(A: AModule, S, cfg: PairingConfig, where: str, consumed, units):
     Each product generator's first step is taken inline: an idempotent
     step toggles its arrow, a chord step enters the trie, and only paths
     that continue go on the stack, where idempotent steps are dropped
-    (strict unitality).  Most products never leave the first step."""
-    _check_cap(cfg, A)
+    (strict unitality).  Most products never leave the first step.
+
+    A chord step lands on a generator whose consumed-side idempotent is
+    the chord's right idempotent (S is coherent), which is the occupancy
+    of every target of the chord's trie node (``AModule`` checks it), so
+    each target pairs with the generator landed on."""
     trie = _op_trie(A)
     horizon = math.inf if A.capped_arity is None else A.capped_arity
-    names, steps = S.names, S.steps
+    steps = S.steps
     found, numbers = _products(A, S, consumed)
     m = len(found)
     width = _NLABELS * m
@@ -143,13 +139,7 @@ def _walk(A: AModule, S, cfg: PairingConfig, where: str, consumed, units):
     def hit(lid, targets, nxt):
         """Toggle the arrows lid + t to the products t of each target with nxt."""
         for tgt in targets:
-            t = numbers[tgt][nxt]
-            if t is None:
-                raise ValueError(
-                    f"idempotent mismatch in inputs: operation lands on"
-                    f" {tgt!r} which does not pair with {names[nxt]!r}"
-                )
-            key = lid + t
+            key = lid + numbers[tgt][nxt]
             if key in parity:
                 remove(key)
             else:
@@ -215,28 +205,26 @@ def _walk(A: AModule, S, cfg: PairingConfig, where: str, consumed, units):
 
 def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> DStructure:
     """Type-D structure of (A over the right algebra) box (S)."""
-    cfg = cfg or PairingConfig("right")
-    if cfg.side != "right":
+    if cfg is not None and cfg.side != "right":
         raise ValueError("box_right consumes the right algebra")
     if not isinstance(S, DDStructure):
         raise ValueError(f"box_right needs a DDStructure, got {type(S).__name__}")
     codes = S.codes  # 2 * left + right, right in {1, 2}
     # a path starts from the residual of its first generator's unit label (i, j): (i,)
     units = [_STEP[_UNIT[c]][1] for c in codes]
-    found, rows = _walk(A, S, cfg, "box_right", [2 - c % 2 for c in codes], units)
+    found, rows = _walk(A, S, "box_right", [2 - c % 2 for c in codes], units)
     left = tuple((codes[x] - 1) // 2 for _, _, x in found)
     return DStructure._from_rows(tuple(name for name, _, _ in found), left, rows, "left")
 
 
 def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> ChainComplexF2:
     """F2 chain complex of (A over the remaining algebra) box (S)."""
-    cfg = cfg or PairingConfig("left")
-    if cfg.side != "left":
+    if cfg is not None and cfg.side != "left":
         raise ValueError("box_left consumes the left algebra")
     if not isinstance(S, DStructure) or S.side != "left":
         got = f"side {S.side!r}" if isinstance(S, DStructure) else type(S).__name__
         raise ValueError(f"box_left needs a DStructure over the left algebra, got {got}")
-    found, rows = _walk(A, S, cfg, "box_left", S.codes, (_BARE,) * len(S.names))
+    found, rows = _walk(A, S, "box_left", S.codes, (_BARE,) * len(S.names))
     return ChainComplexF2._from_rows(tuple(name for name, _, _ in found), None, rows)
 
 
@@ -257,7 +245,8 @@ def homology_rank(C: ChainComplexF2) -> int:
         for _, t in steps:
             row ^= rows[t]
         if row:
-            raise ValueError("boundary does not square to zero")
+            first = check_complex(C).lines[0]
+            raise ValueError(f"boundary does not square to zero: {first}")
     # echelon basis of the boundary's row space, one row per leading bit;
     # each row is reduced against it and joins it if anything is left
     pivots = {}

@@ -60,5 +60,5 @@ def build_cfa_framed(m: int) -> AModule:
     return AModule(gens, frozenset(ops))
 
 
-def build_cfa(slope, cap: int = DEFAULT_FAMILY_CAP) -> AModule:
-    return build_cfa_infinity(cap) if slope == INFINITY else build_cfa_framed(slope)
+def build_cfa(slope) -> AModule:
+    return build_cfa_infinity() if slope == INFINITY else build_cfa_framed(slope)

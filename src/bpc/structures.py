@@ -436,9 +436,12 @@ class AModule:
     """Right A-infinity module given by a finite operation table.
 
     Operations are (source, chord sequence, target) with side-agnostic
-    interval labels; the attachment side is chosen at pairing time.  A
-    table obtained by truncating a parametric family records the arity
-    horizon in ``capped_arity`` so pairing can detect unreliable runs.
+    interval labels; the attachment side is chosen at pairing time.  An
+    operation's first chord starts at its source's occupancy and its last
+    chord ends at its target's, so a box product's paths land on
+    generators that pair.  A table obtained by truncating a parametric
+    family records the arity horizon in ``capped_arity`` so pairing can
+    detect unreliable runs.
     """
 
     generators: tuple
@@ -469,6 +472,8 @@ class AModule:
                     raise ValueError(f"unknown chord interval {c!r}")
             if left_idem(seq[0]) != occ[src]:
                 raise ValueError(f"sequence not composable with source: {(src, seq)}")
+            if right_idem(seq[-1]) != occ[tgt]:
+                raise ValueError(f"sequence not composable with target: {(seq, tgt)}")
             for a, b in zip(seq, seq[1:]):
                 if right_idem(a) != left_idem(b):
                     raise ValueError(f"sequence not internally composable: {seq}")

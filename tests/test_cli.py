@@ -113,6 +113,13 @@ def test_pair_trefoil_unreduced(capsys):
     assert len(json.loads(stdout)["generators"]) == 10
 
 
+def test_pair_framing_above_sixty_four(capsys):
+    # a framing's longest operation grows with it; no path bound refuses it
+    code, stdout, stderr = run(capsys, "pair", "--n", "3", "--left", "2", "--right", "65")
+    assert (code, stderr) == (0, "")
+    assert stdout.rstrip().splitlines()[-1].isdigit()
+
+
 def test_pair_usage_errors(capsys):
     assert run(capsys, "pair", "--n", "2", "--right", "7/3")[0] == 2
     assert run(capsys, "pair", "--n", "2", "--right", "0")[0] == 2
@@ -288,7 +295,22 @@ def test_homology_rejects_bad_boundary(capsys, tmp_path):
     c_path = tmp_path / "c.json"
     bad = ChainComplexF2(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
     c_path.write_text(to_json(bad))
-    assert run(capsys, "homology", "--in", str(c_path))[0] == 1
+    code, stdout, stderr = run(capsys, "homology", "--in", str(c_path))
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: boundary does not square to zero: a -> c\n"
+
+
+def test_check_rejects_a_module_landing_on_the_wrong_idempotent(capsys, tmp_path):
+    # q -(2)-> p1 retargeted to q: chord 2 ends at arc 1, q has occupancy 2
+    doc = json.loads(to_json(build_cfa(2)))
+    for op in doc["operations"]:
+        if op["source"] == "q":
+            op["target"] = "q"
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "check", "--in", str(path))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {path}: sequence not composable with target: (('2',), 'q')\n"
 
 
 def test_domains(capsys):

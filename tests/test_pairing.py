@@ -251,7 +251,7 @@ def test_box_generator_counts(n):
     assert len(D.generators) == n
 
 
-@pytest.mark.parametrize("slope", ["inf", 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("slope", ["inf", 1, 2, 3, 4, 5, 65])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_box_outputs_satisfy_structure_equation(n, slope):
     A = build_cfa_infinity() if slope == "inf" else build_cfa_framed(slope)
@@ -300,7 +300,7 @@ def test_family_cap_guard():
 def test_family_cap_guard_on_the_first_step():
     # a first chord step with a nonzero product at the cap is flagged
     # before the table is consulted: chord 3 is not in this module's table
-    A = AModule((AGenerator("w", 1),), frozenset({("w", ("123",), "w")}), capped_arity=1)
+    A = AModule((AGenerator("w", 1),), frozenset({("w", ("12",), "w")}), capped_arity=1)
     with pytest.raises(PathCapExceeded) as error:
         box_right(A, build_cfdd_full(2))
     assert str(error.value) == (
@@ -312,24 +312,18 @@ def test_family_cap_guard_on_the_first_step():
 def test_pairing_terminates_on_cyclic_structures():
     # two generators exchanging chord-labeled arrows with idempotent left
     # labels keep every path alive; the table's prefix tree still bounds
-    # the search depth
+    # the search depth, at the module's one operation of ten chords
     gens = (DDGenerator("u", 2, 2), DDGenerator("v", 2, 2))
     S = DDStructure(
         gens, frozenset({("u", "i2", "s23", "v"), ("v", "i2", "s23", "u")})
     )
     module = AModule(
         (AGenerator("x", 2),),
-        frozenset({("x", ("23",) * 9 + ("2",), "x")}),
+        frozenset({("x", ("23",) * 10, "x")}),
     )
-    D = box_right(module, S, PairingConfig(path_cap=12))
-    assert len(D.generators) == 2 and not D.arrows
-
-
-def test_path_cap_must_cover_table():
-    with pytest.raises(
-        ValueError, match=r"^path cap 2 is smaller than the longest module operation \(arity 5\)$"
-    ):
-        box_right(build_cfa_framed(5), build_cfdd_full(2), PairingConfig(path_cap=2))
+    D = box_right(module, S)
+    # ten steps around the two-cycle lead each generator back to itself
+    assert D.arrows == frozenset({("x*u", "i2", "x*u"), ("x*v", "i2", "x*v")})
 
 
 def test_config_side_matches_function():
@@ -347,18 +341,14 @@ def test_double_infinity_filling_gives_the_three_sphere():
 
 
 def test_idempotent_mismatch_reported():
-    # the module sends its generator to one pairing with the wrong class
-    gens = (DDGenerator("u", 2, 2), DDGenerator("v", 2, 1))
-    S = DDStructure(gens, frozenset({("u", "i2", "s2", "v")}))
-    module = AModule(
-        (AGenerator("x", 2), AGenerator("y", 2)),
-        frozenset({("x", ("2",), "y")}),
-    )
+    # chord 2 ends at arc 1, so an operation along it cannot land on y of
+    # occupancy 2: the module is refused before any box product sees it
     with pytest.raises(ValueError) as error:
-        box_right(module, S)
-    assert str(error.value) == (
-        "idempotent mismatch in inputs: operation lands on 'y' which does not pair with 'v'"
-    )
+        AModule(
+            (AGenerator("x", 2), AGenerator("y", 2)),
+            frozenset({("x", ("2",), "y")}),
+        )
+    assert str(error.value) == "sequence not composable with target: (('2',), 'y')"
 
 
 

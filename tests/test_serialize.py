@@ -273,12 +273,15 @@ def a_modules(draw):
     gens = tuple(AGenerator(name, draw(IDEM)) for name in draw(NAMES))
     ops = set()
     for _ in range(draw(st.integers(0, 6)) if gens else 0):
-        src, tgt = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        src = draw(st.sampled_from(gens))
         seq, idem = [], src.occupancy
         for _ in range(draw(st.integers(1, 4))):
             seq.append(draw(st.sampled_from([c for c in INTERVALS if left_idem(c) == idem])))
             idem = right_idem(seq[-1])
-        ops.add((src.name, tuple(seq), tgt.name))
+        # the target's occupancy is where the last chord ends
+        ends = [g for g in gens if g.occupancy == idem]
+        if ends:
+            ops.add((src.name, tuple(seq), draw(st.sampled_from(ends)).name))
     return AModule(gens, frozenset(ops), draw(st.one_of(st.none(), st.integers(0, 20))))
 
 

@@ -261,14 +261,14 @@ def test_check_d_empty_passes():
 
 
 def test_check_a_detects_missing_composite():
-    # m(x, 1) = y and m(x, 12) = y with nothing else fails on (1, 2)
+    # m(x, 1) = y and m(x, 12) = z with nothing else fails on (1, 2)
     module = AModule(
-        (AGenerator("x", 1), AGenerator("y", 2)),
-        frozenset({("x", ("1",), "y"), ("x", ("12",), "y")}),
+        (AGenerator("x", 1), AGenerator("y", 2), AGenerator("z", 1)),
+        frozenset({("x", ("1",), "y"), ("x", ("12",), "z")}),
     )
     report = check_a(module)
     assert not report.ok
-    assert report.lines == ("x: (1,2) -> y",)
+    assert report.lines == ("x: (1,2) -> z",)
 
 
 def test_check_a_validation():
@@ -276,6 +276,10 @@ def test_check_a_validation():
         AModule((AGenerator("x", 2),), frozenset({("x", ("1",), "x")}))
     with pytest.raises(ValueError):
         AModule((AGenerator("x", 1),), frozenset({("x", ("1", "1"), "x")}))
+    # chord 1 ends at arc 2, so it cannot land on x of occupancy 1
+    with pytest.raises(ValueError) as error:
+        AModule((AGenerator("x", 1),), frozenset({("x", ("1",), "x")}))
+    assert str(error.value) == "sequence not composable with target: (('1',), 'x')"
 
 
 def test_zero_and_identity_morphisms():
