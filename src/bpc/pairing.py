@@ -14,8 +14,9 @@ length >= 2 containing an idempotent consumed-side label contributes
 nothing.  Both products run this one walk (``_walk``); a box_right
 residual is a left label (l,), starting from the left unit, and a
 box_left residual is the empty label.  Finiteness comes from pruning on
-zero residual products and on sequences that leave the table's prefix
-tree, so no path is longer than the module's longest operation.  The
+zero residual products and on sequences that leave the module's prefix
+tree (``AModule.tree``, built once where the module checks its table),
+so no path is longer than the module's longest operation.  The
 one bound a path can reach is the family cap of a truncated module,
 which raises ``PathCapExceeded``.
 """
@@ -68,22 +69,6 @@ class PathCapExceeded(ValueError):
     unreliable."""
 
 
-def _op_trie(module: AModule):
-    """{module generator: {chord: (chord sequence, targets, {chord: ...})}}:
-    the prefix tree of the module's table, one node per prefix of a
-    table sequence, holding the targets of the operation on exactly that
-    sequence (none for a proper prefix only) and its children (none for
-    a sequence that prefixes no longer one)."""
-    trie = {g.name: {} for g in module.generators}
-    for (src, seq), targets in module.table.items():
-        children = trie[src]
-        for k, chord in enumerate(seq, 1):
-            node = children.setdefault(chord, (seq[:k], [], {}))
-            children = node[2]
-        node[1].extend(targets)
-    return trie
-
-
 def _guard_path(module: AModule, where: str, source: str, seq: tuple):
     """Raise PathCapExceeded, naming the path; seq has reached the family cap."""
     raise PathCapExceeded(
@@ -118,15 +103,15 @@ def _walk(A: AModule, S, where: str, consumed, units):
     path, started from the label units[x] of its first generator x.
 
     Each product generator's first step is taken inline: an idempotent
-    step toggles its arrow, a chord step enters the trie, and only paths
+    step toggles its arrow, a chord step enters A's tree, and only paths
     that continue go on the stack, where idempotent steps are dropped
     (strict unitality).  Most products never leave the first step.
 
     A chord step lands on a generator whose consumed-side idempotent is
     the chord's right idempotent (S is coherent), which is the occupancy
-    of every target of the chord's trie node (``AModule`` checks it), so
+    of every target of the chord's tree node (``AModule`` checks it), so
     each target pairs with the generator landed on."""
-    trie = _op_trie(A)
+    tree = A.tree
     horizon = math.inf if A.capped_arity is None else A.capped_arity
     steps = S.steps
     found, numbers = _products(A, S, consumed)
@@ -146,15 +131,15 @@ def _walk(A: AModule, S, where: str, consumed, units):
                 add(key)
 
     first_capped = horizon <= 1  # one chord reaches the family cap
-    # (residual product so far, chord sequence so far, its trie children,
-    # current generator) of each path that continues; empty between sources
+    # (residual product so far, tree node of the chords so far, current
+    # generator) of each path that continues; empty between sources
     stack = []
     push, pop = stack.append, stack.pop
     for source, (name, a, start) in enumerate(found):
         mine = numbers[a]
         base = source * width
         row = mul[units[start]]
-        children = trie[a]
+        children = tree[a]
         for label, nxt in steps[start]:
             chord, rest = step_of[label]
             if chord is None:
@@ -172,14 +157,13 @@ def _walk(A: AModule, S, where: str, consumed, units):
             node = children.get(chord)
             if node is None:
                 continue
-            nseq, targets, grandchildren = node
-            hit(base + nprod * m, targets, nxt)
-            if grandchildren:
-                push((nprod, nseq, grandchildren, nxt))
+            hit(base + nprod * m, node[2], nxt)
+            if node[3]:
+                push((nprod, node, nxt))
         while stack:
-            prod, seq, children, at = pop()
+            prod, (depth, seq, _, children), at = pop()
             row = mul[prod]
-            capped = len(seq) + 1 >= horizon  # one more chord reaches the family cap
+            capped = depth + 1 >= horizon  # one more chord reaches the family cap
             for label, nxt in steps[at]:
                 chord, rest = step_of[label]
                 if chord is None:
@@ -188,14 +172,13 @@ def _walk(A: AModule, S, where: str, consumed, units):
                 if nprod is None:
                     continue
                 if capped:
-                    _guard_path(A, where, name, seq + (chord,))
+                    _guard_path(A, where, name, seq[:depth] + (chord,))
                 node = children.get(chord)
                 if node is None:
                     continue
-                nseq, targets, grandchildren = node
-                hit(base + nprod * m, targets, nxt)
-                if grandchildren:
-                    push((nprod, nseq, grandchildren, nxt))
+                hit(base + nprod * m, node[2], nxt)
+                if node[3]:
+                    push((nprod, node, nxt))
     rows = [[] for _ in found]
     for key in sorted(parity):  # in (source, label, target) order
         x, step = divmod(key, width)

@@ -9,6 +9,7 @@ fields, so parse(print(S)) == S and reruns are byte-identical.
 """
 
 import json
+from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import (
@@ -250,6 +251,17 @@ def _from_view(cls, names, codes, rows, side):
     return S
 
 
+def _module(generators, operations, capped_arity):
+    """The AModule of the operation list, checked by its constructor;
+    then a ValueError naming the first operation listed twice, since a
+    repeated operation over F2 cancels and none is printed so."""
+    M = AModule(generators, operations, capped_arity)
+    twice = [op for op, k in Counter(operations).items() if k > 1]
+    if twice:
+        raise ValueError(f"operation listed twice: {twice[0]}")
+    return M
+
+
 def _named(doc, kind, sides):
     """(constructor, arguments) of the document through the public
     constructor, every object checked field by field, in order."""
@@ -309,15 +321,15 @@ def _parse(doc):
             if type(g["occupancy"]) is not int or g["occupancy"] not in (1, 2):
                 raise ValueError(f"bad occupancy {g['occupancy']!r}")
             gens.append(AGenerator(_name(g["name"], "generator"), g["occupancy"]))
-        ops = set()
+        ops = []
         for o in _array(doc, "operations"):
             _require_fields(o, {"source", "chords", "target"}, "operation")
             seq = tuple(_array(o, "chords"))
             for c in seq:
                 if c not in INTERVALS:
                     raise ValueError(f"unknown chord interval {c!r}")
-            ops.add((_name(o["source"], "operation"), seq, _name(o["target"], "operation")))
-        return AModule, (tuple(gens), frozenset(ops), doc["capped_arity"])
+            ops.append((_name(o["source"], "operation"), seq, _name(o["target"], "operation")))
+        return _module, (tuple(gens), ops, doc["capped_arity"])
     raise ValueError(f"unknown kind {kind!r}")
 
 

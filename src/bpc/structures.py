@@ -431,6 +431,10 @@ class ChainComplexF2(_Numbered):
         return (0,) * len(self.names)
 
 
+# the chord pairs (a, b) that compose: a ends on the arc where b starts
+_COMPOSABLE = frozenset((a, b) for a in INTERVALS for b in INTERVALS if right_idem(a) == left_idem(b))
+
+
 @dataclass(frozen=True)
 class AModule:
     """Right A-infinity module given by a finite operation table.
@@ -442,6 +446,11 @@ class AModule:
     generators that pair.  A table obtained by truncating a parametric
     family records the arity horizon in ``capped_arity`` so pairing can
     detect unreliable runs.
+
+    ``tree`` indexes the table: {generator: {chord: node}}, a node
+    (depth, chords, targets, {chord: node}) for each prefix chords[:depth]
+    of an operation's chords (shared, not copied), with the targets of
+    the operation on exactly that prefix.
     """
 
     generators: tuple
@@ -461,6 +470,7 @@ class AModule:
         for name, k in occ.items():
             if k not in (1, 2):
                 raise _outside(name, k)
+        tree = {name: {} for name in occ}
         # in repr order, so the fault named does not depend on the set's order
         for src, seq, tgt in sorted(self.operations, key=repr):
             if src not in occ or tgt not in occ:
@@ -474,20 +484,16 @@ class AModule:
                 raise ValueError(f"sequence not composable with source: {(src, seq)}")
             if right_idem(seq[-1]) != occ[tgt]:
                 raise ValueError(f"sequence not composable with target: {(seq, tgt)}")
-            for a, b in zip(seq, seq[1:]):
-                if right_idem(a) != left_idem(b):
-                    raise ValueError(f"sequence not internally composable: {seq}")
-
-    @cached_property
-    def table(self):
-        out = {}
-        for src, seq, tgt in sorted(self.operations):
-            out.setdefault((src, seq), []).append(tgt)
-        return out
-
-    @cached_property
-    def max_arity(self):
-        return max((len(seq) for _, seq, _ in self.operations), default=0)
+            if not _COMPOSABLE.issuperset(zip(seq, seq[1:])):
+                raise ValueError(f"sequence not internally composable: {seq}")
+            children = tree[src]
+            for depth, c in enumerate(seq, 1):
+                node = children.get(c)
+                if node is None:
+                    node = children[c] = (depth, seq, [], {})
+                children = node[3]
+            node[2].append(tgt)
+        object.__setattr__(self, "tree", tree)
 
 
 class DDMorphism(_Frozen):
@@ -524,14 +530,6 @@ def identity_morphism(M: DDStructure) -> DDMorphism:
 
 # ---------------------------------------------------------------------------
 # structure-equation checkers
-
-
-def _toggle(odd, key):
-    """Add key to the set odd, or take it out if it is there: a sum mod 2."""
-    if key in odd:
-        odd.remove(key)
-    else:
-        odd.add(key)
 
 
 def _compose_parity(first, second, nz):
@@ -597,40 +595,44 @@ def check_d(S: DStructure) -> CheckReport:
     return _check(S)
 
 
-def check_a(M: AModule, cap: int | None = None) -> CheckReport:
+def _targets(M: AModule, x, seq):
+    """The distinct targets of M's operation on (x, seq), from its tree."""
+    children = M.tree[x]
+    for chord in seq:
+        node = children.get(chord)
+        if node is None:
+            return ()
+        children = node[3]
+    return node[2]
+
+
+def check_a(M: AModule) -> CheckReport:
     """Verify the A-infinity module relation on refined input sequences.
 
     A relation instance has a nonzero mu_2 term only when its sequence
     arises from a table operation by factoring one composite chord into
-    its two pieces; those refined sequences are exactly the instances a
-    finite table must balance.  For every such (generator, sequence) up
-    to the cap, the sum over splits m(m(x, a_1..a_i), a_{i+1}..a_k) plus
-    the sum over adjacent contractions m(x, .., mu_2(a_i, a_{i+1}), ..)
-    must vanish mod 2.
+    its two pieces; those refined sequences, at most one chord longer
+    than the longest operation, are exactly the instances a finite table
+    must balance.  For every such (generator, sequence) the sum over
+    splits m(m(x, a_1..a_i), a_{i+1}..a_k) plus the sum over adjacent
+    contractions m(x, .., mu_2(a_i, a_{i+1}), ..) must vanish mod 2.
     """
-    if cap is None:
-        cap = M.max_arity + 2
-    table = M.table
     candidates = set()
     for src, seq, _ in M.operations:
         for pos, c in enumerate(seq):
             for u, v in chord_factorizations(c):
-                refined = seq[:pos] + (u, v) + seq[pos + 1 :]
-                if len(refined) <= cap:
-                    candidates.add((src, refined))
+                candidates.add((src, seq[:pos] + (u, v) + seq[pos + 1 :]))
     lines = []
     for x, seq in sorted(candidates):
         parity = set()
         for cut in range(1, len(seq)):
-            for mid in table.get((x, seq[:cut]), ()):
-                for tgt in table.get((mid, seq[cut:]), ()):
-                    _toggle(parity, tgt)
+            for mid in _targets(M, x, seq[:cut]):
+                parity.symmetric_difference_update(_targets(M, mid, seq[cut:]))
         for pos in range(len(seq) - 1):
             prod = mul_interval(seq[pos], seq[pos + 1])
             if prod is not None:
                 contracted = seq[:pos] + (prod,) + seq[pos + 2 :]
-                for tgt in table.get((x, contracted), ()):
-                    _toggle(parity, tgt)
+                parity.symmetric_difference_update(_targets(M, x, contracted))
         odd = sorted(parity)
         if odd:
             lines.append(f"{x}: ({','.join(seq)}) -> {'+'.join(odd)}")

@@ -313,6 +313,16 @@ def test_check_rejects_a_module_landing_on_the_wrong_idempotent(capsys, tmp_path
     assert stderr == f"error: {path}: sequence not composable with target: (('2',), 'q')\n"
 
 
+def test_check_rejects_a_repeated_operation(capsys, tmp_path):
+    doc = json.loads(to_json(build_cfa("inf")))
+    doc["operations"].insert(1, dict(doc["operations"][0]))
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "check", "--in", str(path))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {path}: operation listed twice: ('w', ('3', '2'), 'w')\n"
+
+
 def test_domains(capsys):
     code, stdout, _ = run(capsys, "domains", "--n", "3")
     assert code == 0

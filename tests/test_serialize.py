@@ -16,6 +16,7 @@ from bpc.structures import (
     DDStructure,
     DGenerator,
     DStructure,
+    _targets,
 )
 from bpc.torus_link import build_cfdd_full, build_cfdd_simplified
 
@@ -199,9 +200,25 @@ def test_arrow_listed_twice_keeps_the_older_messages_first():
     assert str(err.value) == "arrow endpoint missing: ('ab', 'r1', 's3', 'zz')"
 
 
+def test_operation_listed_twice_is_rejected():
+    """As with arrows, a repeated operation cancels over F2, so the parser
+    names it, after any other fault of the document."""
+    doc = json.loads(to_json(build_cfa_infinity(0)))
+    doc["operations"].append(dict(doc["operations"][0]))
+    with pytest.raises(ValueError) as err:
+        from_json(json.dumps(doc))
+    assert str(err.value) == "operation listed twice: ('w', ('3', '2'), 'w')"
+    doc["operations"].append(dict(doc["operations"][0], target="zz"))
+    with pytest.raises(ValueError) as err:
+        from_json(json.dumps(doc))
+    assert str(err.value) == "operation endpoint missing: ('w', ('3', '2'), 'zz')"
+
+
 def test_public_constructors_keep_set_semantics():
     arrows = [("a", "b"), ("a", "b")]
     assert ChainComplexF2(("a", "b"), arrows) == ChainComplexF2(("a", "b"), arrows[:1])
+    gens, ops = (AGenerator("w", 1),), [("w", ("3", "2"), "w")] * 2
+    assert AModule(gens, ops) == AModule(gens, ops[:1])
 
 
 # (field, a non-integer JSON value that equals an accepted integer, message)
@@ -303,6 +320,51 @@ EMPTY = [
     AModule((), frozenset()),
     ChainComplexF2((), frozenset()),
 ]
+
+
+def _check_tree(M):
+    """M's prefix tree against its operation table: every node is a prefix
+    of an operation's sequence, which it shares, at a depth equal to the
+    prefix's length, holding exactly the targets of the operation on it;
+    every operation is found with its targets, and any other sequence,
+    one chord longer or shorter than an operation's or of one or two
+    chords, finds nothing."""
+    table = {}
+    for src, seq, tgt in M.operations:
+        table.setdefault((src, seq), []).append(tgt)
+    nodes = []
+    stack = [(x, (), children) for x, children in M.tree.items()]
+    while stack:
+        x, path, children = stack.pop()
+        for chord, (depth, chords, targets, grandchildren) in children.items():
+            prefix = path + (chord,)
+            assert (depth, chords[:depth]) == (len(prefix), prefix)
+            assert (x, chords) in table
+            assert sorted(targets) == sorted(table.get((x, prefix), ()))
+            nodes.append((x, prefix))
+            stack.append((x, prefix, grandchildren))
+    assert sorted(nodes) == sorted({(x, seq[:k]) for x, seq in table for k in range(1, len(seq) + 1)})
+    short = [(c,) for c in INTERVALS] + [(c, d) for c in INTERVALS for d in INTERVALS]
+    longer = [seq + (c,) for _, seq in table for c in INTERVALS]
+    shorter = [seq[:-1] for _, seq in table if len(seq) > 1]
+    for x in M.tree:
+        for seq in short + longer + shorter + [seq for _, seq in table]:
+            assert sorted(_targets(M, x, seq)) == sorted(table.get((x, seq), ()))
+
+
+@pytest.mark.parametrize(
+    "M",
+    [build_cfa_framed(m) for m in range(1, 9)] + [build_cfa_infinity(cap) for cap in range(17)],
+    ids=[f"framed{m}" for m in range(1, 9)] + [f"inf{cap}" for cap in range(17)],
+)
+def test_module_tree_indexes_the_built_in_tables(M):
+    _check_tree(M)
+
+
+@PROPERTY_SETTINGS
+@given(a_modules())
+def test_module_tree_indexes_the_table(M):
+    _check_tree(M)
 
 
 def _pinned_layout(text):

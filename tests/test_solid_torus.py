@@ -24,7 +24,7 @@ def test_infinity_cap_two():
 
 
 def test_infinity_relation_checker():
-    assert check_a(build_cfa_infinity(4), cap=8).ok
+    assert check_a(build_cfa_infinity(4)).ok
 
 
 def test_framed_m2_exact_table():

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import pathlib
+import re
 
 import pytest
 
 from bpc.serialize import to_json
-from bpc.structures import check_dd
+from bpc.structures import DDGenerator, check_dd
 from bpc.torus_link import (
     _full_numbering,
     build_cfdd_full,
@@ -74,6 +75,38 @@ def test_full_n2_spec_arrows():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_full_satisfies_structure_equation(n):
     assert check_dd(build_cfdd_full(n)).ok
+
+
+def _swap_name(name):
+    """The generator name with the two sides exchanged: x{i}y{j} <-> x{j}y{i},
+    a_y{k} <-> x{k}_b, ab fixed."""
+    for pattern, swapped in (
+        (r"x(\d+)y(\d+)", "x{1}y{0}"),
+        (r"a_y(\d+)", "x{0}_b"),
+        (r"x(\d+)_b", "a_y{0}"),
+        (r"ab", "ab"),
+    ):
+        match = re.fullmatch(pattern, name)
+        if match:
+            return swapped.format(*match.groups())
+    raise AssertionError(f"unexpected generator name {name!r}")
+
+
+_SWAP_TOKENS = str.maketrans("rsij", "srji")  # r <-> s, i <-> j
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_full_is_swap_symmetric(n):
+    """Exchanging the two sides (labels, names and each generator's two
+    idempotents) maps the full model onto itself."""
+    S = build_cfdd_full(n)
+    gens = {DDGenerator(_swap_name(g.name), g.right, g.left) for g in S.generators}
+    assert gens == set(S.generators)
+    swapped = {
+        (_swap_name(x), r.translate(_SWAP_TOKENS), l.translate(_SWAP_TOKENS), _swap_name(y))
+        for x, l, r, y in S.arrows
+    }
+    assert swapped == S.arrows
 
 
 @pytest.mark.parametrize("n", range(2, 9))
