@@ -23,9 +23,12 @@ design, resolve names into rows (``_resolve``).  The
 structure equation of a type-DD structure with both algebra
 differentials zero says that for every generator pair (x, z) the mod-2
 sum over two-step paths x -> y -> z of the label products (one table
-gives each nonzero product's id) vanishes; the checkers, the morphism
-differential and composition evaluate it with one kernel,
-``_compose_parity``, which toggles packed ints.
+gives each nonzero product's id) vanishes.  The checkers, the morphism
+differential, composition and ``verify_homotopy`` sum such paths with
+one kernel, ``_path_sums``: for a list of compositions, plus the
+identity if asked, it walks each source generator's paths, toggles keys
+label * nz + z in one small reused set and emits the survivors as that
+generator's sorted row.
 """
 
 import bisect
@@ -33,7 +36,7 @@ import random
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .algebra import (
     _PRODUCT,
@@ -532,40 +535,43 @@ def identity_morphism(M: DDStructure) -> DDMorphism:
 # structure-equation checkers
 
 
-def _compose_parity(first, second, nz):
-    """The set of packed keys (x * _NLABELS + label) * nz + z summed an
-    odd number of times over the two-step paths x -(a)-> y -(b)-> z, the
-    first step from the steps first and the second from the steps second,
-    whose nz targets z are numbered 0 .. nz - 1, with label = a * b
-    nonzero.  Sorted keys run in (x, label, z) order."""
+def _path_sums(terms, nz, units=None):
+    """The nonzero rows of a sum of compositions: (x, sorted [(label, z)])
+    for each such source x, in x order.
+
+    Each term (first, second) adds the two-step paths x -(a)-> y -(b)-> z,
+    the first step from first[x] and the second from second[y], with
+    label = a * b nonzero; units, if given, adds the identity arrow
+    x -(units[x])-> x.  Every first table numbers the same sources, and
+    targets z are numbered 0 .. nz - 1.  A row's paths toggle keys
+    label * nz + z in one small set that is emptied after each row, so
+    keys stay small and nothing is sorted beyond a row.
+    """
+    mul = _MUL
     odd = set()
     add, remove = odd.add, odd.remove
-    mul = _MUL
-    for x, steps in enumerate(first):
-        base = x * _NLABELS
-        for a, y in steps:
-            after = second[y]
-            if not after:  # most of d(F)'s first steps end where F has no arrows
-                continue
-            row = mul[a]
-            for b, z in after:
-                p = row[b]
-                if p is not None:
-                    key = (base + p) * nz + z
-                    if key in odd:
-                        remove(key)
-                    else:
-                        add(key)
-    return odd
-
-
-def _unpack(keys, sources, targets):
-    """(source name, label, target name) for each packed key, in order."""
-    nz = len(targets)
-    for key in keys:
-        xa, z = divmod(key, nz)
-        x, a = divmod(xa, _NLABELS)
-        yield sources[x], _LABELS[a], targets[z]
+    sums = []
+    for x in range(len(terms[0][0])):
+        if units is not None:
+            add(units[x] * nz + x)
+        for first, second in terms:
+            for a, y in first[x]:
+                after = second[y]
+                if not after:  # most of d(F)'s first steps end where F has no arrows
+                    continue
+                row = mul[a]
+                for b, z in after:
+                    p = row[b]
+                    if p is not None:
+                        key = p * nz + z
+                        if key in odd:
+                            remove(key)
+                        else:
+                            add(key)
+        if odd:
+            sums.append((x, [divmod(key, nz) for key in sorted(odd)]))
+            odd.clear()
+    return sums
 
 
 def _line(x, label, z):
@@ -573,16 +579,15 @@ def _line(x, label, z):
     return f"{x} -> {z}: {'*'.join(label)}" if label else f"{x} -> {z}"
 
 
-def _report(odd, names):
-    """One line per odd key of a structure's own arrows, sorted by (x, z,
-    label)."""
-    arrows = sorted(_unpack(odd, names, names), key=lambda k: (k[0], k[2], k[1]))
-    lines = tuple(_line(*k) for k in arrows)
-    return CheckReport(not lines, lines)
-
-
 def _check(S):
-    return _report(_compose_parity(S.steps, S.steps, len(S.names)), S.names)
+    """One line per arrow of the two-step path sum, sorted by (x, z, label)."""
+    names = S.names
+    lines = tuple(
+        _line(names[x], _LABELS[a], names[z])
+        for x, row in _path_sums([(S.steps, S.steps)], len(names))
+        for a, z in sorted(row, key=itemgetter(1))  # stable: (z, label) order
+    )
+    return CheckReport(not lines, lines)
 
 
 def check_dd(S: DDStructure) -> CheckReport:
@@ -607,15 +612,18 @@ def _targets(M: AModule, x, seq):
 
 
 def check_a(M: AModule) -> CheckReport:
-    """Verify the A-infinity module relation on refined input sequences.
+    """Test the A-infinity module relation on refined input sequences.
 
-    A relation instance has a nonzero mu_2 term only when its sequence
-    arises from a table operation by factoring one composite chord into
-    its two pieces; those refined sequences, at most one chord longer
-    than the longest operation, are exactly the instances a finite table
-    must balance.  For every such (generator, sequence) the sum over
-    splits m(m(x, a_1..a_i), a_{i+1}..a_k) plus the sum over adjacent
-    contractions m(x, .., mu_2(a_i, a_{i+1}), ..) must vanish mod 2.
+    The sequences tested are those made from a table operation by
+    factoring one of its composite chords into its two pieces, at most
+    one chord longer than the longest operation.  For every such
+    (generator, sequence) the sum over splits m(m(x, a_1..a_i),
+    a_{i+1}..a_k) plus the sum over adjacent contractions m(x, ..,
+    mu_2(a_i, a_{i+1}), ..) must vanish mod 2.  This is not the full
+    relation: a split term can be nonzero on a sequence that refines no
+    operation (every build_cfa_framed(m) leaves p1 at (p_m; 3, 2, 1, 2)
+    and passes), so ``ok`` does not prove a module A-infinity (ROADMAP
+    item 1).
     """
     candidates = set()
     for src, seq, _ in M.operations:
@@ -653,21 +661,16 @@ def _require_same_structure(a: DDStructure, b: DDStructure, what: str):
         raise ValueError(f"structure mismatch: {what}")
 
 
-def _d_parity(h: DDMorphism):
-    """The packed keys of the arrows of d(h)."""
-    nz = len(h.target.names)
-    odd = _compose_parity(h.steps, h.target.steps, nz)
-    odd ^= _compose_parity(h.source.steps, h.steps, nz)
-    return odd
+def _d_terms(h: DDMorphism):
+    """d(h) as terms: h then the target's arrows, the source's then h."""
+    return [(h.steps, h.target.steps), (h.source.steps, h.steps)]
 
 
-def _morphism(source, target, odd):
-    """The DDMorphism source -> target with the arrows of the packed keys."""
-    nz, rows = len(target.names), [[] for _ in source.names]
-    for key in sorted(odd):  # in (x, label, z) order, so each row is sorted
-        xa, z = divmod(key, nz)
-        x, a = divmod(xa, _NLABELS)
-        rows[x].append((a, z))
+def _morphism(source, target, sums):
+    """The DDMorphism source -> target with the rows of _path_sums."""
+    rows = [[] for _ in source.names]
+    for x, row in sums:
+        rows[x] = row
     return DDMorphism._from_rows(source, target, rows)
 
 
@@ -677,48 +680,44 @@ def d_of_morphism(h: DDMorphism) -> DDMorphism:
 
     The result is empty exactly when h is a chain map.
     """
-    return _morphism(h.source, h.target, _d_parity(h))
+    return _morphism(h.source, h.target, _path_sums(_d_terms(h), len(h.target.names)))
 
 
 def compose(g: DDMorphism, f: DDMorphism) -> DDMorphism:
     """Composite g after f; f feeds into g."""
     _require_same_structure(g.source, f.target, "compose(g, f) needs f: M->N, g: N->P")
-    return _morphism(f.source, g.target, _compose_parity(f.steps, g.steps, len(g.target.names)))
-
-
-def _identity(M: DDStructure):
-    """The packed keys of the identity of M."""
-    n = len(M.names)
-    return {(x * _NLABELS + _UNIT[c]) * n + x for x, c in enumerate(M.codes)}
+    return _morphism(f.source, g.target, _path_sums([(f.steps, g.steps)], len(g.target.names)))
 
 
 def verify_homotopy(F: DDMorphism, G: DDMorphism, H: DDMorphism) -> CheckReport:
     """Check that F, G are inverse chain maps up to the homotopy H.
 
     Identities verified: d(F) = 0, d(G) = 0, F o G = id on the small
-    structure, and G o F + id = d(H) on the big one.  Each side is a set
-    of packed arrow keys from _compose_parity, and the arrows of each sum
-    that survive mod 2 are reported in sorted (x, label, z) order.
+    structure, and G o F + id = d(H) on the big one.  Each identity is
+    one _path_sums call, empty exactly when it holds (G o F + id + d(H) is
+    one pass over M with three terms and the identity); its surviving
+    arrows are reported in (x, label, z) order.
     """
     M, N = F.source, F.target
     _require_same_structure(G.source, N, "G must map the small structure back")
     _require_same_structure(G.target, M, "G must land in the big structure")
     _require_same_structure(H.source, M, "H must be a self-morphism of the big one")
     _require_same_structure(H.target, M, "H must be a self-morphism of the big one")
-    # (tag, key set, source, target), each set empty exactly when its
-    # identity holds; F o G is G then F, G o F is F then G
-    f_g = _compose_parity(G.steps, F.steps, len(N.names)) ^ _identity(N)
-    g_f = _compose_parity(F.steps, G.steps, len(M.names)) ^ _identity(M) ^ _d_parity(H)
+    nm, nn = len(M.names), len(N.names)
+    f_g = _path_sums([(G.steps, F.steps)], nn, [_UNIT[c] for c in N.codes])
+    g_f = _path_sums([(F.steps, G.steps), *_d_terms(H)], nm, [_UNIT[c] for c in M.codes])
+    # (tag, rows, source, target); F o G is G then F, G o F is F then G
     surviving = (
-        ("F not a chain map", _d_parity(F), M, N),
-        ("G not a chain map", _d_parity(G), N, M),
+        ("F not a chain map", _path_sums(_d_terms(F), nn), M, N),
+        ("G not a chain map", _path_sums(_d_terms(G), nm), N, M),
         ("F o G differs from identity", f_g, N, N),
         ("G o F + id differs from d(H)", g_f, M, M),
     )
     lines = tuple(
-        f"{tag}: {_line(*arrow)}"
-        for tag, keys, source, target in surviving
-        for arrow in _unpack(sorted(keys), source.names, target.names)
+        f"{tag}: {_line(source.names[x], _LABELS[a], target.names[z])}"
+        for tag, sums, source, target in surviving
+        for x, row in sums
+        for a, z in row
     )
     return CheckReport(not lines, lines)
 

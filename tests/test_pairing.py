@@ -405,24 +405,50 @@ def test_swap_symmetry(n, left, right):
 
 # the fillings that print 0 today
 _RANK_ZERO = {(1, 1, 1), (2, 1, "inf"), (2, "inf", 1)} | {(n, "inf", n - 1) for n in range(3, 7)}
+# every filling from {1..5, inf}^2 at n = 1..6, the rank-0 ones strict xfails
+_FILLINGS = [
+    pytest.param(
+        n,
+        left,
+        right,
+        marks=[pytest.mark.xfail(strict=True, reason="ROADMAP item 1")]
+        if (n, left, right) in _RANK_ZERO
+        else [],
+    )
+    for n in range(1, 7)
+    for left in (1, 2, 3, 4, 5, "inf")
+    for right in (1, 2, 3, 4, 5, "inf")
+]
 
 
-@pytest.mark.parametrize(
-    "n, left, right",
-    [
-        pytest.param(
-            n,
-            left,
-            right,
-            marks=[pytest.mark.xfail(strict=True, reason="ROADMAP item 1")]
-            if (n, left, right) in _RANK_ZERO
-            else [],
-        )
-        for n in range(1, 7)
-        for left in (1, 2, 3, 4, 5, "inf")
-        for right in (1, 2, 3, 4, 5, "inf")
-    ],
-)
+@pytest.mark.parametrize("n, left, right", _FILLINGS)
 def test_rank_is_at_least_one(n, left, right):
     """HF-hat of a closed 3-manifold is never zero."""
     assert _rank(build_cfdd_full(n), left, right) >= 1
+
+
+def _h1_order(n, left, right):
+    """|H_1| of the filling that ``bpc pair --n n --left L --right R``
+    computes, or 0 when its first Betti number is positive.
+
+    The one framing convention the oracles use: an integer slope L stands
+    for the framing L' = n - 1 - L of its component of T(2, 2n), and R for
+    R' = n - 1 - R, so the linking matrix is [[L', n], [n, R']].  Read
+    each integer framing as the slope p/q = L'/1 and inf as 1/0; then
+    |H_1| = |p1 p2 - n^2 q1 q2|.  Under it the rank printed at (inf, R),
+    |R - n + 1|, is the order of H_1 of that lens space.
+    """
+    (p1, q1), (p2, q2) = ((1, 0) if s == "inf" else (n - 1 - s, 1) for s in (left, right))
+    return abs(p1 * p2 - n * n * q1 * q2)
+
+
+@pytest.mark.parametrize("n, left, right", _FILLINGS)
+def test_rank_bounds_first_homology(n, left, right):
+    """chi(HF-hat) = |H_1| when b_1 = 0, so the rank is at least |H_1| and
+    has its parity; when b_1 > 0, chi = 0 and HF-hat is nonzero, so the
+    rank is even and at least 2."""
+    rank, order = _rank(build_cfdd_full(n), left, right), _h1_order(n, left, right)
+    if order:
+        assert rank >= order and (rank - order) % 2 == 0
+    else:
+        assert rank >= 2 and rank % 2 == 0

@@ -1,5 +1,6 @@
 import pytest
 
+from bpc.algebra import mul_interval
 from bpc.solid_torus import (
     INFINITY,
     build_cfa,
@@ -55,6 +56,35 @@ def test_framed_counts_and_relation(m):
     middle = len([(i, j) for i in range(1, m + 1) for j in range(0, m) if i + j + 1 <= m])
     assert len(M.operations) == 1 + middle + 1
     assert check_a(M).ok
+
+
+def _relation_residue(M, x, seq):
+    """The generators left an odd number of times by the A-infinity
+    relation on (x, seq), summed from M.operations: every split
+    m(m(x, seq[:i]), seq[i:]) and every contraction of two adjacent
+    chords whose product is a chord."""
+    table = {}
+    for source, chords, target in M.operations:
+        table.setdefault((source, chords), []).append(target)
+    odd = set()
+    for cut in range(1, len(seq)):
+        for mid in table.get((x, seq[:cut]), ()):
+            odd ^= set(table.get((mid, seq[cut:]), ()))
+    for pos in range(len(seq) - 1):
+        product = mul_interval(seq[pos], seq[pos + 1])
+        if product is not None:
+            odd ^= set(table.get((x, seq[:pos] + (product,) + seq[pos + 2 :]), ()))
+    return odd
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: check_a misses this residue")
+@pytest.mark.parametrize("m", range(1, 6))
+def test_check_a_ok_implies_a_zero_residue_at_3212(m):
+    """(p_m; 3, 2, 1, 2) refines no operation of build_cfa_framed(m), and
+    its one nonzero term, m(m(p_m; 3, 2, 1), 2) = m(q; 2), leaves p1;
+    check_a must not pass a module with a nonzero residue."""
+    M = build_cfa_framed(m)
+    assert not check_a(M).ok or not _relation_residue(M, f"p{m}", ("3", "2", "1", "2"))
 
 
 @pytest.mark.parametrize("cap", range(0, 9))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 import os
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bpc.algebra import (
+    SIDES,
     basis_tokens,
     idem_token,
     is_idempotent,
@@ -1176,6 +1178,102 @@ def test_equivalence_matches_tuple_reference(n):
     assert check_dd(F.target) == _reference_check(F.target)
     for case in ((F, G, H), (_without_first_arrow(F), G, H), (F, G, _with_extra_arrow(H))):
         assert verify_homotopy(*case) == _reference_verify(*case)
+
+
+def _labels_between(a, b, sides):
+    """Every label, one token per side, that an arrow from idempotents a
+    to idempotents b may carry."""
+    tokens = [
+        [t for t in basis_tokens(side) if (token_left_idem(t), token_right_idem(t)) == (e, f)]
+        for side, e, f in zip(sides, a, b)
+    ]
+    return list(itertools.product(*tokens))
+
+
+def _corrupt(arrows, source_idems, target_idems, sides, edit, rng):
+    """The arrows with one arrow dropped, one coherent arrow added, or one
+    arrow's label replaced by another coherent one, chosen by rng; None
+    when no arrow can be relabelled."""
+    arrows = set(arrows)
+    if edit == "drop":
+        return arrows - {rng.choice(sorted(arrows))}
+    if edit == "add":
+        sources, targets = sorted(source_idems), sorted(target_idems)
+        while True:
+            x, y = rng.choice(sources), rng.choice(targets)
+            labels = _labels_between(source_idems[x], target_idems[y], sides)
+            free = [label for label in labels if (x, *label, y) not in arrows]
+            if free:
+                return arrows | {(x, *rng.choice(free), y)}
+    relabelled = [
+        (arrow, (arrow[0], *label, arrow[-1]))
+        for arrow in sorted(arrows)
+        for label in _labels_between(source_idems[arrow[0]], target_idems[arrow[-1]], sides)
+        if (arrow[0], *label, arrow[-1]) not in arrows
+    ]
+    if not relabelled:
+        return None
+    old, new = rng.choice(relabelled)
+    return arrows - {old} | {new}
+
+
+def _reference_rows(source, target, arrows):
+    """The sorted rows of the (x, label, z) arrows from source to target."""
+    return _reference_steps(source.index, target.index, _named_arrows(arrows))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_corrupted_equivalences_match_tuple_reference(n):
+    """Drop, add or relabel one arrow of F, G, H or M (the big structure,
+    under unchanged maps), and of M, N and a D structure and a complex
+    built from M: the checkers' lines, in order, the rows of d and of
+    compositions, and verify_homotopy's lines, in order, agree with the
+    name-keyed reference, which multiplies labels with mul_basis."""
+    rng = random.Random(n)
+    F, G, H = build_equivalence(n)
+    M, N = F.source, F.target
+    D = box_right(build_cfa(2), M)
+    structures = (M, N, D, box_left(build_cfa(3), D))
+    checks = {DDStructure: check_dd, DStructure: check_d, ChainComplexF2: check_complex}
+    failed, tags = set(), set()
+    for edit in ("drop", "add", "relabel"):
+        for S in structures:
+            sides = SIDES if isinstance(S, DDStructure) else (S.side,) if S.side else ()
+            arrows = _corrupt(S.arrows, S.idems, S.idems, sides, edit, rng)
+            if arrows is None:  # a complex has one label
+                continue
+            T = _rebuilt(S, S.names, ((a[0], a[1:-1], a[-1]) for a in arrows))
+            report = checks[type(T)](T)
+            assert report == _reference_check(T)
+            if not report.ok:
+                failed.add(type(T))
+        for role in "FGHM":
+            if role == "M":
+                arrows = _corrupt(M.arrows, M.idems, M.idems, SIDES, edit, rng)
+                big = DDStructure(M.generators, arrows)
+                f = DDMorphism(big, N, F.arrows)
+                g, h = DDMorphism(N, big, G.arrows), DDMorphism(big, big, H.arrows)
+            else:
+                old = {"F": F, "G": G, "H": H}[role]
+                arrows = _corrupt(old.arrows, old.source.idems, old.target.idems, SIDES, edit, rng)
+                new = DDMorphism(old.source, old.target, arrows)
+                f, g, h = (new if role == r else m for r, m in zip("FGH", (F, G, H)))
+            for m in (f, g, h):
+                rows = _reference_rows(m.source, m.target, _reference_d(m))
+                assert d_of_morphism(m).steps == rows
+            for b, a in ((g, f), (f, g), (h, h), (h, g)):  # b after a
+                rows = _reference_rows(a.source, b.target, _reference_compose(b, a))
+                assert compose(b, a).steps == rows
+            report = verify_homotopy(f, g, h)
+            assert report == _reference_verify(f, g, h)
+            tags.update(line.split(":")[0] for line in report.lines)
+    assert failed == set(checks)
+    assert tags == {
+        "F not a chain map",
+        "G not a chain map",
+        "F o G differs from identity",
+        "G o F + id differs from d(H)",
+    }
 
 
 # ---------------------------------------------------------------------------
