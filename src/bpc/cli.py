@@ -34,8 +34,11 @@ def _integer(option: str, signed: bool = False):
 
 def _write(path, text):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(str(e))
     else:
         sys.stdout.write(text)
 
@@ -73,20 +76,18 @@ def cmd_gen(args):
     return 0
 
 
-def _check_any(S):
-    if isinstance(S, DDStructure):
-        return structures.check_dd(S)
-    if isinstance(S, DStructure):
-        return structures.check_d(S)
-    if isinstance(S, AModule):
-        return structures.check_a(S)
-    if isinstance(S, ChainComplexF2):
-        return structures.check_complex(S)
-    raise UsageError(f"nothing to check for {type(S).__name__}")
+# the checker of each kind ``serialize.from_json`` returns
+_CHECKS = {
+    DDStructure: structures.check_dd,
+    DStructure: structures.check_d,
+    AModule: structures.check_a,
+    ChainComplexF2: structures.check_complex,
+}
 
 
 def cmd_check(args):
-    report = _check_any(_load_structure(args.infile))
+    S = _load_structure(args.infile)
+    report = _CHECKS[type(S)](S)
     if report.ok:
         print("ok")
         return 0

@@ -11,14 +11,14 @@ module generator passes through unchanged, while a path of chord labels
 is matched against a single operation of the module table, the residual
 labels multiplying up along the way.  Strict unitality: a path of
 length >= 2 containing an idempotent consumed-side label contributes
-nothing.  Both products run this one walk (``_walk``); a box_right
-residual is a left label (l,), starting from the left unit, and a
-box_left residual is the empty label.  Finiteness comes from pruning on
-zero residual products and on sequences that leave the module's prefix
-tree (``AModule.tree``, built once where the module checks its table),
-so no path is longer than the module's longest operation.  The
-one bound a path can reach is the family cap of a truncated module,
-which raises ``PathCapExceeded``.
+nothing.  Both products run this one walk (``_walk``); a path's
+residual starts as its first step's residual, a left label (l,) for
+box_right and the empty label for box_left.  Finiteness comes from
+pruning on zero residual products and on sequences that leave the
+module's prefix tree (``AModule.tree``, built once where the module
+checks its table), so no path is longer than the module's longest
+operation.  The one bound a path can reach is the family cap of a
+truncated module, which raises ``PathCapExceeded``.
 """
 
 import math
@@ -26,12 +26,10 @@ from dataclasses import dataclass
 
 from .algebra import _CHORD_INTERVAL
 from .structures import (
-    _BARE,
     _LABEL_ID,
     _LABELS,
     _MUL,
     _NLABELS,
-    _UNIT,
     AModule,
     ChainComplexF2,
     DStructure,
@@ -95,12 +93,12 @@ def _products(A: AModule, S, idems):
     return found, numbers
 
 
-def _walk(A: AModule, S, where: str, consumed, units):
+def _walk(A: AModule, S, where: str, consumed):
     """(found, rows) of A boxed with the DD or D structure S: found as
     ``_products`` gives it for the consumed-side idempotents consumed[x]
     of S's generators, and per product generator the sorted (label id,
     target number) of its arrows, each label the residual product of a
-    path, started from the label units[x] of its first generator x.
+    path, which starts as its first step's residual.
 
     Each product generator's first step is taken inline: an idempotent
     step toggles its arrow, a chord step enters A's tree, and only paths
@@ -138,7 +136,6 @@ def _walk(A: AModule, S, where: str, consumed, units):
     for source, (name, a, start) in enumerate(found):
         mine = numbers[a]
         base = source * width
-        row = mul[units[start]]
         children = tree[a]
         for label, nxt in steps[start]:
             chord, rest = step_of[label]
@@ -149,17 +146,14 @@ def _walk(A: AModule, S, where: str, consumed, units):
                 else:
                     add(key)
                 continue
-            nprod = row[rest]
-            if nprod is None:
-                continue
             if first_capped:
                 _guard_path(A, where, name, (chord,))
             node = children.get(chord)
             if node is None:
                 continue
-            hit(base + nprod * m, node[2], nxt)
+            hit(base + rest * m, node[2], nxt)
             if node[3]:
-                push((nprod, node, nxt))
+                push((rest, node, nxt))
         while stack:
             prod, (depth, seq, _, children), at = pop()
             row = mul[prod]
@@ -193,9 +187,7 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
     if not isinstance(S, DDStructure):
         raise ValueError(f"box_right needs a DDStructure, got {type(S).__name__}")
     codes = S.codes  # 2 * left + right, right in {1, 2}
-    # a path starts from the residual of its first generator's unit label (i, j): (i,)
-    units = [_STEP[_UNIT[c]][1] for c in codes]
-    found, rows = _walk(A, S, "box_right", [2 - c % 2 for c in codes], units)
+    found, rows = _walk(A, S, "box_right", [2 - c % 2 for c in codes])
     left = tuple((codes[x] - 1) // 2 for _, _, x in found)
     return DStructure._from_rows(tuple(name for name, _, _ in found), left, rows, "left")
 
@@ -207,7 +199,7 @@ def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> Cha
     if not isinstance(S, DStructure) or S.side != "left":
         got = f"side {S.side!r}" if isinstance(S, DStructure) else type(S).__name__
         raise ValueError(f"box_left needs a DStructure over the left algebra, got {got}")
-    found, rows = _walk(A, S, "box_left", S.codes, (_BARE,) * len(S.names))
+    found, rows = _walk(A, S, "box_left", S.codes)
     return ChainComplexF2._from_rows(tuple(name for name, _, _ in found), None, rows)
 
 

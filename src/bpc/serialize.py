@@ -15,7 +15,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from .algebra import (
     INTERVALS,
     SIDES,
-    basis_tokens,
     check_token,
     idem_index,
     idem_token,
@@ -177,9 +176,7 @@ _SIDES = {
     "D": ([["left"], ["right"]], "D structures carry one side"),
     "complex": ([[]], "complexes carry no algebra labels"),
 }
-# side -> {token: label id}; sides -> {idempotent token: code}, nested left
-# then right for DD
-_D_IDS = {side: {t: _D_ID[t] for t in basis_tokens(side)} for side in SIDES}
+# sides -> {idempotent token: code}, nested left then right for DD
 _CODES = {(side,): {token: k for k, token in _IDEM[side].items()} for side in SIDES}
 _CODES[SIDES] = {
     _IDEM["left"][a]: {_IDEM["right"][b]: _DD_CODE[a, b] for b in (1, 2)} for a in (1, 2)
@@ -192,8 +189,10 @@ def _rows(doc, kind, sides):
     sorted (label id, target number) of its arrow objects, each filed
     straight into its row.  None at the first object that is not exactly
     its fields with string names and known tokens and endpoints; the
-    named route then finds the message.  An object with the right number
-    of fields and every field read has exactly the right fields."""
+    named route then finds the message.  A token of the other side is
+    filed too: the internal constructor names it.  An object with the
+    right number of fields and every field read has exactly the right
+    fields."""
     gens = _array(doc, "generators")
     fields = _NUMBERED[kind][2]
     try:
@@ -222,11 +221,10 @@ def _rows(doc, kind, sides):
                 step = _DD_ID[a["left"]][a["right"]], index[a["target"]]
                 rows[index[a["source"]]].append(step)
         elif kind == "D":
-            ids = _D_IDS[sides[0]]
             for a in arrows:
                 if type(a) is not dict or len(a) != 3:
                     return None
-                rows[index[a["source"]]].append((ids[a["label"]], index[a["target"]]))
+                rows[index[a["source"]]].append((_D_ID[a["label"]], index[a["target"]]))
         else:
             for a in arrows:
                 if type(a) is not dict or len(a) != 2:

@@ -112,16 +112,6 @@ _MUL = _label_products()
 # _IS_UNIT[a]: every token of label a is an idempotent (so () is a unit)
 _IS_UNIT = tuple(all(map(is_idempotent, label)) for label in _LABELS)
 
-# sides of a label's tokens -> {label: (source idempotents, target
-# idempotents)}: an arrow x -(label)-> y over those sides is coherent
-# exactly when the pair equals (idems[x], idems[y])
-_LABEL_ENDS = {}
-for _label in _LABELS:
-    _LABEL_ENDS.setdefault(tuple(map(side_of, _label)), {})[_label] = (
-        tuple(map(token_left_idem, _label)),
-        tuple(map(token_right_idem, _label)),
-    )
-del _label
 _IDEM_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
@@ -134,13 +124,16 @@ def _code(idems):
 
 
 # sides -> [8 * source code + target code of the arrows each label id may
-# carry over those sides, or None for a label of other sides]
+# carry over those sides, or None for a label of other sides]: an arrow
+# x -(label)-> y is coherent exactly when its entry is 8 * code(x) + code(y)
 _ENDS = {
     sides: [
-        8 * _code(ends[label][0]) + _code(ends[label][1]) if label in ends else None
+        8 * _code(map(token_left_idem, label)) + _code(map(token_right_idem, label))
+        if tuple(map(side_of, label)) == sides
+        else None
         for label in _LABELS
     ]
-    for sides, ends in _LABEL_ENDS.items()
+    for sides in {tuple(map(side_of, label)) for label in _LABELS}
 }
 # code of an idempotent pair -> the id of the unit label fixing it
 _UNIT = {2 * a + b: _DD_ID[idem_token("left", a)][idem_token("right", b)] for a, b in _IDEM_PAIRS}
@@ -263,11 +256,8 @@ def _reject(arrows, sides, src_idems, tgt_idems, missing: str, where: str):
     (x, l, r, y), D arrow (x, t, y) or complex arrow (x, y) with an end
     not in src_idems or tgt_idems, or a token off its side or not carrying
     x's idempotent on that side to y's; a general one if none is named."""
-    ends = _LABEL_ENDS[sides]
     for arrow in sorted(arrows, key=repr):
         x, label, y = arrow[0], arrow[1:-1], arrow[-1]
-        if ends.get(label) == (src_idems.get(x), tgt_idems.get(y)):
-            continue
         if x not in src_idems or y not in tgt_idems:
             raise ValueError(f"{missing} endpoint missing: {arrow}")
         one = len(label) == 1

@@ -9,6 +9,7 @@ from bpc.cli import main
 from bpc.serialize import from_json, to_json
 from bpc.solid_torus import build_cfa, build_cfa_framed
 from bpc.structures import ChainComplexF2
+from bpc.torus_link import build_cfdd_full
 
 
 def run(capsys, *argv):
@@ -231,6 +232,31 @@ def test_reduce_roundtrip(capsys, tmp_path):
     )
     assert code == 0
     assert len(json.loads(stdout)["generators"]) == 8
+
+
+@pytest.mark.parametrize("command", ["gen", "pair", "reduce"])
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("missing/x.json", "[Errno 2] No such file or directory"),
+        (".", "[Errno 21] Is a directory"),
+    ],
+    ids=["missing-directory", "directory"],
+)
+def test_unwritable_out_is_usage_error(capsys, tmp_path, command, target, message):
+    """--out into a missing directory or onto a directory exits 2 with
+    the OS error, as an unreadable --in does, and prints nothing."""
+    g_path = tmp_path / "g.json"
+    g_path.write_text(to_json(build_cfdd_full(2)))
+    out = str(tmp_path / target)
+    argv = {
+        "gen": ["gen", "--n", "2"],
+        "pair": ["pair", "--n", "2", "--right", "2"],
+        "reduce": ["reduce", "--in", str(g_path)],
+    }[command]
+    code, stdout, stderr = run(capsys, *argv, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {message}: {out!r}\n"
 
 
 def _integer_argv(option, value, path):

@@ -161,6 +161,33 @@ def test_malformed_dd_objects_give_exact_messages(gens, arrows, message):
     assert str(err.value) == message
 
 
+def _d_doc(side, label, *later):
+    """A D document over side with generators x (idempotent 1) and y
+    (idempotent 2), an arrow x -(label)-> y and the later arrows."""
+    idem = {"left": "i", "right": "j"}[side]
+    gens = [{"name": "x", "idem": f"{idem}1"}, {"name": "y", "idem": f"{idem}2"}]
+    arrows = [{"source": "x", "label": label, "target": "y"}, *later]
+    return {"schema_version": 1, "kind": "D", "sides": [side], "generators": gens, "arrows": arrows}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_d_doc("left", "s1"), "label 's1' not on side 'left'"),
+        (_d_doc("right", "r1"), "label 'r1' not on side 'right'"),
+        # a field fault later in the document is named first
+        (_d_doc("left", "s1", {"source": "x", "label": "r1"}), "arrow: missing fields ['target']"),
+    ],
+    ids=["left", "right", "later-field"],
+)
+def test_other_side_tokens_in_d_documents(doc, message):
+    """A token of the other side is named as the public constructor names
+    it, after every field fault of the document."""
+    with pytest.raises(ValueError) as err:
+        from_json(json.dumps(doc))
+    assert str(err.value) == message
+
+
 # a structure of each numbered kind and the message naming its first
 # arrow listed twice
 REPEATS = [
