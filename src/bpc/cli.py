@@ -6,6 +6,7 @@ error.  Output is deterministic byte-for-byte for fixed inputs.
 """
 
 import argparse
+import os
 import random
 import sys
 
@@ -70,7 +71,12 @@ def cmd_gen(args):
     _write(args.out, serialize.to_json(S))
     log_text = "\n".join(log) + "\n"
     if args.out:
-        _write(args.out + ".log", log_text)
+        try:
+            _write(args.out + ".log", log_text)
+        except UsageError:
+            # a failed command leaves no document behind
+            os.remove(args.out)
+            raise
     else:
         sys.stderr.write(log_text)
     return 0

@@ -209,11 +209,25 @@ def _check_side(side):
 # arrows: resolved by name into rows, checked on ints, named on failure
 
 
+# the arrow of a kind with 2, 1 or 0 sides
+_SHAPES = ("(source, target)", "(source, token, target)", "(source, left, right, target)")
+
+
+def _misshapen(arrows, sides):
+    """A ValueError naming the least arrow by repr that is not a tuple of
+    the kind's length, or None if every arrow is one."""
+    width = len(sides) + 2
+    bad = [a for a in arrows if not isinstance(a, tuple) or len(a) != width]
+    return ValueError(f"arrow {min(bad, key=repr)!r} is not {_SHAPES[len(sides)]}") if bad else None
+
+
 def _resolve(arrows, index, target_index, sides):
     """[sorted [(label id, target number)] per source number] over the
     arrows (x, *label, y), one token per side in each label, x numbered
     by index and y by target_index; None if an endpoint or a token is
-    unknown.  Coherence is left to the constructor."""
+    unknown.  Coherence is left to the constructor.  Any arrow that is
+    not a tuple of the kind's length raises first (``_misshapen``),
+    whatever order the arrows come in."""
     steps = [[] for _ in index]
     try:
         if len(sides) == 2:
@@ -228,7 +242,12 @@ def _resolve(arrows, index, target_index, sides):
             for s, t in arrows:
                 steps[index[s]].append((_BARE, target_index[t]))
     except KeyError:
-        return None
+        error = _misshapen(arrows, sides)
+        if error is None:
+            return None
+        raise error from None
+    except (TypeError, ValueError):  # an arrow that does not unpack
+        raise _misshapen(arrows, sides) from None
     for row in steps:
         row.sort()
     return steps

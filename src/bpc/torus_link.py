@@ -11,112 +11,119 @@ Generator naming: "ab", "a_y4", "x2_b", "x3y5"; the simplified model
 prefixes every name with "u_".
 """
 
-from itertools import chain
+from collections import defaultdict
 
 from .structures import _DD_CODE, _DD_ID, DDMorphism, DDStructure
 
 
-def _full_families(n, ab, ay, xb, xy):
+def _pair(row, label, xy, a, b):
+    """File the symmetrized sum x_a y_b + x_b y_a with label into row: one
+    step where the two coincide (a == b), the case the formulas' sums
+    collapse to a single arrow.  Returns the number of steps filed."""
+    row.append((label, xy[a][b]))
+    if a == b:
+        return 1
+    row.append((label, xy[b][a]))
+    return 2
+
+
+def _full_families(n, ab, ay, xb, xy, rows):
     """The fourteen arrow families of the full structure.
 
-    Yields (family id, description, provenance, arrows), each arrow a
-    (source number, label id, target number) triple over the number
-    tables ab, ay[k] of a_y{2k}, xb[k] of x{2k}_b and xy[i][j] of
-    x{i}y{j}.  Coincident summands inside one family instance
-    (the "otherwise" degenerations) are collapsed to a single arrow: F1
-    leaves out a mirror target equal to the first, and the other
-    families build target sets.
+    Files each arrow as a (label id, target number) step into
+    rows[source number] and yields (family id, description, provenance,
+    arrow count) once the family is filed, over the number tables ab,
+    ay[k] of a_y{2k}, xb[k] of x{2k}_b and xy[i][j] of x{i}y{j}.  The
+    families are disjoint, so no step is filed twice; inside one family
+    instance a symmetrized sum whose two summands coincide (the
+    "otherwise" degenerations) is one arrow, see ``_pair``.
     """
     top = 2 * n - 1
     dd = _DD_ID
 
-    # x{i}y{j} -> x{i+d}y{j-d}, d = 1 toward the diagonal, plus the mirror
-    # x{j-d}y{i+d} unless it is the same generator (|i - j| = 2)
-    f1 = []
-    add, unit = f1.append, dd["i2"]["j2"]
+    # x{i}y{j} -> x{i+d}y{j-d} + x{j-d}y{i+d}, d = 1 toward the diagonal:
+    # d = -1 below it (j < i), d = 1 above it
+    unit, count = dd["i2"]["j2"], 0
     for i in range(1, top + 1):
-        for j in range(1 + (i % 2 == 0), top + 1, 2):
-            if j != i:
-                d = 1 if j > i else -1
-                add((xy[i][j], unit, xy[i + d][j - d]))
-                if abs(j - i) > 2:
-                    add((xy[i][j], unit, xy[j - d][i + d]))
-    yield ("F1", "provincial rectangles, unit labels, i,j=1..2n-1 same parity", "domain count", f1)
+        xi = xy[i]
+        for j in range(1 + (i % 2 == 0), i, 2):
+            count += _pair(rows[xi[j]], unit, xy, i - 1, j + 1)
+        for j in range(i + 2, top + 1, 2):
+            count += _pair(rows[xi[j]], unit, xy, i + 1, j - 1)
+    yield ("F1", "provincial rectangles, unit labels, i,j=1..2n-1 same parity", "domain count", count)
 
     a = dd["r1"]["j2"]
-    f2 = [(ay[k], a, t) for k in range(1, n) for t in {xy[1][2 * k - 1], xy[2 * k - 1][1]}]
-    yield ("F2", "r1 quadrilaterals, a_y{2k} -> x1 y{2k-1} + x{2k-1} y1, k=1..n-1", "domain count", f2)
+    count = sum(_pair(rows[ay[k]], a, xy, 1, 2 * k - 1) for k in range(1, n))
+    yield ("F2", "r1 quadrilaterals, a_y{2k} -> x1 y{2k-1} + x{2k-1} y1, k=1..n-1", "domain count", count)
 
     a = dd["i2"]["s1"]
-    f3 = [(xb[k], a, t) for k in range(1, n) for t in {xy[2 * k - 1][1], xy[1][2 * k - 1]}]
-    yield ("F3", "s1 quadrilaterals, x{2k}_b -> x{2k-1} y1 + x1 y{2k-1}, k=1..n-1", "domain count", f3)
+    count = sum(_pair(rows[xb[k]], a, xy, 2 * k - 1, 1) for k in range(1, n))
+    yield ("F3", "s1 quadrilaterals, x{2k}_b -> x{2k-1} y1 + x1 y{2k-1}, k=1..n-1", "domain count", count)
 
     a = dd["r3"]["j2"]
-    f4 = [(ay[k], a, t) for k in range(1, n) for t in {xy[2 * k + 1][top], xy[top][2 * k + 1]}]
-    yield ("F4", "r3 quadrilaterals, a_y{2k} -> x{2k+1} y{2n-1} + x{2n-1} y{2k+1}, k=1..n-1", "domain count", f4)
+    count = sum(_pair(rows[ay[k]], a, xy, 2 * k + 1, top) for k in range(1, n))
+    yield ("F4", "r3 quadrilaterals, a_y{2k} -> x{2k+1} y{2n-1} + x{2n-1} y{2k+1}, k=1..n-1", "domain count", count)
 
     a = dd["i2"]["s3"]
-    f5 = [(xb[k], a, t) for k in range(1, n) for t in {xy[top][2 * k + 1], xy[2 * k + 1][top]}]
-    yield ("F5", "s3 quadrilaterals, x{2k}_b -> x{2n-1} y{2k+1} + x{2k+1} y{2n-1}, k=1..n-1", "domain count", f5)
+    count = sum(_pair(rows[xb[k]], a, xy, top, 2 * k + 1) for k in range(1, n))
+    yield ("F5", "s3 quadrilaterals, x{2k}_b -> x{2n-1} y{2k+1} + x{2k+1} y{2n-1}, k=1..n-1", "domain count", count)
 
-    yield (
-        "F6",
-        "central rectangle, x{2n-1}y{2n-1} -> r2 s2 ab",
-        "domain count",
-        [(xy[top][top], dd["r2"]["s2"], ab)],
-    )
+    rows[xy[top][top]].append((dd["r2"]["s2"], ab))
+    yield ("F6", "central rectangle, x{2n-1}y{2n-1} -> r2 s2 ab", "domain count", 1)
 
-    f7 = [
-        (ab, dd[left][right], t)
-        for left, right in (("r3", "s1"), ("r1", "s3"))
-        for t in {xy[1][top], xy[top][1]}
-    ]
-    yield ("F7", "outer annuli, ab -> (r3 s1 + r1 s3)(x1 y{2n-1} + x{2n-1} y1)", "domain count", f7)
+    count = sum(_pair(rows[ab], dd[left][right], xy, 1, top) for left, right in (("r3", "s1"), ("r1", "s3")))
+    yield ("F7", "outer annuli, ab -> (r3 s1 + r1 s3)(x1 y{2n-1} + x{2n-1} y1)", "domain count", count)
 
     a = dd["r23"]["s2"]
-    f8 = [(xy[2 * k - 1][top], a, xb[k]) for k in range(1, n)]
+    for k in range(1, n):
+        rows[xy[2 * k - 1][top]].append((a, xb[k]))
     yield (
         "F8",
         "vertical strip, one cut, x{2k-1}y{2n-1} -> r23 s2 x{2k}_b, k=1..n-1",
         "target index fixed by the structure equation",
-        f8,
+        n - 1,
     )
 
     a = dd["r2"]["s23"]
-    f9 = [(xy[top][2 * l - 1], a, ay[l]) for l in range(1, n)]
+    for l in range(1, n):
+        rows[xy[top][2 * l - 1]].append((a, ay[l]))
     yield (
         "F9",
         "vertical strip, one cut, x{2n-1}y{2l-1} -> r2 s23 a_y{2l}, l=1..n-1",
         "target index fixed by the structure equation",
-        f9,
+        n - 1,
     )
 
     a = dd["r23"]["s23"]
-    f10 = [(xy[2 * k - 1][2 * l - 1], a, xy[2 * k][2 * l]) for k in range(1, n) for l in range(1, n)]
+    for k in range(1, n):
+        source, target = xy[2 * k - 1], xy[2 * k]
+        for l in range(1, n):
+            rows[source[2 * l - 1]].append((a, target[2 * l]))
     yield (
         "F10",
         "vertical strip, two cuts, x{2k-1}y{2l-1} -> r23 s23 x{2k}y{2l}, k,l=1..n-1",
         "target index fixed by the structure equation",
-        f10,
+        (n - 1) ** 2,
     )
 
-    f11 = [(xy[2 * k][2 * l], a, xy[2 * k + 1][2 * l + 1]) for k in range(1, n) for l in range(1, n)]
-    yield ("F11", "diagonal ladder, x{2k}y{2l} -> r23 s23 x{2k+1}y{2l+1}, k,l=1..n-1", "forced by the structure equation", f11)
+    for k in range(1, n):
+        source, target = xy[2 * k], xy[2 * k + 1]
+        for l in range(1, n):
+            rows[source[2 * l]].append((a, target[2 * l + 1]))
+    yield ("F11", "diagonal ladder, x{2k}y{2l} -> r23 s23 x{2k+1}y{2l+1}, k,l=1..n-1", "forced by the structure equation", (n - 1) ** 2)
 
     a = dd["r123"]["s23"]
-    f12 = [(ay[j], a, xy[2 * j + 1][1]) for j in range(1, n)]
-    yield ("F12", "wide annulus, a_y{2j} -> r123 s23 x{2j+1}y1, j=1..n-1", "domain count", f12)
+    for j in range(1, n):
+        rows[ay[j]].append((a, xy[2 * j + 1][1]))
+    yield ("F12", "wide annulus, a_y{2j} -> r123 s23 x{2j+1}y1, j=1..n-1", "domain count", n - 1)
 
     a = dd["r23"]["s123"]
-    f13 = [(xb[j], a, xy[1][2 * j + 1]) for j in range(1, n)]
-    yield ("F13", "wide annulus, x{2j}_b -> r23 s123 x1 y{2j+1}, j=1..n-1", "domain count", f13)
+    for j in range(1, n):
+        rows[xb[j]].append((a, xy[1][2 * j + 1]))
+    yield ("F13", "wide annulus, x{2j}_b -> r23 s123 x1 y{2j+1}, j=1..n-1", "domain count", n - 1)
 
-    yield (
-        "F14",
-        "full diagram, ab -> r123 s123 x1y1",
-        "three disk classes, odd total count",
-        [(ab, dd["r123"]["s123"], xy[1][1])],
-    )
+    rows[ab].append((dd["r123"]["s123"], xy[1][1]))
+    yield ("F14", "full diagram, ab -> r123 s123 x1y1", "three disk classes, odd total count", 1)
 
 
 def _numbered(named):
@@ -127,12 +134,8 @@ def _numbered(named):
     return names, tuple(code for _, code in named), {name: k for k, name in enumerate(names)}
 
 
-def _rows(count, arrows):
-    """[sorted [(label id, target number)] per source number 0 .. count
-    - 1] over the (source number, label id, target number) arrows."""
-    rows = [[] for _ in range(count)]
-    for s, a, t in arrows:
-        rows[s].append((a, t))
+def _sorted_rows(rows):
+    """rows, each sorted in place into (label id, target number) order."""
     for row in rows:
         row.sort()
     return rows
@@ -158,11 +161,12 @@ def build_cfdd_full(n: int) -> DDStructure:
 
 def _build_full(n):
     """``build_cfdd_full(n)`` and the number tables (ab, ay, xb, xy) that
-    ``_full_families`` reads.  The families are disjoint, so their arrows
-    go straight into the rows."""
+    ``_full_families`` reads."""
     names, codes, tables = _full_numbering(n)
-    arrows = chain.from_iterable(family for *_, family in _full_families(n, *tables))
-    return DDStructure._from_rows(names, codes, _rows(len(names), arrows)), tables
+    rows = [[] for _ in names]
+    for _ in _full_families(n, *tables, rows):
+        pass
+    return DDStructure._from_rows(names, codes, _sorted_rows(rows)), tables
 
 
 def _full_numbering(n):
@@ -218,9 +222,8 @@ def _full_numbering(n):
 def full_build_log(n: int):
     """Plain-text build log: family, arrow count, index range, provenance."""
     lines = [f"full type-DD structure, n={n}"]
-    for fid, desc, provenance, family in _full_families(n, *_distinct_tables(n)):
-        count = f"{len(family)} arrow" + ("" if len(family) == 1 else "s")
-        lines.append(f"{fid}: {desc}; {count} [{provenance}]")
+    for fid, desc, provenance, count in _full_families(n, *_distinct_tables(n), defaultdict(list)):
+        lines.append(f"{fid}: {desc}; {count} arrow{'' if count == 1 else 's'} [{provenance}]")
     return tuple(lines)
 
 
@@ -247,34 +250,30 @@ def _build_simplified(n):
     ay, xb, d = ([None] + [number[name] for name in table[1:]] for table in (ay, xb, d))
 
     dd = _DD_ID
-    arrows = [
-        (ab, dd["r123"]["s123"], d[1]),
-        (ab, dd["r1"]["s3"], d[n]),
-        (ab, dd["r3"]["s1"], d[n]),
-        (d[top], dd["r2"]["s2"], ab),
-    ]
+    r1, r3, s1, s3 = dd["r1"]["j2"], dd["r3"]["j2"], dd["i2"]["s1"], dd["i2"]["s3"]
+    r2s23, r23s2, r23s123 = dd["r2"]["s23"], dd["r23"]["s2"], dd["r23"]["s123"]
+    rows = [[] for _ in names]
+    rows[ab] += [(dd["r123"]["s123"], d[1]), (dd["r1"]["s3"], d[n]), (dd["r3"]["s1"], d[n])]
+    rows[d[top]].append((dd["r2"]["s2"], ab))
     for k in range(1, n):
-        arrows += [
-            (ay[k], dd["r1"]["j2"], d[k]),
-            (ay[k], dd["r3"]["j2"], d[n + k]),
-            (xb[k], dd["i2"]["s1"], d[k]),
-            (xb[k], dd["i2"]["s3"], d[n + k]),
-            (xb[k], dd["r23"]["s123"], d[k + 1]),
-        ]
-    for k in range(n, 2 * n - 1):
+        rows[ay[k]] += [(r1, d[k]), (r3, d[n + k])]
+        rows[xb[k]] += [(s1, d[k]), (s3, d[n + k]), (r23s123, d[k + 1])]
+    for k in range(n, top):
         m = k - n + 1
-        arrows += [(d[k], dd["r2"]["s23"], ay[m]), (d[k], dd["r23"]["s2"], xb[m])]
-    S = DDStructure._from_rows(names, codes, _rows(len(names), arrows))
-    return S, (ab, ay, xb, d)
+        rows[d[k]] += [(r2s23, ay[m]), (r23s2, xb[m])]
+    return DDStructure._from_rows(names, codes, _sorted_rows(rows)), (ab, ay, xb, d)
 
 
 def build_equivalence(n: int):
     """The morphisms (F, G, H) relating full and simplified structures.
 
     F: full -> simplified and G: simplified -> full are inverse chain
-    maps up to the self-homotopy H of the full structure.  Arrows are
-    number triples over the two builds' tables, collected in sets as
-    sums mod 2 would collapse them.
+    maps up to the self-homotopy H of the full structure.  Each arrow is
+    filed as a (label id, target number) step into its source's row over
+    the two builds' number tables, once: where two summands of a formula
+    coincide they are one arrow (see ``_pair``), and F's x1y{2n-1} ->
+    u_x{n}y{n}, which the formula gives at k = n and at k = 1, is filed
+    at k = n only.
     """
     if n < 3:
         raise ValueError("the equivalence data is built for n >= 3")
@@ -282,71 +281,55 @@ def build_equivalence(n: int):
     N, (u_ab, u_ay, u_xb, u_d) = _build_simplified(n)
     top = 2 * n - 1
     dd = _DD_ID
-    unit = dd["i2"]["j2"]
+    unit, cut = dd["i2"]["j2"], dd["r23"]["s23"]
+    i1j1, i1j2, i2j1, r2s23 = dd["i1"]["j1"], dd["i1"]["j2"], dd["i2"]["j1"], dd["r2"]["s23"]
 
-    def pair(i, j):
-        """The symmetrized generator set {x_i y_j, x_j y_i}."""
-        return {xy[i][j], xy[j][i]}
-
-    f_arrows = {(ab, dd["i1"]["j1"], u_ab)}
+    rows = [[] for _ in M.names]
+    rows[ab].append((i1j1, u_ab))
     for k in range(1, n):
-        f_arrows.add((ay[k], dd["i1"]["j2"], u_ay[k]))
-        f_arrows.add((xb[k], dd["i2"]["j1"], u_xb[k]))
+        rows[ay[k]].append((i1j2, u_ay[k]))
+        rows[xb[k]].append((i2j1, u_xb[k]))
+        rows[xy[2 * k][2 * n - 2]].append((r2s23, u_ay[k]))
     for k in range(1, n + 1):
-        f_arrows.add((xy[1][2 * k - 1], unit, u_d[k]))
-        f_arrows.add((xy[2 * k - 1][top], unit, u_d[k + n - 1]))
-    for k in range(1, n):
-        f_arrows.add((xy[2 * k][2 * n - 2], dd["r2"]["s23"], u_ay[k]))
-    F = DDMorphism._from_rows(M, N, _rows(len(M.names), f_arrows))
+        rows[xy[1][2 * k - 1]].append((unit, u_d[k]))
+    for k in range(2, n + 1):  # at k = 1 it is x1y{2n-1} -> u_x{n}y{n} again
+        rows[xy[2 * k - 1][top]].append((unit, u_d[k + n - 1]))
+    F = DDMorphism._from_rows(M, N, _sorted_rows(rows))
 
-    g_arrows = {(u_ab, dd["i1"]["j1"], ab)}
+    rows = [[] for _ in N.names]
+    rows[u_ab].append((i1j1, ab))
     for k in range(1, n):
-        g_arrows.add((u_ay[k], dd["i1"]["j2"], ay[k]))
-        g_arrows.add((u_xb[k], dd["i2"]["j1"], xb[k]))
-    g_arrows.add((u_d[1], unit, xy[1][1]))
-    g_arrows.add((u_d[1], dd["r23"]["s23"], xy[3][1]))
-    for k in range(2, n):
-        g_arrows.add((u_d[k], unit, xy[1][2 * k - 1]))
-        g_arrows.add((u_d[k], unit, xy[2 * k - 1][1]))
-        g_arrows.add((u_d[k], dd["r23"]["s23"], xy[2 * k + 1][1]))
-    for k in range(n, 2 * n - 1):
-        g_arrows.add((u_d[k], unit, xy[2 * k - 2 * n + 1][top]))
-        g_arrows.add((u_d[k], unit, xy[top][2 * k - 2 * n + 1]))
-    g_arrows.add((u_d[top], unit, xy[top][top]))
-    G = DDMorphism._from_rows(N, M, _rows(len(N.names), g_arrows))
+        rows[u_ay[k]].append((i1j2, ay[k]))
+        rows[u_xb[k]].append((i2j1, xb[k]))
+        row = rows[u_d[k]]
+        _pair(row, unit, xy, 1, 2 * k - 1)  # x1y1 alone at k = 1
+        row.append((cut, xy[2 * k + 1][1]))
+    for k in range(n, top + 1):  # x{2n-1}y{2n-1} alone at k = 2n - 1
+        _pair(rows[u_d[k]], unit, xy, 2 * k - 2 * n + 1, top)
+    G = DDMorphism._from_rows(N, M, _sorted_rows(rows))
 
-    h_arrows = set()
+    rows = [[] for _ in M.names]
     r3, s3 = dd["r3"]["j2"], dd["i2"]["s3"]
-    for k in range(1, n):
-        if k <= n - 2:
-            ay_targets = pair(2 * k + 1, top)
-            xb_targets = pair(top, 2 * k + 1)
-        else:
-            ay_targets = xb_targets = {xy[top][top]}
-        h_arrows.update((ay[k], r3, t) for t in ay_targets)
-        h_arrows.update((xb[k], s3, t) for t in xb_targets)
-    # the set collapses the two numbers of {x_a y_b, x_b y_a} when a = b
-    add, cut = h_arrows.add, dd["r23"]["s23"]
+    for k in range(1, n):  # x{2n-1}y{2n-1} alone at k = n - 1
+        _pair(rows[ay[k]], r3, xy, 2 * k + 1, top)
+        _pair(rows[xb[k]], s3, xy, top, 2 * k + 1)
     for i in range(1, top + 1):
-        for j in range(1 + (i % 2 == 0), top + 1, 2):
-            x = xy[i][j]
-            if i < j:
-                add((x, unit, xy[i + 1][j - 1]))
-                add((x, unit, xy[j - 1][i + 1]))
-                if i != 1 and j != top:
-                    add((x, unit, xy[j + 1][i - 1]))
-            elif i > j:
-                if j == 1 and 3 <= i <= 2 * n - 3:
-                    add((x, cut, xy[i + 1][2]))
-                    add((x, cut, xy[2][i + 1]))
-                    a, b = i - 1, 2
-                else:
-                    a, b = i - 1, j + 1
-                add((x, unit, xy[a][b]))
-                add((x, unit, xy[b][a]))
-            elif i == 1:
-                add((x, cut, xy[2][2]))
-            elif i != top:
-                add((x, unit, xy[i + 1][i - 1]))
-    H = DDMorphism._from_rows(M, M, _rows(len(M.names), h_arrows))
+        xi = xy[i]
+        for j in range(1 + (i % 2 == 0), i, 2):  # below the diagonal
+            row = rows[xi[j]]
+            if j == 1 and 3 <= i <= 2 * n - 3:
+                _pair(row, cut, xy, i + 1, 2)
+                _pair(row, unit, xy, i - 1, 2)
+            else:
+                _pair(row, unit, xy, i - 1, j + 1)
+        if i == 1:
+            rows[xi[i]].append((cut, xy[2][2]))
+        elif i != top:
+            rows[xi[i]].append((unit, xy[i + 1][i - 1]))
+        for j in range(i + 2, top + 1, 2):  # above it
+            row = rows[xi[j]]
+            _pair(row, unit, xy, i + 1, j - 1)
+            if i != 1 and j != top:
+                row.append((unit, xy[j + 1][i - 1]))
+    H = DDMorphism._from_rows(M, M, _sorted_rows(rows))
     return F, G, H

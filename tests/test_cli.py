@@ -259,6 +259,17 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, command, target, messag
     assert stderr == f"error: {message}: {out!r}\n"
 
 
+def test_gen_with_an_unwritable_log_leaves_no_document(capsys, tmp_path):
+    """gen --out writes the document, then its .log; when the log cannot
+    be written the command exits 2 and removes the document it wrote."""
+    out = tmp_path / "y.json"
+    (tmp_path / "y.json.log").mkdir()
+    code, stdout, stderr = run(capsys, "gen", "--n", "2", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: [Errno 21] Is a directory: {str(out) + '.log'!r}\n"
+    assert not out.exists()
+
+
 def _integer_argv(option, value, path):
     """A command line that reads value for option and would succeed if
     value were 3."""

@@ -242,6 +242,52 @@ def test_bad_d_and_complex_arrow_among_many_is_named():
     assert str(error.value) == f"arrow endpoint missing: {bad}"
 
 
+DD_A = DDStructure((DDGenerator("a", 1, 1),), frozenset())
+# (build, a misshapen arrow, the kind's shape, a well-shaped arrow to an
+# unknown generator)
+MISSHAPEN_ARROWS = {
+    "DDStructure": (
+        lambda arrows: DDStructure(DD_A.generators, arrows),
+        ("a", "a"),
+        "(source, left, right, target)",
+        ("a", "i1", "j1", "z"),
+    ),
+    "DStructure": (
+        lambda arrows: DStructure("left", (DGenerator("a", 1),), arrows),
+        ("a", "i1", "i1", "a"),
+        "(source, token, target)",
+        ("a", "i1", "z"),
+    ),
+    "ChainComplexF2": (
+        lambda arrows: ChainComplexF2(("a",), arrows),
+        ("a", "i1", "a"),
+        "(source, target)",
+        ("a", "z"),
+    ),
+    "DDMorphism": (
+        lambda arrows: DDMorphism(DD_A, DD_A, arrows),
+        ("a", "i1", "a"),
+        "(source, left, right, target)",
+        ("a", "i1", "j1", "z"),
+    ),
+}
+
+
+@pytest.mark.parametrize("build, arrow, shape, stranger", MISSHAPEN_ARROWS.values(), ids=MISSHAPEN_ARROWS)
+def test_arrow_of_the_wrong_length_is_named(build, arrow, shape, stranger):
+    """An arrow that does not unpack into its kind's shape is named with
+    that shape, the least such by repr (a non-tuple too), before any
+    unknown endpoint; Python's own unpacking message named neither."""
+    for arrows, least in (
+        ({arrow}, arrow),
+        ({arrow, stranger}, arrow),
+        ({arrow, ("a",) * 5, 7, stranger}, min((arrow, ("a",) * 5, 7), key=repr)),
+    ):
+        with pytest.raises(ValueError) as error:
+            build(frozenset(arrows))
+        assert str(error.value) == f"arrow {least!r} is not {shape}"
+
+
 def test_check_d_surgery_cycle_passes():
     gens = (DGenerator("w_ab", 1), DGenerator("w_x2b", 2), DGenerator("w_x4b", 2))
     arrows = {("w_ab", "r123", "w_x2b"), ("w_x2b", "r23", "w_x4b"), ("w_x4b", "r2", "w_ab")}
@@ -1494,6 +1540,10 @@ SEVERAL_FAULTS = {
     "module operations": (
         "AModule((AGenerator('w', 1),), {('w', ('3',), y) for y in 'stuvxyz'})",
         "operation endpoint missing: ('w', ('3',), 's')",
+    ),
+    "misshapen arrows": (
+        "DDStructure([DDGenerator('a', 1, 1)], [(x, y) for x in 'ab' for y in 'stuvxyz'] + [('a', 'i1', 'j1', y) for y in 'stuvxyz'])",
+        "arrow ('a', 's') is not (source, left, right, target)",
     ),
 }
 
