@@ -18,7 +18,10 @@ pruning on zero residual products and on sequences that leave the
 module's prefix tree (``AModule.tree``, built once where the module
 checks its table), so no path is longer than the module's longest
 operation.  The one bound a path can reach is the family cap of a
-truncated module, which raises ``PathCapExceeded``.
+truncated module, which raises ``PathCapExceeded``.  Each product
+generator's row is emitted as it is walked: its pass-through arrows come
+sorted and distinct (see ``_walk`` for the three reasons), so only a row
+that chord paths land in is summed mod 2 in a set and sorted again.
 """
 
 import math
@@ -29,7 +32,6 @@ from .structures import (
     _LABEL_ID,
     _LABELS,
     _MUL,
-    _NLABELS,
     AModule,
     ChainComplexF2,
     DStructure,
@@ -77,19 +79,21 @@ def _guard_path(module: AModule, where: str, source: str, seq: tuple):
 
 def _products(A: AModule, S, idems):
     """The sorted (name "a*x", a, x) of module generators a and generators
-    x of S with a's occupancy equal to idems[x] (a name may hold "*"),
-    and {a: [the number of a*x in that order, or None, by x]}."""
-    found = sorted(
-        [
-            (f"{a.name}*{name}", a.name, x)
-            for a in A.generators
-            for x, name in enumerate(S.names)
-            if idems[x] == a.occupancy
-        ]
-    )
-    numbers = {a.name: [None] * len(S.names) for a in A.generators}
-    for k, (_, a, x) in enumerate(found):
-        numbers[a][x] = k
+    x of S with a's occupancy equal to idems[x], and {a: [the number of
+    a*x in that order, or None, by x]}.  Built by a + "*", then x in S's
+    name order: the order of "a*x" unless a module name holds "*"."""
+    numbers, found = {}, []
+    for a in sorted(A.generators, key=lambda g: g.name + "*"):
+        numbers[a.name] = mine = [None] * len(S.names)
+        prefix, occupancy = a.name + "*", a.occupancy
+        for x, name in enumerate(S.names):
+            if idems[x] == occupancy:
+                mine[x] = len(found)
+                found.append((prefix + name, a.name, x))
+    if any("*" in a for a in numbers):  # "p*q*x" sorts between "p*a" and "p*z"
+        found.sort()
+        for k, (_, a, x) in enumerate(found):
+            numbers[a][x] = k
     return found, numbers
 
 
@@ -101,9 +105,15 @@ def _walk(A: AModule, S, where: str, consumed):
     path, which starts as its first step's residual.
 
     Each product generator's first step is taken inline: an idempotent
-    step toggles its arrow, a chord step enters A's tree, and only paths
-    that continue go on the stack, where idempotent steps are dropped
-    (strict unitality).  Most products never leave the first step.
+    step appends its arrow to the row, a chord step enters A's tree, and
+    only paths that continue go on the stack, where idempotent steps are
+    dropped (strict unitality).  Most products never leave the first step.
+    The idempotent steps of a*x come in sorted order and distinct, for
+    three reasons: coherence fixes x's consumed-side token, and label ids
+    sort by (residual, consumed token); for a fixed module generator,
+    product numbers increase with x; and S's rows are sorted and never
+    repeat a step.  Chord paths that land are kept apart, in hits; only
+    a row with hits is summed mod 2 with them in a set and sorted again.
 
     A chord step lands on a generator whose consumed-side idempotent is
     the chord's right idempotent (S is coherent), which is the occupancy
@@ -113,56 +123,38 @@ def _walk(A: AModule, S, where: str, consumed):
     horizon = math.inf if A.capped_arity is None else A.capped_arity
     steps = S.steps
     found, numbers = _products(A, S, consumed)
-    m = len(found)
-    width = _NLABELS * m
-    parity = set()  # packed keys source * width + label * m + target
-    add, remove = parity.add, parity.remove  # each arrow is toggled: a sum mod 2
     step_of, mul = _STEP, _MUL
-
-    def hit(lid, targets, nxt):
-        """Toggle the arrows lid + t to the products t of each target with nxt."""
-        for tgt in targets:
-            key = lid + numbers[tgt][nxt]
-            if key in parity:
-                remove(key)
-            else:
-                add(key)
-
     first_capped = horizon <= 1  # one chord reaches the family cap
     # (residual product so far, tree node of the chords so far, current
     # generator) of each path that continues; empty between sources
-    stack = []
+    stack, rows = [], []
     push, pop = stack.append, stack.pop
-    for source, (name, a, start) in enumerate(found):
-        mine = numbers[a]
-        base = source * width
-        children = tree[a]
+    for name, a, start in found:
+        mine, children = numbers[a], tree[a]
+        row, hits = [], []  # (label, target) of idempotent steps; of landed chord paths
         for label, nxt in steps[start]:
             chord, rest = step_of[label]
             if chord is None:
-                key = base + rest * m + mine[nxt]
-                if key in parity:
-                    remove(key)
-                else:
-                    add(key)
+                row.append((rest, mine[nxt]))
                 continue
             if first_capped:
                 _guard_path(A, where, name, (chord,))
             node = children.get(chord)
             if node is None:
                 continue
-            hit(base + rest * m, node[2], nxt)
+            for tgt in node[2]:
+                hits.append((rest, numbers[tgt][nxt]))
             if node[3]:
                 push((rest, node, nxt))
         while stack:
             prod, (depth, seq, _, children), at = pop()
-            row = mul[prod]
+            prods = mul[prod]
             capped = depth + 1 >= horizon  # one more chord reaches the family cap
             for label, nxt in steps[at]:
                 chord, rest = step_of[label]
                 if chord is None:
                     continue
-                nprod = row[rest]
+                nprod = prods[rest]
                 if nprod is None:
                     continue
                 if capped:
@@ -170,13 +162,19 @@ def _walk(A: AModule, S, where: str, consumed):
                 node = children.get(chord)
                 if node is None:
                     continue
-                hit(base + nprod * m, node[2], nxt)
+                for tgt in node[2]:
+                    hits.append((nprod, numbers[tgt][nxt]))
                 if node[3]:
                     push((nprod, node, nxt))
-    rows = [[] for _ in found]
-    for key in sorted(parity):  # in (source, label, target) order
-        x, step = divmod(key, width)
-        rows[x].append(divmod(step, m))  # (label, target)
+        if hits:  # each arrow is toggled: a sum mod 2
+            odd = set(row)
+            for hit in hits:
+                if hit in odd:
+                    odd.remove(hit)
+                else:
+                    odd.add(hit)
+            row = sorted(odd)
+        rows.append(row)
     return found, rows
 
 

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from bpc.algebra import chord_token, is_idempotent, side_of
+from bpc.algebra import INTERVALS, chord_token, is_idempotent, mul_basis, side_of
 from bpc.pairing import (
     _STEP,
     PairingConfig,
@@ -452,3 +452,162 @@ def test_rank_bounds_first_homology(n, left, right):
         assert rank >= order and (rank - order) % 2 == 0
     else:
         assert rank >= 2 and rank % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# a reference box product, written from the definition on names
+
+
+def _box_reference(A, S):
+    """(generators, arrows) of A boxed with S, as names: box_right's
+    DGenerators and (a*x, l, b*y) arrows for a DD structure S, box_left's
+    names and (a*x, b*y) arrows for a left D structure.
+
+    Every path from x is enumerated, until its chords begin no operation
+    of a.  An idempotent consumed-side step counts only as a whole path
+    of length one, relabelling a*x to a*y (strict unitality); a path of
+    chords counts when they spell an operation (a, chords, b) of A's
+    table and the product of its residual labels is nonzero, landing on
+    b*y.  Contributions are summed mod 2."""
+    interval = {chord_token(side, c): c for side in ("left", "right") for c in INTERVALS}
+    if isinstance(S, DDStructure):  # consume r of (x, l, r, y), keep (l,)
+        consumed = {g.name: g.right for g in S.generators}
+        kept = {g.name: g.left for g in S.generators}
+        steps = [(x, (l,), r, y) for x, l, r, y in S.arrows]
+    else:  # consume t of (x, t, y), keep ()
+        consumed, kept = {g.name: g.idem for g in S.generators}, None
+        steps = [(x, (), t, y) for x, t, y in S.arrows]
+    out = {x: [] for x in consumed}
+    for x, rest, token, y in steps:
+        out[x].append((rest, token, y))
+    ops, prefixes = {}, set()
+    for a, seq, b in A.operations:
+        ops.setdefault((a, seq), []).append(b)
+        prefixes.update((a, seq[:k]) for k in range(1, len(seq) + 1))
+
+    def times(u, v):
+        if not u:
+            return ()
+        p = mul_basis(u[0], v[0])
+        return None if p is None else (p,)
+
+    gens, odd = set(), set()
+    for a in A.generators:
+        for x, e in consumed.items():
+            if e != a.occupancy:
+                continue
+            src = f"{a.name}*{x}"
+            gens.add(src if kept is None else DGenerator(src, kept[x]))
+            paths = []
+            for rest, token, y in out[x]:
+                if is_idempotent(token):
+                    odd ^= {(src, *rest, f"{a.name}*{y}")}
+                else:
+                    paths.append((rest, (interval[token],), y))
+            while paths:  # chord paths whose chords begin an operation of a
+                rest, seq, y = paths.pop()
+                if (a.name, seq) not in prefixes:
+                    continue
+                for b in ops.get((a.name, seq), ()):
+                    odd ^= {(src, *rest, f"{b}*{y}")}
+                for more, token, z in out[y]:
+                    product = times(rest, more)
+                    if not is_idempotent(token) and product is not None:
+                        paths.append((product, seq + (interval[token],), z))
+    return gens, odd
+
+
+def _assert_sorted(T):
+    """Names in sorted order and every row strictly increasing."""
+    assert list(T.names) == sorted(T.names)
+    for row in T.steps:
+        assert all(u < v for u, v in zip(row, row[1:])), row
+
+
+@pytest.mark.parametrize("right", [1, 2, 3, 4, 5, "inf"])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_box_products_match_the_reference(n, right):
+    """Every ``bpc pair`` input with n <= 4 and slopes {1..5, inf}."""
+    S = build_cfdd_full(n)
+    D = box_right(build_cfa(right), S)
+    assert (set(D.generators), D.arrows) == _box_reference(build_cfa(right), S)
+    _assert_sorted(D)
+    for left in (1, 2, 3, 4, 5, "inf"):
+        C = box_left(build_cfa(left), D)
+        assert (set(C.generators), C.arrows) == _box_reference(build_cfa(left), D)
+        _assert_sorted(C)
+
+
+# hand-built inputs on which the mod-2 sum cancels, which no pair input does
+_CANCELLING = {
+    # x -(i1, s23)-> y spells a -(23)-> a, the same arrow a*x -(i1)-> a*y
+    # as the idempotent step beside it
+    "a chord path cancels an idempotent step": (
+        AModule((AGenerator("a", 2),), {("a", ("23",), "a")}),
+        DDStructure(
+            (DDGenerator("x", 1, 2), DDGenerator("y", 1, 2)),
+            {("x", "i1", "j2", "y"), ("x", "i1", "s23", "y")},
+        ),
+        set(),
+    ),
+    # the same in box_left, with x -(r12)-> y beside x -(i1)-> y
+    "a chord path cancels an idempotent step, box_left": (
+        AModule((AGenerator("a", 1),), {("a", ("12",), "a")}),
+        DStructure(
+            "left",
+            (DGenerator("x", 1), DGenerator("y", 1)),
+            {("x", "i1", "y"), ("x", "r12", "y")},
+        ),
+        set(),
+    ),
+    # two first steps x -(i1, s1)-> y and x -(i1, s3)-> y spell two
+    # operations a -> b; y -(i1, s2)-> z -(i1, s1)-> w and y -(i1, s2)->
+    # z2 -(i1, s1)-> w, two paths through the stack, spell one b -> b
+    "two chord paths cancel": (
+        AModule(
+            (AGenerator("a", 1), AGenerator("b", 2)),
+            {("a", ("1",), "b"), ("a", ("3",), "b"), ("b", ("2", "1"), "b")},
+        ),
+        DDStructure(
+            (
+                DDGenerator("w", 1, 2),
+                DDGenerator("x", 1, 1),
+                DDGenerator("y", 1, 2),
+                DDGenerator("z", 1, 1),
+                DDGenerator("z2", 1, 1),
+            ),
+            {
+                ("x", "i1", "s1", "y"),
+                ("x", "i1", "s3", "y"),
+                ("y", "i1", "s2", "z"),
+                ("y", "i1", "s2", "z2"),
+                ("z", "i1", "s1", "w"),
+                ("z2", "i1", "s1", "w"),
+            },
+        ),
+        {("a*z", "i1", "b*w"), ("a*z2", "i1", "b*w")},
+    ),
+}
+
+
+@pytest.mark.parametrize("A, S, arrows", _CANCELLING.values(), ids=_CANCELLING)
+def test_cancelling_paths_match_the_reference(A, S, arrows):
+    T = box_right(A, S) if isinstance(S, DDStructure) else box_left(A, S)
+    assert T.arrows == arrows
+    assert (set(T.generators), T.arrows) == _box_reference(A, S)
+    _assert_sorted(T)
+
+
+def test_module_names_holding_a_star_still_sort_the_products():
+    # "p*q" + "*b" sorts between "p*" + "a" and "p*" + "z"
+    A = AModule((AGenerator("p", 1), AGenerator("p*q", 2)), {("p", ("1",), "p*q")})
+    S = DStructure(
+        "left",
+        (DGenerator("a", 1), DGenerator("b", 2), DGenerator("z", 1)),
+        {("a", "r1", "b"), ("z", "r1", "b")},
+    )
+    C = box_left(A, S)
+    assert C.names == ("p*a", "p*q*b", "p*z")
+    assert C.arrows == {("p*a", "p*q*b"), ("p*z", "p*q*b")}
+    assert (set(C.generators), C.arrows) == _box_reference(A, S)
+    _assert_sorted(C)
