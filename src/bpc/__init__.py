@@ -7,7 +7,7 @@ from .diagram import (
     periodic_domains,
     provincially_admissible,
 )
-from .pairing import PairingConfig, PathCapExceeded, box_left, box_right, homology_rank
+from .pairing import PairingConfig, box_left, box_right, homology_rank
 from .solid_torus import build_cfa, build_cfa_framed, build_cfa_infinity, parse_slope
 from .structures import (
     AGenerator,

@@ -63,8 +63,7 @@ def cmd_gen(args):
     if args.n < 1 or (args.form == "simplified" and args.n < 2):
         raise UsageError(f"no {args.form} structure for n={args.n}")
     if args.form == "full":
-        S = torus_link.build_cfdd_full(args.n)
-        log = torus_link.full_build_log(args.n)
+        S, _, log = torus_link._build_full(args.n)
     else:
         S = torus_link.build_cfdd_simplified(args.n)
         log = (f"simplified type-DD structure, n={args.n}",)

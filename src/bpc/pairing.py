@@ -13,18 +13,16 @@ labels multiplying up along the way.  Strict unitality: a path of
 length >= 2 containing an idempotent consumed-side label contributes
 nothing.  Both products run this one walk (``_walk``); a path's
 residual starts as its first step's residual, a left label (l,) for
-box_right and the empty label for box_left.  Finiteness comes from
-pruning on zero residual products and on sequences that leave the
-module's prefix tree (``AModule.tree``, built once where the module
-checks its table), so no path is longer than the module's longest
-operation.  The one bound a path can reach is the family cap of a
-truncated module, which raises ``PathCapExceeded``.  Each product
+box_right and the empty label for box_left.  Paths are pruned on zero
+residual products and on sequences that leave the module's prefix tree
+(``AModule.tree``, built once where the module checks its table), or
+raise a ValueError if they repeat a state around a loop, a starred
+chord's node: such a pairing is unbounded.  Each product
 generator's row is emitted as it is walked: its pass-through arrows come
 sorted and distinct (see ``_walk`` for the three reasons), so only a row
 that chord paths land in is summed mod 2 in a set and sorted again.
 """
 
-import math
 from dataclasses import dataclass
 
 from .algebra import _CHORD_INTERVAL
@@ -32,6 +30,7 @@ from .structures import (
     _LABEL_ID,
     _LABELS,
     _MUL,
+    _NLABELS,
     AModule,
     ChainComplexF2,
     DStructure,
@@ -53,8 +52,7 @@ DEFAULT_PATH_CAP = 64
 @dataclass(frozen=True)
 class PairingConfig:
     """Which algebra the module consumes.  ``path_cap`` is kept for callers
-    that still pass it and is not read: prefix pruning already bounds
-    every path by the module's longest operation."""
+    that still pass it and is not read: ``_walk`` bounds every path."""
 
     side: str = "right"
     path_cap: int = DEFAULT_PATH_CAP
@@ -62,19 +60,6 @@ class PairingConfig:
     def __post_init__(self):
         if self.side not in ("left", "right"):
             raise ValueError(f"unknown side {self.side!r}")
-
-
-class PathCapExceeded(ValueError):
-    """A path reached a truncated module's family cap; the result would be
-    unreliable."""
-
-
-def _guard_path(module: AModule, where: str, source: str, seq: tuple):
-    """Raise PathCapExceeded, naming the path; seq has reached the family cap."""
-    raise PathCapExceeded(
-        f"module family cap {module.capped_arity} touched (rebuild it with a larger cap)"
-        f" during {where} from {source!r} along chords {' '.join(seq)}"
-    )
 
 
 def _products(A: AModule, S, idems):
@@ -118,15 +103,18 @@ def _walk(A: AModule, S, where: str, consumed):
     A chord step lands on a generator whose consumed-side idempotent is
     the chord's right idempotent (S is coherent), which is the occupancy
     of every target of the chord's tree node (``AModule`` checks it), so
-    each target pairs with the generator landed on."""
-    tree = A.tree
-    horizon = math.inf if A.capped_arity is None else A.capped_arity
-    steps = S.steps
+    each target pairs with the generator landed on.
+
+    A path counts its steps in a row around a loop (a node that is its own
+    child); its states there, a generator of S and a residual label, have
+    repeated after len(S.names) * _NLABELS steps, so the walk raises."""
+    tree, steps = A.tree, S.steps
     found, numbers = _products(A, S, consumed)
     step_of, mul = _STEP, _MUL
-    first_capped = horizon <= 1  # one chord reaches the family cap
+    laps = len(S.names) * _NLABELS  # loop steps that must repeat a state
     # (residual product so far, tree node of the chords so far, current
-    # generator) of each path that continues; empty between sources
+    # generator, loop steps in a row) of each path that continues; empty
+    # between sources
     stack, rows = [], []
     push, pop = stack.append, stack.pop
     for name, a, start in found:
@@ -137,19 +125,16 @@ def _walk(A: AModule, S, where: str, consumed):
             if chord is None:
                 row.append((rest, mine[nxt]))
                 continue
-            if first_capped:
-                _guard_path(A, where, name, (chord,))
             node = children.get(chord)
             if node is None:
                 continue
-            for tgt in node[2]:
+            for tgt in node[0]:
                 hits.append((rest, numbers[tgt][nxt]))
-            if node[3]:
-                push((rest, node, nxt))
+            if node[1]:
+                push((rest, node, nxt, 0))
         while stack:
-            prod, (depth, seq, _, children), at = pop()
-            prods = mul[prod]
-            capped = depth + 1 >= horizon  # one more chord reaches the family cap
+            prod, here, at, run = pop()
+            prods, children = mul[prod], here[1]
             for label, nxt in steps[at]:
                 chord, rest = step_of[label]
                 if chord is None:
@@ -157,15 +142,18 @@ def _walk(A: AModule, S, where: str, consumed):
                 nprod = prods[rest]
                 if nprod is None:
                     continue
-                if capped:
-                    _guard_path(A, where, name, seq[:depth] + (chord,))
                 node = children.get(chord)
                 if node is None:
                     continue
-                for tgt in node[2]:
+                for tgt in node[0]:
                     hits.append((nprod, numbers[tgt][nxt]))
-                if node[3]:
-                    push((nprod, node, nxt))
+                if node is not here:
+                    if node[1]:
+                        push((nprod, node, nxt, 0))
+                elif run == laps:
+                    raise ValueError(f"unbounded pairing: {where} from {name!r} loops on chord {chord}")
+                else:
+                    push((nprod, node, nxt, run + 1))
         if hits:  # each arrow is toggled: a sum mod 2
             odd = set(row)
             for hit in hits:

@@ -13,7 +13,6 @@ from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import (
-    INTERVALS,
     SIDES,
     check_token,
     idem_index,
@@ -26,6 +25,7 @@ from .structures import (
     _DD_CODE,
     _DD_ID,
     _D_ID,
+    _INTERVAL,
     _LABELS,
     AGenerator,
     AModule,
@@ -108,34 +108,23 @@ def to_json(S) -> str:
     """S as a schema-version-1 document, laid out exactly as
     json.dumps(doc, indent=2, sort_keys=True) prints it, plus a newline.
 
-    Each kind fills fixed templates, so every generator and arrow costs
-    one string format.  Names are escaped by the encoder json.dumps uses;
-    tokens and chord intervals are plain ASCII.  A DD, D or complex is
-    printed from its numbered view: generators from ``names`` (sorted at
-    construction) and ``codes``, arrows from ``steps`` by source number,
-    label id, then target number, which is sorted arrow order.
+    A module is laid out by json.dumps itself.  A DD, D or complex fills
+    fixed templates, so every generator and arrow costs one string format;
+    names are escaped by the encoder json.dumps uses, and tokens are plain
+    ASCII.  It is printed from its numbered view: generators from
+    ``names`` (sorted at construction) and ``codes``, arrows from
+    ``steps`` by source number, label id, then target number, which is
+    sorted arrow order.
     """
     if isinstance(S, AModule):
-        q = {g.name: _quote(g.name) for g in S.generators}
-        gens = [
-            f'    {{\n      "name": {q[g.name]},\n'
-            f'      "occupancy": {json.dumps(g.occupancy)}\n    }}'
-            for g in S.generators
-        ]
-        ops = []
-        for s, seq, t in sorted(S.operations):
-            chords = _block([f'        "{c}"' for c in seq], "      ")
-            ops.append(
-                f'    {{\n      "chords": {chords},\n'
-                f'      "source": {q[s]},\n      "target": {q[t]}\n    }}'
-            )
-        return _document(
-            "A",
-            (),
-            capped_arity=json.dumps(S.capped_arity),
-            generators=_block(gens),
-            operations=_block(ops),
-        )
+        doc = {
+            "generators": [{"name": g.name, "occupancy": g.occupancy} for g in S.generators],
+            "kind": "A",
+            "operations": [{"chords": list(c), "source": s, "target": t} for s, c, t in sorted(S.operations)],
+            "schema_version": SCHEMA_VERSION,
+            "sides": [],
+        }
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if not isinstance(S, (DDStructure, DStructure, ChainComplexF2)):
         raise ValueError(f"cannot serialize a {type(S).__name__}")
     q = [_quote(name) for name in S.names]
@@ -249,11 +238,11 @@ def _from_view(cls, names, codes, rows, side):
     return S
 
 
-def _module(generators, operations, capped_arity):
+def _module(generators, operations):
     """The AModule of the operation list, checked by its constructor;
     then a ValueError naming the first operation listed twice, since a
     repeated operation over F2 cancels and none is printed so."""
-    M = AModule(generators, operations, capped_arity)
+    M = AModule(generators, operations)
     twice = [op for op, k in Counter(operations).items() if k > 1]
     if twice:
         raise ValueError(f"operation listed twice: {twice[0]}")
@@ -306,11 +295,7 @@ def _parse(doc):
             return _named(doc, kind, sides)
         return _from_view, (_NUMBERED[kind][0], *view, sides[0] if kind == "D" else None)
     if kind == "A":
-        _require_fields(
-            doc,
-            {"schema_version", "kind", "sides", "generators", "operations", "capped_arity"},
-            "A",
-        )
+        _require_fields(doc, {"schema_version", "kind", "sides", "generators", "operations"}, "A")
         if doc["sides"] != []:
             raise ValueError("A modules store side-agnostic chords")
         gens = []
@@ -324,10 +309,10 @@ def _parse(doc):
             _require_fields(o, {"source", "chords", "target"}, "operation")
             seq = tuple(_array(o, "chords"))
             for c in seq:
-                if c not in INTERVALS:
+                if type(c) is not str or c not in _INTERVAL:  # c + "*" for a starred chord
                     raise ValueError(f"unknown chord interval {c!r}")
             ops.append((_name(o["source"], "operation"), seq, _name(o["target"], "operation")))
-        return _module, (tuple(gens), ops, doc["capped_arity"])
+        return _module, (tuple(gens), ops)
     raise ValueError(f"unknown kind {kind!r}")
 
 

@@ -10,8 +10,6 @@ from .structures import AGenerator, AModule
 
 INFINITY = "inf"
 
-DEFAULT_FAMILY_CAP = 16
-
 
 def _decimal(text: str) -> bool:
     """Whether text is ASCII decimal digits only, the CLI's rule for every
@@ -32,19 +30,10 @@ def parse_slope(text: str):
     return m
 
 
-def build_cfa_infinity(cap: int = DEFAULT_FAMILY_CAP) -> AModule:
-    """Infinity-framed solid torus: m(w, c3, c23^k, c2) = w for k <= cap.
-
-    The single generator pairs with class-1 (b-side) generators.  The
-    table is the cap-truncation of an infinite family, recorded via
-    ``capped_arity`` so pairing can flag runs that reach the horizon.
-    """
-    if cap < 0:
-        raise ValueError("family cap must be >= 0")
-    ops = frozenset(
-        ("w", ("3",) + ("23",) * k + ("2",), "w") for k in range(cap + 1)
-    )
-    return AModule((AGenerator("w", 1),), ops, capped_arity=cap + 2)
+def build_cfa_infinity() -> AModule:
+    """Infinity-framed solid torus: m(w, c3, c23^k, c2) = w for every k >= 0,
+    one looping operation.  Its one generator pairs with class-1 (b-side) ones."""
+    return AModule((AGenerator("w", 1),), frozenset({("w", ("3", "23*", "2"), "w")}))
 
 
 def build_cfa_framed(m: int) -> AModule:

@@ -445,6 +445,49 @@ class ChainComplexF2(_Numbered):
 
 # the chord pairs (a, b) that compose: a ends on the arc where b starts
 _COMPOSABLE = frozenset((a, b) for a in INTERVALS for b in INTERVALS if right_idem(a) == left_idem(b))
+# a written chord -> its interval: c, or c + "*" for c read any number of times
+_INTERVAL = {**{c: c for c in INTERVALS}, **{c + "*": c for c in INTERVALS}}
+
+
+def _read(op, occ):
+    """(op's chords with a starred one read once, its index or None); a
+    ValueError for the first rule op = (source, chords, target) breaks on
+    its own.  The star rules make every reading compose if this one does."""
+    src, seq, tgt = op
+    if src not in occ or tgt not in occ:
+        raise ValueError(f"operation endpoint missing: {op}")
+    if type(seq) is not tuple or not seq:  # a string would spell its characters
+        raise ValueError(f"operation chords must be a nonempty tuple: {op}")
+    chords, star = tuple(map(_INTERVAL.get, seq)), None
+    if None in chords:
+        raise ValueError(f"unknown chord interval {seq[chords.index(None)]!r}")
+    if chords != seq:
+        star, *more = [k for k, c in enumerate(seq) if c != chords[k]]
+        if more:
+            raise ValueError(f"more than one starred chord: {op}")
+        if not 0 < star < len(seq) - 1:
+            raise ValueError(f"starred chord first or last: {op}")
+        if chords[star + 1] == chords[star]:
+            raise ValueError(f"starred chord followed by itself: {op}")
+        if (chords[star],) * 2 not in _COMPOSABLE:
+            raise ValueError(f"starred chord does not compose with itself: {op}")
+    if left_idem(chords[0]) != occ[src]:
+        raise ValueError(f"sequence not composable with source: {(src, seq)}")
+    if right_idem(chords[-1]) != occ[tgt]:
+        raise ValueError(f"sequence not composable with target: {(seq, tgt)}")
+    if not _COMPOSABLE.issuperset(zip(chords, chords[1:])):
+        raise ValueError(f"sequence not internally composable: {seq}")
+    return chords, star
+
+
+def _node(children, chords):
+    """The tree node that chords reach from children, made as needed."""
+    for c in chords:
+        node = children.get(c)
+        if node is None:
+            node = children[c] = ([], {})
+        children = node[1]
+    return node
 
 
 @dataclass(frozen=True)
@@ -455,24 +498,22 @@ class AModule:
     interval labels; the attachment side is chosen at pairing time.  An
     operation's first chord starts at its source's occupancy and its last
     chord ends at its target's, so a box product's paths land on
-    generators that pair.  A table obtained by truncating a parametric
-    family records the arity horizon in ``capped_arity`` so pairing can
-    detect unreliable runs.
+    generators that pair.  A starred chord, "23*", is that chord zero or
+    more times.  An operation has at most one, inside its sequence and
+    not followed by itself, and no other operation from its source begins
+    with the chords before it: so no two operations spell one sequence.
 
     ``tree`` indexes the table: {generator: {chord: node}}, a node
-    (depth, chords, targets, {chord: node}) for each prefix chords[:depth]
-    of an operation's chords (shared, not copied), with the targets of
-    the operation on exactly that prefix.
+    (targets, {chord: node}) for each prefix of an operation's chords,
+    holding the targets of the operations spelling exactly it; the node
+    the chords before a star reach is its own child on that chord.  A
+    faulty table is sorted by repr to name its least faulty operation.
     """
 
     generators: tuple
     operations: frozenset
-    capped_arity: int | None = None
 
     def __post_init__(self):
-        cap = self.capped_arity
-        if cap is not None and (type(cap) is not int or cap < 0):  # bool is not int here
-            raise ValueError(f"bad capped_arity {cap!r}")
         object.__setattr__(self, "generators", _sorted(self.generators, _name))
         object.__setattr__(self, "operations", frozenset(self.operations))
         occ = {g.name: g.occupancy for g in self.generators}
@@ -483,28 +524,27 @@ class AModule:
             if k not in (1, 2):
                 raise _outside(name, k)
         tree = {name: {} for name in occ}
-        # in repr order, so the fault named does not depend on the set's order
-        for src, seq, tgt in sorted(self.operations, key=repr):
-            if src not in occ or tgt not in occ:
-                raise ValueError(f"operation endpoint missing: {(src, seq, tgt)}")
-            if not seq:
-                raise ValueError("operations need at least one chord")
-            for c in seq:
-                if c not in INTERVALS:
-                    raise ValueError(f"unknown chord interval {c!r}")
-            if left_idem(seq[0]) != occ[src]:
-                raise ValueError(f"sequence not composable with source: {(src, seq)}")
-            if right_idem(seq[-1]) != occ[tgt]:
-                raise ValueError(f"sequence not composable with target: {(seq, tgt)}")
-            if not _COMPOSABLE.issuperset(zip(seq, seq[1:])):
-                raise ValueError(f"sequence not internally composable: {seq}")
-            children = tree[src]
-            for depth, c in enumerate(seq, 1):
-                node = children.get(c)
-                if node is None:
-                    node = children[c] = (depth, seq, [], {})
-                children = node[3]
-            node[2].append(tgt)
+        faults, loops = {}, {}  # op -> message; (source, chords before a star) -> ops
+        for op in self.operations:
+            try:
+                chords, star = _read(op, occ)
+            except ValueError as e:
+                faults[op] = str(e)
+                continue
+            src, seq, tgt = op
+            node = _node(tree[src], chords[:star])
+            if star is not None:
+                loops.setdefault((src, seq[:star]), []).append(op)
+                node[1][chords[star]] = node
+                node = _node(node[1], chords[star + 1 :])
+            node[0].append(tgt)
+        for op in self.operations.difference(faults) if loops else ():
+            for k in range(1, len(op[1]) + 1):
+                owners = loops.get((op[0], op[1][:k]), [op])
+                for o in [op, *owners] if owners != [op] else ():
+                    faults[o] = f"operations share the chords before a star: {o}"
+        if faults:
+            raise ValueError(faults[min(faults, key=repr)])
         object.__setattr__(self, "tree", tree)
 
 
@@ -610,35 +650,48 @@ def check_d(S: DStructure) -> CheckReport:
 
 
 def _targets(M: AModule, x, seq):
-    """The distinct targets of M's operation on (x, seq), from its tree."""
+    """The targets of M's operations spelling (x, seq), from its tree."""
     children = M.tree[x]
     for chord in seq:
         node = children.get(chord)
         if node is None:
             return ()
-        children = node[3]
-    return node[2]
+        children = node[1]
+    return node[0]
 
 
 def check_a(M: AModule) -> CheckReport:
     """Test the A-infinity module relation on refined input sequences.
 
-    The sequences tested are those made from a table operation by
-    factoring one of its composite chords into its two pieces, at most
-    one chord longer than the longest operation.  For every such
-    (generator, sequence) the sum over splits m(m(x, a_1..a_i),
-    a_{i+1}..a_k) plus the sum over adjacent contractions m(x, ..,
-    mu_2(a_i, a_{i+1}), ..) must vanish mod 2.  This is not the full
-    relation: a split term can be nonzero on a sequence that refines no
-    operation (every build_cfa_framed(m) leaves p1 at (p_m; 3, 2, 1, 2)
-    and passes), so ``ok`` does not prove a module A-infinity (ROADMAP
+    The sequences tested are those made from a table operation, a starred
+    chord read k = 0 .. K times, by factoring one composite chord into its
+    two pieces.  For every such (generator, sequence) the sum over splits
+    m(m(x, a_1..a_i), a_{i+1}..a_k) plus the sum over adjacent
+    contractions m(x, .., mu_2(a_i, a_{i+1}), ..) must vanish mod 2.  This
+    is not the full relation: every build_cfa_framed(m) leaves p1 at
+    (p_m; 3, 2, 1, 2), which refines no operation, and passes (ROADMAP
     item 1).
+
+    K = 4D + 3, D the most chords an operation is written with.  A run
+    of one chord c leads to ever deeper nodes or to a node that is its
+    own child on c, so past D copies no term depends on the run's length
+    j.  Once j >= 2D the cuts inside the run add j - 2D + 1 equal terms
+    and its contractions vanish (12 12 = 23 23 = 0), so the sum depends
+    only on j's parity: up to 2D + 1 copies on either side of a factored
+    copy, k <= 4D + 3, cover every sequence.
     """
+    occ = {g.name: g.occupancy for g in M.generators}
+    bound = 4 * max((len(seq) for _, seq, _ in M.operations), default=0) + 3
     candidates = set()
-    for src, seq, _ in M.operations:
-        for pos, c in enumerate(seq):
-            for u, v in chord_factorizations(c):
-                candidates.add((src, seq[:pos] + (u, v) + seq[pos + 1 :]))
+    for op in M.operations:
+        chords, star = _read(op, occ)
+        unrolled = [chords] if star is None else [
+            chords[:star] + chords[star : star + 1] * j + chords[star + 1 :] for j in range(bound + 1)
+        ]
+        for chords in unrolled:
+            for pos, c in enumerate(chords):
+                for u, v in chord_factorizations(c):
+                    candidates.add((op[0], chords[:pos] + (u, v) + chords[pos + 1 :]))
     lines = []
     for x, seq in sorted(candidates):
         parity = set()

@@ -11,8 +11,6 @@ Generator naming: "ab", "a_y4", "x2_b", "x3y5"; the simplified model
 prefixes every name with "u_".
 """
 
-from collections import defaultdict
-
 from .structures import _DD_CODE, _DD_ID, DDMorphism, DDStructure
 
 
@@ -141,17 +139,6 @@ def _sorted_rows(rows):
     return rows
 
 
-def _distinct_tables(n):
-    """Tables (ab, ay, xb, xy) of distinct ints, one per generator, that
-    are not its number: enough to count each family's arrows, and no name
-    is formatted or sorted."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    size = 2 * n
-    xy = [range(i * size, (i + 1) * size) for i in range(size)]
-    return -1, range(-2, -2 - n, -1), range(-2 - n, -2 - 2 * n, -1), xy
-
-
 def build_cfdd_full(n: int) -> DDStructure:
     """The full type-DD structure of the (2,2n) torus-link complement:
     its 2n^2 generators of the neutral algebra summand, the only one
@@ -160,13 +147,14 @@ def build_cfdd_full(n: int) -> DDStructure:
 
 
 def _build_full(n):
-    """``build_cfdd_full(n)`` and the number tables (ab, ay, xb, xy) that
-    ``_full_families`` reads."""
+    """``build_cfdd_full(n)``, the number tables (ab, ay, xb, xy) that
+    ``_full_families`` reads, and the log lines of the families it files."""
     names, codes, tables = _full_numbering(n)
     rows = [[] for _ in names]
-    for _ in _full_families(n, *tables, rows):
-        pass
-    return DDStructure._from_rows(names, codes, _sorted_rows(rows)), tables
+    log = [f"full type-DD structure, n={n}"]
+    for fid, desc, provenance, count in _full_families(n, *tables, rows):
+        log.append(f"{fid}: {desc}; {count} arrow{'' if count == 1 else 's'} [{provenance}]")
+    return DDStructure._from_rows(names, codes, _sorted_rows(rows)), tables, tuple(log)
 
 
 def _full_numbering(n):
@@ -221,10 +209,7 @@ def _full_numbering(n):
 
 def full_build_log(n: int):
     """Plain-text build log: family, arrow count, index range, provenance."""
-    lines = [f"full type-DD structure, n={n}"]
-    for fid, desc, provenance, count in _full_families(n, *_distinct_tables(n), defaultdict(list)):
-        lines.append(f"{fid}: {desc}; {count} arrow{'' if count == 1 else 's'} [{provenance}]")
-    return tuple(lines)
+    return _build_full(n)[2]
 
 
 def build_cfdd_simplified(n: int) -> DDStructure:
@@ -277,7 +262,7 @@ def build_equivalence(n: int):
     """
     if n < 3:
         raise ValueError("the equivalence data is built for n >= 3")
-    M, (ab, ay, xb, xy) = _build_full(n)
+    M, (ab, ay, xb, xy), _ = _build_full(n)
     N, (u_ab, u_ay, u_xb, u_d) = _build_simplified(n)
     top = 2 * n - 1
     dd = _DD_ID

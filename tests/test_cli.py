@@ -7,9 +7,10 @@ import pytest
 
 from bpc.cli import main
 from bpc.serialize import from_json, to_json
-from bpc.solid_torus import build_cfa, build_cfa_framed
+from bpc.solid_torus import build_cfa, build_cfa_framed, build_cfa_infinity
 from bpc.structures import ChainComplexF2
 from bpc.torus_link import build_cfdd_full
+from test_solid_torus import truncated_infinity
 
 
 def run(capsys, *argv):
@@ -121,6 +122,24 @@ def test_pair_framing_above_sixty_four(capsys):
     assert stdout.rstrip().splitlines()[-1].isdigit()
 
 
+@pytest.mark.parametrize("n, right, rank", [(16, "9", "6"), (24, "20", "3")])
+def test_pair_answers_infinity_fillings_whose_paths_are_long(capsys, n, right, rank):
+    # the lens spaces (inf, R) of rank |R - n + 1|, paths of 18 chords and more
+    code, stdout, stderr = run(capsys, "pair", "--n", str(n), "--left", "inf", "--right", right)
+    assert (code, stderr, stdout.splitlines()[-1]) == (0, "", rank)
+
+
+def test_check_takes_a_looping_module_and_refuses_a_family_cap(capsys, tmp_path):
+    path = tmp_path / "a.json"
+    doc = json.loads(to_json(build_cfa_infinity()))
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "check", "--in", str(path)) == (0, "ok\n", "")
+    doc["capped_arity"] = None
+    path.write_text(json.dumps(doc))
+    message = f"error: {path}: A: unknown fields ['capped_arity']\n"
+    assert run(capsys, "check", "--in", str(path)) == (2, "", message)
+
+
 def test_pair_usage_errors(capsys):
     assert run(capsys, "pair", "--n", "2", "--right", "7/3")[0] == 2
     assert run(capsys, "pair", "--n", "2", "--right", "0")[0] == 2
@@ -201,7 +220,6 @@ def test_reduce_rejects_idempotent_index_outside_one_two(capsys, tmp_path, doc):
     [
         ("schema_version", True, "unsupported schema_version True"),
         ("occupancy", 1.0, "bad occupancy 1.0"),
-        ("capped_arity", False, "bad capped_arity False"),
     ],
 )
 def test_non_integer_fields_are_usage_errors(capsys, tmp_path, command, field, value, message):
@@ -351,7 +369,7 @@ def test_check_rejects_a_module_landing_on_the_wrong_idempotent(capsys, tmp_path
 
 
 def test_check_rejects_a_repeated_operation(capsys, tmp_path):
-    doc = json.loads(to_json(build_cfa("inf")))
+    doc = json.loads(to_json(truncated_infinity(16)))
     doc["operations"].insert(1, dict(doc["operations"][0]))
     path = tmp_path / "a.json"
     path.write_text(json.dumps(doc))

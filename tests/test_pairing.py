@@ -7,11 +7,11 @@ from bpc.algebra import INTERVALS, chord_token, is_idempotent, mul_basis, side_o
 from bpc.pairing import (
     _STEP,
     PairingConfig,
-    PathCapExceeded,
     box_left,
     box_right,
     homology_rank,
 )
+from bpc.serialize import to_json
 from bpc.solid_torus import build_cfa, build_cfa_framed, build_cfa_infinity
 from bpc.structures import (
     _LABELS,
@@ -28,6 +28,7 @@ from bpc.structures import (
     reduce,
 )
 from bpc.torus_link import build_cfdd_full, build_cfdd_simplified
+from test_solid_torus import truncated_infinity, unrolled
 
 
 def test_step_table_agrees_with_token_helpers():
@@ -285,28 +286,51 @@ def test_reduction_order_independent_on_paired_fixtures():
             assert isomorphic(base, reduce(S, rng=rng)) is not None
 
 
-def test_family_cap_guard():
-    # a module truncated too early is flagged rather than silently wrong
-    # and the message names the generator and chord path that touched the cap
-    with pytest.raises(PathCapExceeded, match=r"box_right from 'w\*ab' along chords 3 23"):
-        box_right(build_cfa_infinity(0), build_cfdd_full(2))
-    D = box_right(build_cfa_framed(2), build_cfdd_full(2))
-    with pytest.raises(PathCapExceeded, match=r"box_left from 'w\*q\*a_y2' along chords 3 2"):
-        box_left(build_cfa_infinity(0), D)
-    # the default cap is far beyond any live path of these pairings
-    box_right(build_cfa_infinity(), build_cfdd_full(6))
-
-
-def test_family_cap_guard_on_the_first_step():
-    # a first chord step with a nonzero product at the cap is flagged
-    # before the table is consulted: chord 3 is not in this module's table
-    A = AModule((AGenerator("w", 1),), frozenset({("w", ("12",), "w")}), capped_arity=1)
-    with pytest.raises(PathCapExceeded) as error:
-        box_right(A, build_cfdd_full(2))
-    assert str(error.value) == (
-        "module family cap 1 touched (rebuild it with a larger cap)"
-        " during box_right from 'w*ab' along chords 3"
+def test_unbounded_pairing_names_the_generator_and_the_loop_chord():
+    # u and v exchange s23 arrows, so a path that reaches the loop of
+    # (23, 23*, 2) goes round it forever; the walk stops once a state repeats
+    S = DDStructure(
+        (DDGenerator("u", 2, 2), DDGenerator("v", 2, 2)),
+        frozenset({("u", "i2", "s23", "v"), ("v", "i2", "s23", "u")}),
     )
+    A = AModule(
+        (AGenerator("x", 2), AGenerator("y", 1)),
+        frozenset({("x", ("23", "23*", "2"), "y")}),
+    )
+    with pytest.raises(ValueError) as error:
+        box_right(A, S)
+    assert str(error.value) == (
+        "unbounded pairing: box_right from 'x*u' loops on chord 23"
+    )
+    # the infinity module on a D structure with an r23 self-arrow
+    D = DStructure(
+        "left",
+        (DGenerator("a", 1), DGenerator("b", 2)),
+        frozenset({("a", "r3", "b"), ("b", "r23", "b")}),
+    )
+    assert check_d(D).ok
+    with pytest.raises(ValueError) as error:
+        box_left(build_cfa_infinity(), D)
+    assert str(error.value) == (
+        "unbounded pairing: box_left from 'w*a' loops on chord 23"
+    )
+
+
+def test_a_loop_without_a_cycle_in_the_structure_ends():
+    # x -(s23)-> y -(s23)-> z -(s2)-> t spells (23, 23, 2) from x and
+    # (23, 2) from y, the loop read once and not at all; no cycle in S, so
+    # no path stays on the loop
+    S = DDStructure(
+        (DDGenerator("x", 1, 2), DDGenerator("y", 1, 2), DDGenerator("z", 1, 2), DDGenerator("t", 1, 1)),
+        frozenset({("x", "i1", "s23", "y"), ("y", "i1", "s23", "z"), ("z", "i1", "s2", "t")}),
+    )
+    A = AModule(
+        (AGenerator("p", 2), AGenerator("q", 1)),
+        frozenset({("p", ("23", "23*", "2"), "q")}),
+    )
+    D = box_right(A, S)
+    assert D.arrows == frozenset({("p*x", "i1", "q*t"), ("p*y", "i1", "q*t")})
+    assert (set(D.generators), D.arrows) == _box_reference(A, S)
 
 
 def test_pairing_terminates_on_cyclic_structures():
@@ -427,6 +451,43 @@ def test_rank_is_at_least_one(n, left, right):
     assert _rank(build_cfdd_full(n), left, right) >= 1
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: S^1 x S^2 prints 0")
+@pytest.mark.parametrize("n", [18, 24, 31])
+def test_rank_is_at_least_one_at_larger_n(n):
+    """(inf, n - 1) is S^1 x S^2, of rank 2, where paths reach 18 chords."""
+    assert _rank(build_cfdd_full(n), "inf", n - 1) >= 1
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 20, 24, 32])
+def test_infinity_fillings_are_lens_spaces_of_rank_the_order_of_h1(n):
+    """(inf, R) is the lens space with |H_1| = |R - n + 1|, an L-space, so
+    that is its rank; R = n - 1 is S^1 x S^2, a strict xfail above."""
+    S = build_cfdd_full(n)
+    for right in range(1, 31):
+        if right != n - 1:
+            assert _rank(S, "inf", right) == abs(right - n + 1) == _h1_order(n, "inf", right), right
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_looping_module_pairs_as_its_truncation(n):
+    """Every pair from {1..7, inf}^2 with an infinity side gives the same
+    structures and bytes with the looping module as with the family cut at
+    k <= 16: no path at n <= 8 reaches 18 chords."""
+    S = build_cfdd_full(n)
+    slopes = [*range(1, 8), "inf"]
+    for left in slopes:
+        for right in slopes:
+            if "inf" not in (left, right):
+                continue
+            outputs = []
+            for infinity in (build_cfa_infinity(), truncated_infinity(16)):
+                pick = [infinity if s == "inf" else build_cfa_framed(s) for s in (left, right)]
+                D = box_right(pick[1], S)
+                C = box_left(pick[0], D)
+                outputs.append((D, C, to_json(D), to_json(C), homology_rank(C)))
+            assert outputs[0] == outputs[1], (left, right)
+
+
 def _h1_order(n, left, right):
     """|H_1| of the filling that ``bpc pair --n n --left L --right R``
     computes, or 0 when its first Betti number is positive.
@@ -463,12 +524,13 @@ def _box_reference(A, S):
     DGenerators and (a*x, l, b*y) arrows for a DD structure S, box_left's
     names and (a*x, b*y) arrows for a left D structure.
 
-    Every path from x is enumerated, until its chords begin no operation
-    of a.  An idempotent consumed-side step counts only as a whole path
-    of length one, relabelling a*x to a*y (strict unitality); a path of
-    chords counts when they spell an operation (a, chords, b) of A's
-    table and the product of its residual labels is nonzero, landing on
-    b*y.  Contributions are summed mod 2."""
+    Every path from x is enumerated, until its chords begin no sequence
+    an operation of a spells.  An idempotent consumed-side step counts
+    only as a whole path of length one, relabelling a*x to a*y (strict
+    unitality); a path of chords counts when they spell an operation (a,
+    chords, b) of A's table, a starred chord read any number of times,
+    and the product of its residual labels is nonzero, landing on b*y.
+    Contributions are summed mod 2."""
     interval = {chord_token(side, c): c for side in ("left", "right") for c in INTERVALS}
     if isinstance(S, DDStructure):  # consume r of (x, l, r, y), keep (l,)
         consumed = {g.name: g.right for g in S.generators}
@@ -480,10 +542,17 @@ def _box_reference(A, S):
     out = {x: [] for x in consumed}
     for x, rest, token, y in steps:
         out[x].append((rest, token, y))
-    ops, prefixes = {}, set()
-    for a, seq, b in A.operations:
-        ops.setdefault((a, seq), []).append(b)
-        prefixes.update((a, seq[:k]) for k in range(1, len(seq) + 1))
+
+    def spellings(a, seq):
+        """(whether seq begins a sequence an operation of a spells, the
+        targets of the operations of a that spell seq)"""
+        begun, targets = False, []
+        for source, chords, b in A.operations:
+            if source == a:
+                words = [unrolled(chords, j) for j in range(len(seq) + 1)]
+                begun = begun or any(w[: len(seq)] == seq for w in words)
+                targets += [b] if seq in words else []
+        return begun, targets
 
     def times(u, v):
         if not u:
@@ -506,9 +575,10 @@ def _box_reference(A, S):
                     paths.append((rest, (interval[token],), y))
             while paths:  # chord paths whose chords begin an operation of a
                 rest, seq, y = paths.pop()
-                if (a.name, seq) not in prefixes:
+                begun, targets = spellings(a.name, seq)
+                if not begun:
                     continue
-                for b in ops.get((a.name, seq), ()):
+                for b in targets:
                     odd ^= {(src, *rest, f"{b}*{y}")}
                 for more, token, z in out[y]:
                     product = times(rest, more)

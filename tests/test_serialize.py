@@ -19,6 +19,7 @@ from bpc.structures import (
     _targets,
 )
 from bpc.torus_link import build_cfdd_full, build_cfdd_simplified
+from test_solid_torus import truncated_infinity, unrolled
 
 
 def fixtures():
@@ -27,7 +28,7 @@ def fixtures():
         full,
         build_cfdd_simplified(3),
         box_right(build_cfa_framed(2), full),
-        build_cfa_infinity(3),
+        build_cfa_infinity(),
         build_cfa_framed(4),
         ChainComplexF2(("a", "b", "c"), frozenset({("a", "b")})),
     ]
@@ -230,7 +231,7 @@ def test_arrow_listed_twice_keeps_the_older_messages_first():
 def test_operation_listed_twice_is_rejected():
     """As with arrows, a repeated operation cancels over F2, so the parser
     names it, after any other fault of the document."""
-    doc = json.loads(to_json(build_cfa_infinity(0)))
+    doc = json.loads(to_json(truncated_infinity(0)))
     doc["operations"].append(dict(doc["operations"][0]))
     with pytest.raises(ValueError) as err:
         from_json(json.dumps(doc))
@@ -254,8 +255,6 @@ INTEGER_FIELDS = [
     ("schema_version", 1.0, "unsupported schema_version 1.0"),
     ("occupancy", 1.0, "bad occupancy 1.0"),
     ("occupancy", True, "bad occupancy True"),
-    ("capped_arity", False, "bad capped_arity False"),
-    ("capped_arity", 2.0, "bad capped_arity 2.0"),
 ]
 
 
@@ -266,6 +265,26 @@ def test_integer_fields_must_be_json_integers(field, value, message):
     with pytest.raises(ValueError) as err:
         from_json(json.dumps(doc))
     assert str(err.value) == message
+
+
+def test_a_document_spells_a_loop_with_a_starred_chord():
+    doc = json.loads(to_json(build_cfa_infinity()))
+    assert doc["operations"] == [{"chords": ["3", "23*", "2"], "source": "w", "target": "w"}]
+    assert "capped_arity" not in doc
+    for bad in ("23**", "*", "*23"):
+        doc["operations"][0]["chords"][1] = bad
+        with pytest.raises(ValueError) as err:
+            from_json(json.dumps(doc))
+        assert str(err.value) == f"unknown chord interval {bad!r}"
+
+
+@pytest.mark.parametrize("value", [None, 18, False])
+def test_a_document_carrying_a_family_cap_is_refused(value):
+    doc = json.loads(to_json(build_cfa_infinity()))
+    doc["capped_arity"] = value
+    with pytest.raises(ValueError) as err:
+        from_json(json.dumps(doc))
+    assert str(err.value) == "A: unknown fields ['capped_arity']"
 
 
 @pytest.mark.parametrize("occupancy", [1.0, True, 2.0])
@@ -312,21 +331,42 @@ def d_structures(draw):
     return DStructure(side, gens, frozenset(arrows))
 
 
+def _walk(draw, idem, length, first=INTERVALS):
+    """A composable chord sequence of length chords from arc idem, the
+    first of them from first, and the arc it ends on."""
+    seq = []
+    for _ in range(length):
+        seq.append(draw(st.sampled_from([c for c in first if left_idem(c) == idem])))
+        idem, first = right_idem(seq[-1]), INTERVALS
+    return seq, idem
+
+
 @st.composite
 def a_modules(draw):
+    """Random tables, at times with one looping operation: chords before
+    the star that no other operation from its source begins with, the
+    chord of their last arc that composes with itself, then chords that
+    start with another chord."""
     gens = tuple(AGenerator(name, draw(IDEM)) for name in draw(NAMES))
     ops = set()
     for _ in range(draw(st.integers(0, 6)) if gens else 0):
         src = draw(st.sampled_from(gens))
-        seq, idem = [], src.occupancy
-        for _ in range(draw(st.integers(1, 4))):
-            seq.append(draw(st.sampled_from([c for c in INTERVALS if left_idem(c) == idem])))
-            idem = right_idem(seq[-1])
+        seq, idem = _walk(draw, src.occupancy, draw(st.integers(1, 4)))
         # the target's occupancy is where the last chord ends
         ends = [g for g in gens if g.occupancy == idem]
         if ends:
             ops.add((src.name, tuple(seq), draw(st.sampled_from(ends)).name))
-    return AModule(gens, frozenset(ops), draw(st.one_of(st.none(), st.integers(0, 20))))
+    if gens and draw(st.booleans()):
+        src = draw(st.sampled_from(gens))
+        before, idem = _walk(draw, src.occupancy, draw(st.integers(1, 2)))
+        loop = "12" if idem == 1 else "23"
+        after, idem = _walk(draw, idem, draw(st.integers(1, 2)), [c for c in INTERVALS if c != loop])
+        ends = [g for g in gens if g.occupancy == idem]
+        begun = any(s == src.name and seq[: len(before)] == tuple(before) for s, seq, _ in ops)
+        if ends and not begun:
+            seq = (*before, loop + "*", *after)
+            ops.add((src.name, seq, draw(st.sampled_from(ends)).name))
+    return AModule(gens, frozenset(ops))
 
 
 @st.composite
@@ -349,42 +389,65 @@ EMPTY = [
 ]
 
 
+STARRED = [(c + "*",) for c in INTERVALS]
+
+
 def _check_tree(M):
-    """M's prefix tree against its operation table: every node is a prefix
-    of an operation's sequence, which it shares, at a depth equal to the
-    prefix's length, holding exactly the targets of the operation on it;
-    every operation is found with its targets, and any other sequence,
-    one chord longer or shorter than an operation's or of one or two
-    chords, finds nothing."""
-    table = {}
-    for src, seq, tgt in M.operations:
-        table.setdefault((src, seq), []).append(tgt)
+    """M's prefix tree against its operation table, read as the sequences
+    each operation spells, a starred chord any number of times: every node
+    begins such a sequence of its generator and holds exactly the targets
+    of the operations spelling its path; a node is its own child exactly
+    on the starred chords after its path; the nodes, loops left out, are
+    the prefixes of the operations with their stars read no times; and
+    any sequence of one or two chords, or an operation's with its star
+    read 0 to 3 times, or one chord longer or shorter, finds exactly the
+    targets of the operations spelling it."""
+
+    def spelled(x, seq):
+        words = [(s, [unrolled(w, j) for j in range(len(seq) + 1)], t) for s, w, t in M.operations]
+        begun = any(s == x and any(u[: len(seq)] == seq for u in us) for s, us, _ in words)
+        return begun, sorted(t for s, us, t in words if s == x and seq in us)
+
     nodes = []
     stack = [(x, (), children) for x, children in M.tree.items()]
     while stack:
         x, path, children = stack.pop()
-        for chord, (depth, chords, targets, grandchildren) in children.items():
+        for chord, node in children.items():
+            targets, grandchildren = node
             prefix = path + (chord,)
-            assert (depth, chords[:depth]) == (len(prefix), prefix)
-            assert (x, chords) in table
-            assert sorted(targets) == sorted(table.get((x, prefix), ()))
+            assert spelled(x, prefix) == (True, sorted(targets))
+            loops = sorted(c for c, child in grandchildren.items() if child is node)
+            stars = sorted(
+                w[len(prefix)][:-1]
+                for s, w, _ in M.operations
+                if s == x and w[: len(prefix)] == prefix and w[len(prefix) :][:1] in STARRED
+            )
+            assert loops == stars
             nodes.append((x, prefix))
-            stack.append((x, prefix, grandchildren))
-    assert sorted(nodes) == sorted({(x, seq[:k]) for x, seq in table for k in range(1, len(seq) + 1)})
-    short = [(c,) for c in INTERVALS] + [(c, d) for c in INTERVALS for d in INTERVALS]
-    longer = [seq + (c,) for _, seq in table for c in INTERVALS]
-    shorter = [seq[:-1] for _, seq in table if len(seq) > 1]
+            others = {c: child for c, child in grandchildren.items() if child is not node}
+            stack.append((x, prefix, others))
+    once = {(x, unrolled(w, 0)) for x, w, _ in M.operations}
+    assert sorted(nodes) == sorted({(x, seq[:k]) for x, seq in once for k in range(1, len(seq) + 1)})
+    tries = [(c,) for c in INTERVALS] + [(c, d) for c in INTERVALS for d in INTERVALS]
+    for _, w, _ in M.operations:
+        for seq in {unrolled(w, j) for j in range(4)}:
+            tries += [seq, seq[:-1]] + [seq + (c,) for c in INTERVALS]
     for x in M.tree:
-        for seq in short + longer + shorter + [seq for _, seq in table]:
-            assert sorted(_targets(M, x, seq)) == sorted(table.get((x, seq), ()))
+        for seq in tries:
+            if seq:
+                assert sorted(_targets(M, x, seq)) == spelled(x, seq)[1]
 
 
 @pytest.mark.parametrize(
     "M",
-    [build_cfa_framed(m) for m in range(1, 9)] + [build_cfa_infinity(cap) for cap in range(17)],
-    ids=[f"framed{m}" for m in range(1, 9)] + [f"inf{cap}" for cap in range(17)],
+    [build_cfa_framed(m) for m in range(1, 9)]
+    + [build_cfa_infinity()]
+    + [truncated_infinity(cap) for cap in range(17)],
+    ids=[f"framed{m}" for m in range(1, 9)] + ["inf"] + [f"inf{cap}" for cap in range(17)],
 )
 def test_module_tree_indexes_the_built_in_tables(M):
+    """The framed tables, the infinity module and its family cut at each
+    k <= cap."""
     _check_tree(M)
 
 
@@ -463,9 +526,6 @@ def _malformations(doc, data):
         if doc["kind"] == "A":
             bad = data.draw(st.sampled_from([[], ["4"], [1], "3", None]))
             edits.append(lambda d: d[edges][0].update(chords=bad))
-    if doc["kind"] == "A":
-        bad = data.draw(st.sampled_from([-1, "2", 1.5, []]))
-        edits.append(lambda d: d.update(capped_arity=bad))
     return edits
 
 

@@ -8,24 +8,68 @@ from bpc.solid_torus import (
     build_cfa_infinity,
     parse_slope,
 )
-from bpc.structures import check_a
+from bpc.structures import AGenerator, AModule, _targets, check_a
+
+
+def truncated_infinity(cap):
+    """The infinity module's family m(w; 3, 23^k, 2) = w cut at k <= cap:
+    one operation per k, no loop."""
+    ops = frozenset(("w", ("3",) + ("23",) * k + ("2",), "w") for k in range(cap + 1))
+    return AModule((AGenerator("w", 1),), ops)
+
+
+def unrolled(chords, j):
+    """The written chords with a starred chord, if any, read j times."""
+    for k, c in enumerate(chords):
+        if c.endswith("*"):
+            return chords[:k] + (c[:-1],) * j + chords[k + 1 :]
+    return chords
+
+
+def test_infinity_is_one_looping_operation():
+    M = build_cfa_infinity()
+    assert [g.name for g in M.generators] == ["w"]
+    assert M.operations == frozenset({("w", ("3", "23*", "2"), "w")})
+    # the node that chord 3 reaches is its own child on chord 23
+    loop = M.tree["w"]["3"]
+    assert loop[1]["23"] is loop and loop[0] == []
 
 
 def test_infinity_smallest_cap():
-    M = build_cfa_infinity(0)
-    assert [g.name for g in M.generators] == ["w"]
+    # the family cut at k <= 0 is m(w; 3, 2) = w, the exact module's k = 0
+    M = truncated_infinity(0)
     assert M.operations == frozenset({("w", ("3", "2"), "w")})
+    assert _targets(build_cfa_infinity(), "w", ("3", "2")) == ["w"]
 
 
 def test_infinity_cap_two():
-    M = build_cfa_infinity(2)
+    M = truncated_infinity(2)
     assert len(M.operations) == 3
     assert max(len(seq) for _, seq, _ in M.operations) == 4  # arity 5 with the module input
-    assert M.capped_arity == 4
+    exact = build_cfa_infinity()
+    for _, seq, _ in M.operations:
+        assert _targets(exact, "w", seq) == ["w"]
+    # nothing else: a sequence off the family finds no operation
+    for seq in [("3",), ("3", "23"), ("3", "23", "23"), ("3", "2", "2"), ("3", "23", "2", "23")]:
+        assert not _targets(exact, "w", seq)
 
 
 def test_infinity_relation_checker():
-    assert check_a(build_cfa_infinity(4)).ok
+    assert check_a(build_cfa_infinity()).ok
+
+
+def test_check_a_flags_a_looping_module_with_a_corrupted_target():
+    # m(w; 3, 23^k, 2) = v instead of w: the split m(m(w; 3, 23^a, 2), 3,
+    # 23^b, 2) vanishes, since v has no operations, and the contraction
+    # 2 3 = 23 leaves v on every (3, 23^a, 2, 3, 23^b, 2)
+    M = AModule(
+        (AGenerator("v", 1), AGenerator("w", 1)),
+        frozenset({("w", ("3", "23*", "2"), "v")}),
+    )
+    report = check_a(M)
+    assert not report.ok
+    assert "w: (3,2,3,2) -> v" in report.lines
+    assert "w: (3,23,23,2,3,23,2) -> v" in report.lines
 
 
 def test_framed_m2_exact_table():
@@ -89,7 +133,11 @@ def test_check_a_ok_implies_a_zero_residue_at_3212(m):
 
 @pytest.mark.parametrize("cap", range(0, 9))
 def test_infinity_relation_all_caps(cap):
-    assert check_a(build_cfa_infinity(cap)).ok
+    # each cut of the family passes on its own, and the exact module
+    # spells every operation of it
+    M = truncated_infinity(cap)
+    assert check_a(M).ok
+    assert all(_targets(build_cfa_infinity(), "w", seq) == ["w"] for _, seq, _ in M.operations)
 
 
 def test_bad_framings_rejected():
@@ -97,8 +145,6 @@ def test_bad_framings_rejected():
         build_cfa_framed(0)
     with pytest.raises(ValueError):
         build_cfa_framed(-3)
-    with pytest.raises(ValueError):
-        build_cfa_infinity(-1)
 
 
 def test_parse_slope():
@@ -118,5 +164,5 @@ def test_parse_slope_takes_only_ascii_digits(text):
 
 
 def test_build_cfa_dispatch():
-    assert build_cfa(INFINITY).capped_arity == 18  # default family cap 16
-    assert build_cfa(4).capped_arity is None
+    assert build_cfa(INFINITY) == build_cfa_infinity()
+    assert build_cfa(4) == build_cfa_framed(4)

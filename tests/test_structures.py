@@ -182,15 +182,88 @@ def test_d_structure_rejects_an_unknown_side(arrows):
 
 @pytest.mark.parametrize("cap", [True, -1, 2.0, "3"], ids=repr)
 def test_a_module_rejects_a_bad_capped_arity(cap):
-    # from_json refuses each of these, so to_json must never write one
-    with pytest.raises(ValueError) as error:
+    # a module takes no family cap: a starred chord spells the whole family
+    with pytest.raises(TypeError):
         AModule((AGenerator("w", 1),), frozenset(), cap)
-    assert str(error.value) == f"bad capped_arity {cap!r}"
 
 
-@pytest.mark.parametrize("cap", [None, 0, 3])
-def test_a_module_accepts_none_or_a_non_negative_capped_arity(cap):
-    assert AModule((AGenerator("w", 1),), frozenset(), cap).capped_arity == cap
+W = (AGenerator("w", 1),)
+# (operations, the message naming the least faulty one by repr)
+LOOP_RULES = {
+    "two stars": (
+        {("w", ("3", "23*", "2", "3", "23*", "2"), "w")},
+        "more than one starred chord: ('w', ('3', '23*', '2', '3', '23*', '2'), 'w')",
+    ),
+    "star first": (
+        {("w", ("12*", "3", "2"), "w")},
+        "starred chord first or last: ('w', ('12*', '3', '2'), 'w')",
+    ),
+    "star last": (
+        {("w", ("3", "2", "12*"), "w")},
+        "starred chord first or last: ('w', ('3', '2', '12*'), 'w')",
+    ),
+    "followed by itself": (
+        {("w", ("3", "23*", "23", "2"), "w")},
+        "starred chord followed by itself: ('w', ('3', '23*', '23', '2'), 'w')",
+    ),
+    "not composing with itself": (
+        {("w", ("3", "2*", "3", "2"), "w")},
+        "starred chord does not compose with itself: ('w', ('3', '2*', '3', '2'), 'w')",
+    ),
+    "not composing with its neighbours": (
+        {("w", ("3", "12*", "2"), "w")},
+        "sequence not internally composable: ('3', '12*', '2')",
+    ),
+    "unknown starred chord": (
+        {("w", ("3", "4*", "2"), "w")},
+        "unknown chord interval '4*'",
+    ),
+    "an operation beginning with the chords before a star": (
+        {("w", ("3", "23*", "2"), "w"), ("w", ("3", "2", "3", "2"), "w")},
+        "operations share the chords before a star: ('w', ('3', '2', '3', '2'), 'w')",
+    ),
+    # m(w; 3, 2) = w is spelled by both, like an operation listed twice
+    "two operations spelling one sequence to one target": (
+        {("w", ("3", "23*", "2"), "w"), ("w", ("3", "2"), "w")},
+        "operations share the chords before a star: ('w', ('3', '2'), 'w')",
+    ),
+    "two loops after the same chords": (
+        {("w", ("3", "23*", "2"), "w"), ("w", ("3", "23*", "2", "12", "3", "2"), "w")},
+        "operations share the chords before a star: ('w', ('3', '23*', '2'), 'w')",
+    ),
+    # the least faulty operation by repr is named, whatever its fault
+    "a loop fault before a chord fault": (
+        {("w", ("3", "23*", "2"), "w"), ("w", ("3", "2"), "w"), ("w", ("5",), "w")},
+        "operations share the chords before a star: ('w', ('3', '2'), 'w')",
+    ),
+}
+
+
+@pytest.mark.parametrize("ops, message", LOOP_RULES.values(), ids=LOOP_RULES)
+def test_a_module_refuses_a_loop_that_breaks_a_table_rule(ops, message):
+    with pytest.raises(ValueError) as error:
+        AModule(W, frozenset(ops))
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("chords", ["32", ()], ids=repr)
+def test_a_module_takes_operation_chords_as_a_nonempty_tuple(chords):
+    # "32" beside ("3", "2") would spell m(w; 3, 2) = w twice, which cancels
+    with pytest.raises(ValueError) as error:
+        AModule(W, frozenset({("w", ("3", "2"), "w"), ("w", chords, "w")}))
+    assert str(error.value) == f"operation chords must be a nonempty tuple: {('w', chords, 'w')}"
+
+
+def test_loops_after_other_chords_or_from_other_sources_are_kept_apart():
+    # a loop after (3) and one after (3, 23, 2, 3), or from another source,
+    # share no chords before their stars
+    M = AModule(
+        (AGenerator("v", 1), AGenerator("w", 1)),
+        frozenset({("w", ("3", "23*", "2"), "w"), ("v", ("3", "23*", "2"), "w"), ("v", ("1", "2"), "v")}),
+    )
+    assert M.tree["w"]["3"][1]["23"] is M.tree["w"]["3"]
+    assert M.tree["v"]["3"][1]["23"] is M.tree["v"]["3"]
+    assert M.tree["v"]["1"][1]["2"] == (["v"], {})
 
 
 def test_non_string_generator_names_rejected():
@@ -1540,6 +1613,10 @@ SEVERAL_FAULTS = {
     "module operations": (
         "AModule((AGenerator('w', 1),), {('w', ('3',), y) for y in 'stuvxyz'})",
         "operation endpoint missing: ('w', ('3',), 's')",
+    ),
+    "module loops": (
+        "AModule((AGenerator('w', 1),), {('w', ('3', '23*', '2'), 'w')} | {('w', ('3',) + ('23',) * k + ('2',), 'w') for k in range(1, 8)})",
+        "operations share the chords before a star: ('w', ('3', '23', '2'), 'w')",
     ),
     "misshapen arrows": (
         "DDStructure([DDGenerator('a', 1, 1)], [(x, y) for x in 'ab' for y in 'stuvxyz'] + [('a', 'i1', 'j1', y) for y in 'stuvxyz'])",
