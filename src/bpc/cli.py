@@ -192,7 +192,13 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("check", help="run the structure-equation checker on a file")
+    p = sub.add_parser(
+        "check",
+        help=(
+            "run the structure-equation checker on a file (for a module it tests"
+            " only sequences refining one operation, so ok is not a proof)"
+        ),
+    )
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(func=cmd_check)
 

@@ -228,26 +228,15 @@ def _resolve(arrows, index, target_index, sides):
     unknown.  Coherence is left to the constructor.  Any arrow that is
     not a tuple of the kind's length raises first (``_misshapen``),
     whatever order the arrows come in."""
+    error = _misshapen(arrows, sides)
+    if error is not None:
+        raise error
     steps = [[] for _ in index]
     try:
-        if len(sides) == 2:
-            ids = _DD_ID
-            for s, l, r, t in arrows:
-                steps[index[s]].append((ids[l][r], target_index[t]))
-        elif sides:
-            ids = _D_ID
-            for s, l, t in arrows:
-                steps[index[s]].append((ids[l], target_index[t]))
-        else:
-            for s, t in arrows:
-                steps[index[s]].append((_BARE, target_index[t]))
+        for arrow in arrows:
+            steps[index[arrow[0]]].append((_LABEL_ID[arrow[1:-1]], target_index[arrow[-1]]))
     except KeyError:
-        error = _misshapen(arrows, sides)
-        if error is None:
-            return None
-        raise error from None
-    except (TypeError, ValueError):  # an arrow that does not unpack
-        raise _misshapen(arrows, sides) from None
+        return None
     for row in steps:
         row.sort()
     return steps

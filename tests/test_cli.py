@@ -47,10 +47,12 @@ def test_gen_deterministic(capsys):
 
 
 def test_check_accepts_generated_structure(capsys, tmp_path):
-    out = tmp_path / "s.json"
-    run(capsys, "gen", "--n", "4", "--form", "full", "--out", str(out))
-    code, stdout, _ = run(capsys, "check", "--in", str(out))
-    assert code == 0 and stdout.strip() == "ok"
+    # n = 51 names generators with 3-digit indices (x101y1)
+    out, reduced = tmp_path / "s.json", tmp_path / "r.json"
+    for n in (3, 4, 24, 51):
+        run(capsys, "gen", "--n", str(n), "--form", "full", "--out", str(out))
+        assert run(capsys, "check", "--in", str(out)) == (0, "ok\n", ""), n
+        assert run(capsys, "reduce", "--in", str(out), "--out", str(reduced)) == (0, "", ""), n
 
 
 def test_check_rejects_corrupted_structure(capsys, tmp_path):
@@ -90,7 +92,9 @@ def test_check_rejects_malformed_arrows(capsys, tmp_path, edit, message):
 
 
 def test_equiv(capsys):
-    assert run(capsys, "equiv", "--n", "3")[0] == 0
+    # 64 and 128 lie past the sizes the builders meet a reference at
+    for n in (3, 8, 64, 128):
+        assert run(capsys, "equiv", "--n", str(n)) == (0, "ok\n", ""), n
     assert run(capsys, "equiv", "--n", "2")[0] == 2
 
 
@@ -122,9 +126,12 @@ def test_pair_framing_above_sixty_four(capsys):
     assert stdout.rstrip().splitlines()[-1].isdigit()
 
 
-@pytest.mark.parametrize("n, right, rank", [(16, "9", "6"), (24, "20", "3")])
+@pytest.mark.parametrize(
+    "n, right, rank", [(16, "9", "6"), (24, "20", "3"), (64, "inf", "1"), (64, "3", "60")]
+)
 def test_pair_answers_infinity_fillings_whose_paths_are_long(capsys, n, right, rank):
-    # the lens spaces (inf, R) of rank |R - n + 1|, paths of 18 chords and more
+    # the lens spaces (inf, R) of rank |R - n + 1| and S^3 at (inf, inf),
+    # paths of 18 chords and more
     code, stdout, stderr = run(capsys, "pair", "--n", str(n), "--left", "inf", "--right", right)
     assert (code, stderr, stdout.splitlines()[-1]) == (0, "", rank)
 
@@ -252,6 +259,14 @@ def test_reduce_roundtrip(capsys, tmp_path):
     assert len(json.loads(stdout)["generators"]) == 8
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: orders give non-isomorphic models")
+def test_reduce_check_orders_accepts_gen_output(capsys, tmp_path):
+    # the reduced models of two cancellation orders are homotopy equivalent
+    path = tmp_path / "g.json"
+    run(capsys, "gen", "--n", "3", "--out", str(path))
+    assert run(capsys, "--seed", "0", "reduce", "--in", str(path), "--check-orders", "1")[0] == 0
+
+
 @pytest.mark.parametrize("command", ["gen", "pair", "reduce"])
 @pytest.mark.parametrize(
     "target, message",
@@ -314,18 +329,33 @@ def test_integer_options_take_ascii_digits_only(capsys, tmp_path, option, value)
     assert stderr == f"error: {option} takes ASCII digits{sign}, got {value!r}\n"
 
 
+def _check_in_a_process(path, seed):
+    """(exit code, stdout, stderr) of ``bpc check --in path`` in a fresh
+    interpreter under PYTHONHASHSEED=seed, which orders set iteration."""
+    src = os.path.dirname(os.path.dirname(sys.modules["bpc"].__file__))
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "bpc.cli", "check", "--in", str(path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
 def test_check_names_the_same_missing_endpoint_under_any_hash_seed(tmp_path):
     doc = json.loads(to_json(ChainComplexF2(("a",), frozenset())))
     doc["arrows"] = [{"source": "a", "target": y} for y in "bcdefgh"]
     path = tmp_path / "strangers.json"
     path.write_text(json.dumps(doc))
-    src = os.path.dirname(os.path.dirname(sys.modules["bpc"].__file__))
+    want = f"error: {path}: arrow endpoint missing: ('a', 'b')\n"
     for seed in ("0", "1"):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
-        argv = [sys.executable, "-m", "bpc.cli", "check", "--in", str(path)]
-        done = subprocess.run(argv, env=env, capture_output=True, text=True)
-        want = f"error: {path}: arrow endpoint missing: ('a', 'b')\n"
-        assert (done.returncode, done.stdout, done.stderr) == (2, "", want), seed
+        assert _check_in_a_process(path, seed) == (2, "", want), seed
+
+
+def test_check_reports_a_dropped_arrow_alike_under_any_hash_seed(tmp_path):
+    doc = json.loads(to_json(build_cfdd_full(24)))
+    del doc["arrows"][0]
+    path = tmp_path / "dropped.json"
+    path.write_text(json.dumps(doc))
+    first, second = (_check_in_a_process(path, seed) for seed in ("0", "1"))
+    assert first[0] == 1 and first[1] and first == second
 
 
 def test_reduce_negative_check_orders_is_usage_error(capsys, tmp_path):
@@ -339,11 +369,38 @@ def test_reduce_negative_check_orders_is_usage_error(capsys, tmp_path):
     assert code == 0 and len(json.loads(stdout)["generators"]) == 8
 
 
+def test_pair_documents_check_reduce_and_rank_again(capsys, tmp_path):
+    """A paired D document checks and reduces, and a paired complex's
+    homology rank is the rank pair printed."""
+    d_path, c_path = tmp_path / "d.json", tmp_path / "c.json"
+    assert run(capsys, "pair", "--n", "3", "--right", "2", "--out", str(d_path)) == (0, "", "")
+    assert run(capsys, "check", "--in", str(d_path)) == (0, "ok\n", "")
+    assert run(capsys, "reduce", "--in", str(d_path), "--out", str(tmp_path / "dr.json"))[0] == 0
+    argv = ["pair", "--n", "3", "--left", "2", "--right", "3", "--out", str(c_path)]
+    code, rank, _ = run(capsys, *argv)
+    assert code == 0 and run(capsys, "homology", "--in", str(c_path)) == (0, rank, "")
+
+
+def test_pair_reduce_keeps_the_rank_at_n24(capsys):
+    # cancellation keeps the homotopy type, so --reduce prints the same rank
+    argv = ["pair", "--n", "24", "--left", "2", "--right", "3"]
+    plain, reduced = run(capsys, *argv), run(capsys, *argv, "--reduce")
+    assert plain[::2] == reduced[::2] == (0, "")
+    assert plain[1].splitlines()[-1] == reduced[1].splitlines()[-1]
+
+
 def test_homology_command(capsys, tmp_path):
     c_path = tmp_path / "c.json"
     c_path.write_text(to_json(ChainComplexF2(("a", "b", "c"), frozenset())))
     code, stdout, _ = run(capsys, "homology", "--in", str(c_path))
     assert code == 0 and stdout.strip() == "3"
+
+
+def test_homology_rejects_a_dd_document(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(to_json(build_cfdd_full(3)))
+    message = "error: homology expects a serialized complex\n"
+    assert run(capsys, "homology", "--in", str(path)) == (2, "", message)
 
 
 def test_homology_rejects_bad_boundary(capsys, tmp_path):

@@ -212,6 +212,10 @@ WRONG_KINDS = {
         lambda: isomorphic(build_cfa_framed(2), build_cfa_framed(2)),
         "isomorphic needs a DDStructure, DStructure or ChainComplexF2, got AModule",
     ),
+    "isomorphic of D structures over different sides": (
+        lambda: isomorphic(RIGHT_D, DStructure("left", RIGHT_D.generators, frozenset())),
+        "cannot compare D structures over different algebras",
+    ),
 }
 
 
@@ -353,6 +357,10 @@ def test_pairing_terminates_on_cyclic_structures():
 def test_config_side_matches_function():
     with pytest.raises(ValueError):
         box_right(build_cfa_framed(1), build_cfdd_full(1), PairingConfig("left"))
+    D = box_right(build_cfa_framed(1), build_cfdd_full(1))
+    with pytest.raises(ValueError) as error:
+        box_left(build_cfa_framed(1), D, PairingConfig("right"))
+    assert str(error.value) == "box_left consumes the left algebra"
     with pytest.raises(ValueError):
         PairingConfig("up")
 
@@ -513,6 +521,50 @@ def test_rank_bounds_first_homology(n, left, right):
         assert rank >= order and (rank - order) % 2 == 0
     else:
         assert rank >= 2 and rank % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# the two-object bed: a framed module against a k-generator loop, neither
+# with more than 8 generators (ROADMAP item 1)
+
+
+def _loop(k):
+    """D_k: the simplified model at n = k filled by inf on the right and
+    reduced, a k-generator loop whose H_1 lattice is the meridian (1, k - 1)."""
+    return reduce(box_right(build_cfa_infinity(), build_cfdd_simplified(k)))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_the_bed_loop_is_a_d_structure_of_k_generators(k):
+    D = _loop(k)
+    assert check_d(D).ok and len(D.names) == k
+
+
+# the ranks printed today that differ: (1, 2), where S^1 x S^2 prints 0, and
+# every m >= 2 against k >= 3 but (2, 3), where m + k - 3 is printed
+_BED_WRONG = {(1, 2)} | {(m, k) for m in range(2, 8) for k in range(3, 9)} - {(2, 3)}
+
+
+@pytest.mark.parametrize(
+    "m, k",
+    [
+        pytest.param(
+            m,
+            k,
+            marks=[pytest.mark.xfail(strict=True, reason="ROADMAP item 1")]
+            if (m, k) in _BED_WRONG
+            else [],
+        )
+        for m in ("inf", *range(1, 8))
+        for k in range(2, 9)
+    ],
+)
+def test_the_bed_pairs_a_framed_module_with_the_loop_to_a_lens_space(m, k):
+    """A_m's lattice is (1, m), so A_m glued to D_k has |H_1| = |m - k + 1|
+    (S^3 for m = inf): a lens space, an L-space of that rank, or S^1 x S^2
+    of rank 2 where the order is 0."""
+    expected = 1 if m == "inf" else abs(m - k + 1) or 2
+    assert homology_rank(box_left(build_cfa(m), _loop(k))) == expected
 
 
 # ---------------------------------------------------------------------------

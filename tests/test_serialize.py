@@ -70,6 +70,15 @@ def test_bad_kind_rejected():
         from_json(json.dumps({"schema_version": 1, "kind": "XYZ"}))
 
 
+def test_non_documents_rejected():
+    with pytest.raises(ValueError) as error:
+        to_json(object())
+    assert str(error.value) == "cannot serialize a object"
+    with pytest.raises(ValueError) as error:
+        from_json("[]")
+    assert str(error.value) == "top level: expected an object"
+
+
 def test_bad_token_rejected():
     doc = json.loads(to_json(build_cfdd_full(1)))
     doc["arrows"][0]["left"] = "r4"
