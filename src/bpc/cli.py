@@ -52,11 +52,22 @@ def _read(path):
         raise UsageError(str(e))
 
 
-def _load_structure(path):
+def _load_structure(args, kinds=object, what=None):
+    """The structure in the document --in names; a UsageError if it does
+    not parse or is not one of kinds, those args.command takes."""
     try:
-        return serialize.from_json(_read(path))
+        S = serialize.from_json(_read(args.infile))
     except ValueError as e:
-        raise UsageError(f"{path}: {e}")
+        raise UsageError(f"{args.infile}: {e}")
+    if not isinstance(S, kinds):
+        raise UsageError(f"{args.command} expects a serialized {what}, got {type(S).__name__}")
+    return S
+
+
+def _verdict(report):
+    """Print ok or the report's violations; the exit code, 0 or 1."""
+    print("ok" if report.ok else report.text())
+    return 0 if report.ok else 1
 
 
 def cmd_gen(args):
@@ -91,25 +102,14 @@ _CHECKS = {
 
 
 def cmd_check(args):
-    S = _load_structure(args.infile)
-    report = _CHECKS[type(S)](S)
-    if report.ok:
-        print("ok")
-        return 0
-    print(report.text())
-    return 1
+    S = _load_structure(args)
+    return _verdict(_CHECKS[type(S)](S))
 
 
 def cmd_equiv(args):
     if args.n < 3:
         raise UsageError(f"equivalence data needs n >= 3, got {args.n}")
-    F, G, H = torus_link.build_equivalence(args.n)
-    report = structures.verify_homotopy(F, G, H)
-    if report.ok:
-        print("ok")
-        return 0
-    print(report.text())
-    return 1
+    return _verdict(structures.verify_homotopy(*torus_link.build_equivalence(args.n)))
 
 
 def cmd_pair(args):
@@ -139,12 +139,9 @@ def cmd_pair(args):
 
 
 def cmd_reduce(args):
-    S = _load_structure(args.infile)
-    if not isinstance(S, (DDStructure, DStructure, ChainComplexF2)):
-        raise UsageError(
-            "reduce expects a serialized DD structure, D structure or complex,"
-            f" got {type(S).__name__}"
-        )
+    S = _load_structure(
+        args, (DDStructure, DStructure, ChainComplexF2), "DD structure, D structure or complex"
+    )
     reduced = structures.reduce(S)
     if args.check_orders:
         rng = random.Random(args.seed)
@@ -158,10 +155,7 @@ def cmd_reduce(args):
 
 
 def cmd_homology(args):
-    S = _load_structure(args.infile)
-    if not isinstance(S, ChainComplexF2):
-        raise UsageError("homology expects a serialized complex")
-    print(homology_rank(S))
+    print(homology_rank(_load_structure(args, ChainComplexF2, "complex")))
     return 0
 
 

@@ -186,7 +186,7 @@ def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> Cha
         got = f"side {S.side!r}" if isinstance(S, DStructure) else type(S).__name__
         raise ValueError(f"box_left needs a DStructure over the left algebra, got {got}")
     found, rows = _walk(A, S, "box_left", S.codes)
-    return ChainComplexF2._from_rows(tuple(name for name, _, _ in found), None, rows)
+    return ChainComplexF2._from_rows(tuple(name for name, _, _ in found), (0,) * len(rows), rows)
 
 
 def homology_rank(C: ChainComplexF2) -> int:

@@ -8,7 +8,7 @@ parallel arrows, and arrow sets are kept reduced mod 2.
 
 A DD or D structure or a chain complex stores only its numbered view:
 ``names`` (sorted), ``codes`` (each generator's idempotent code: 2 *
-left + right for DD, the idempotent for D, 0 for a complex, derived),
+left + right for DD, the idempotent for D, 0 for a complex),
 ``steps[x]`` (the sorted (label id, target number) of the arrows
 leaving x, labels (l, r), (t,) or () numbered in sorted label order)
 and a D structure's ``side``; a DD morphism stores source, target and
@@ -242,20 +242,25 @@ def _resolve(arrows, index, target_index, sides):
     return steps
 
 
-def _coherent(steps, codes, target_codes, ends):
-    """Whether steps holds one row per code and each step (a, y) of
-    generator x has ends[a] == 8 * codes[x] + target_codes[y]."""
-    if len(steps) != len(codes):
-        return False
-    try:
-        for c, row in zip(codes, steps):
-            c *= 8
-            for a, y in row:
+def _coherent(steps, source, target_codes, ends):
+    """Whether each step (a, y) of source generator x has ends[a] == 8 *
+    source.codes[x] + target_codes[y]; a ValueError unless steps holds
+    one row of such index pairs per generator, naming the first generator
+    whose row is not and its step (the row itself if it does not iterate)."""
+    if len(steps) != len(source.names):
+        raise ValueError(f"{len(source.names)} generators but {len(steps)} arrow rows")
+    ok = True
+    for name, c, row in zip(source.names, source.codes, steps):
+        c *= 8
+        step = row
+        try:
+            for step in row:
+                a, y = step
                 if ends[a] != c + target_codes[y]:
-                    return False
-    except (IndexError, TypeError):
-        return False
-    return True
+                    ok = False
+        except (IndexError, TypeError, ValueError):
+            raise ValueError(f"generator {name!r} has malformed step {step!r}") from None
+    return ok
 
 
 def _reject(arrows, sides, src_idems, tgt_idems, missing: str, where: str):
@@ -350,14 +355,11 @@ class _Numbered(_Frozen):
             d["side"] = side
         sides = self._SIDES if side is None else (side,)
         _check_unique(names)
-        d.update(names=names, steps=steps)
-        if codes is not None:
-            d["codes"] = codes
-        codes, valid = self.codes, self._VALID
-        if not valid.issuperset(codes):
-            name = next(name for name, c in zip(names, codes) if c not in valid)
+        d.update(names=names, codes=codes, steps=steps)
+        if not self._VALID.issuperset(codes):
+            name = next(name for name, c in zip(names, codes) if c not in self._VALID)
             raise _outside(name, self.idems[name])
-        if steps is None or not _coherent(steps, codes, codes, _ENDS[sides]):
+        if steps is None or not _coherent(steps, self, codes, _ENDS[sides]):
             _reject(self.arrows, sides, self.idems, self.idems, "arrow", "on arrow")
 
     @cached_property
@@ -420,16 +422,11 @@ class ChainComplexF2(_Numbered):
 
     def __init__(self, generators, arrows):
         gens = _sorted(generators, lambda g: g)
-        self._adopt(gens, gens, None, arrows)
+        self._adopt(gens, gens, (0,) * len(gens), arrows)
 
     @cached_property
     def generators(self):
         return self.names
-
-    @cached_property
-    def codes(self):
-        """All 0: complexes carry no idempotents."""
-        return (0,) * len(self.names)
 
 
 # the chord pairs (a, b) that compose: a ends on the arc where b starts
@@ -554,7 +551,7 @@ class DDMorphism(_Frozen):
 
     def _set(self, source, target, steps):
         self.__dict__.update(source=source, target=target, steps=steps)
-        if steps is None or not _coherent(steps, source.codes, target.codes, _ENDS[SIDES]):
+        if steps is None or not _coherent(steps, source, target.codes, _ENDS[SIDES]):
             _reject(self.arrows, SIDES, source.idems, target.idems, "morphism", "on")
 
     @cached_property

@@ -196,6 +196,8 @@ def test_token_helpers_against_oracle():
                 )
                 with pytest.raises(ValueError, match="not an idempotent token"):
                     idem_index(token)
+        with pytest.raises(ValueError, match="unknown chord interval '13'"):
+            chord_token(side, "13")
 
 
 UNKNOWN_TOKENS = ["i3", "j0", "r4", "s1234", "x1", "r", "", " r1", "R1", 1, None, ("r1",), ["r1"]]

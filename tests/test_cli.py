@@ -5,12 +5,14 @@ import sys
 
 import pytest
 
+from bpc import torus_link
 from bpc.cli import main
 from bpc.serialize import from_json, to_json
 from bpc.solid_torus import build_cfa, build_cfa_framed, build_cfa_infinity
 from bpc.structures import ChainComplexF2
-from bpc.torus_link import build_cfdd_full
+from bpc.torus_link import build_cfdd_full, build_equivalence
 from test_solid_torus import truncated_infinity
+from test_structures import _without_first_arrow
 
 
 def run(capsys, *argv):
@@ -91,11 +93,19 @@ def test_check_rejects_malformed_arrows(capsys, tmp_path, edit, message):
     assert stderr == f"error: {out}: {message}\n"
 
 
-def test_equiv(capsys):
+def test_equiv(capsys, monkeypatch):
     # 64 and 128 lie past the sizes the builders meet a reference at
     for n in (3, 8, 64, 128):
         assert run(capsys, "equiv", "--n", str(n)) == (0, "ok\n", ""), n
     assert run(capsys, "equiv", "--n", "2")[0] == 2
+    # a failing report is printed line by line, with exit 1
+    F, G, H = build_equivalence(3)
+    monkeypatch.setattr(torus_link, "build_equivalence", lambda n: (F, G, _without_first_arrow(H)))
+    report = (
+        "G o F + id differs from d(H): a_y2 -> x4y4: r3*j2\n"
+        "G o F + id differs from d(H): x5y1 -> x3y5: r23*s23\n"
+    )
+    assert run(capsys, "equiv", "--n", "3") == (1, report, "")
 
 
 def test_pair_right_infinity_reduce(capsys):
@@ -399,7 +409,7 @@ def test_homology_command(capsys, tmp_path):
 def test_homology_rejects_a_dd_document(capsys, tmp_path):
     path = tmp_path / "g.json"
     path.write_text(to_json(build_cfdd_full(3)))
-    message = "error: homology expects a serialized complex\n"
+    message = "error: homology expects a serialized complex, got DDStructure\n"
     assert run(capsys, "homology", "--in", str(path)) == (2, "", message)
 
 

@@ -14,6 +14,8 @@ from bpc.diagram import (
 def test_region_names():
     assert region_names(2) == ("Q0", "Q1", "Q2", "Q3", "Q4", "Q5", "P1", "R1")
     assert region_names(1) == ("Q0", "Q1", "Q2", "Q3", "Q4", "Q5")
+    with pytest.raises(ValueError, match="positive integer"):
+        region_names(0)
 
 
 def test_first_domain_n3():
@@ -52,6 +54,8 @@ def test_independence_and_admissibility(n):
 def test_dependent_vectors():
     d1, _ = periodic_domains(3)
     assert not independent(d1, d1)
+    zero = RegionVector.from_dict(3, {})
+    assert not independent(zero, zero)
 
 
 def test_mismatched_vectors_rejected():

@@ -79,6 +79,7 @@ def test_check_dd_two_step_cancellation_cases():
     report = check_dd(bad)
     assert not report.ok
     assert report.lines == ("ab -> ab: r12*s12",)
+    assert bool(check_dd(ok)) and not bool(report)
 
 
 def test_arrow_coherence_enforced():
@@ -1469,6 +1470,7 @@ def _public(S):
 def _assert_routes_agree(S):
     R = _public(S)
     assert R == S and hash(R) == hash(S)
+    assert S != S.steps  # a structure equals no object of another type
     assert R.steps == S.steps
     if isinstance(S, DDMorphism):
         return
@@ -1575,6 +1577,36 @@ INTERNAL_AND_PUBLIC = {
 @pytest.mark.parametrize("internal, public", INTERNAL_AND_PUBLIC.values(), ids=INTERNAL_AND_PUBLIC)
 def test_internal_constructor_raises_the_public_messages(internal, public):
     assert _message(internal) == _message(public)
+
+
+U11, U22 = _LABELS.index(("i1", "j1")), _LABELS.index(("i2", "j2"))  # the units at codes 3, 6
+MALFORMED_ROWS = {
+    "target out of range": (
+        lambda: DDStructure._from_rows(("a",), (3,), [[(U11, 5)]]),
+        f"generator 'a' has malformed step {(U11, 5)}",
+    ),
+    "target not a number": (
+        lambda: DDStructure._from_rows(("a",), (3,), [[(U11, "x")]]),
+        f"generator 'a' has malformed step {(U11, 'x')}",
+    ),
+    "wrong row count": (
+        lambda: DDStructure._from_rows(("a",), (3,), [[], []]),
+        "1 generators but 2 arrow rows",
+    ),
+    "malformed after incoherent": (
+        lambda: DDStructure._from_rows(("ab", "x1y1"), (3, 6), [[(RS2, 1)], [(U22, 2)]]),
+        f"generator 'x1y1' has malformed step {(U22, 2)}",
+    ),
+    "morphism target out of range": (
+        lambda: DDMorphism._from_rows(HOPF_EMPTY, HOPF_EMPTY, [[(U11, 2)], []]),
+        f"generator 'ab' has malformed step {(U11, 2)}",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS)
+def test_internal_constructor_names_a_malformed_row(build, message):
+    assert _message(build) == message
 
 
 def test_numbered_results_derive_generators_and_arrows_on_first_read():
