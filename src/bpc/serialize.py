@@ -26,6 +26,7 @@ from .structures import (
     _DD_ID,
     _D_ID,
     _INTERVAL,
+    _KINDS,
     _LABELS,
     AGenerator,
     AModule,
@@ -73,23 +74,14 @@ def _idem(side: str, token: str) -> int:
     return idem_index(token)
 
 
-def _block(items, indent: str = "  ") -> str:
-    """A JSON array of already-encoded items, laid out as json.dumps with
-    indent=2 lays it out when its closing bracket sits at indent."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + f"\n{indent}]"
-
-
-def _document(kind: str, sides, **fields) -> str:
-    """The top-level object: kind, schema_version, sides and the already
-    encoded fields, keys sorted."""
-    fields.update(
-        kind=_quote(kind),
-        schema_version=str(SCHEMA_VERSION),
-        sides=_block([f'    "{side}"' for side in sides]),
-    )
-    return "{\n" + ",\n".join(f'  "{k}": {fields[k]}' for k in sorted(fields)) + "\n}\n"
+def _bracket(out, start):
+    """Lay out out[start:], the pieces of a top-level field's items, each
+    item led by ",\n", as json.dumps with indent=2 lays out the array."""
+    if len(out) == start:
+        out.append("[]")
+    else:
+        out[start] = "[\n"
+        out.append("\n  ]")
 
 
 # label id -> the start of an arrow object, up to its source name: fields
@@ -102,16 +94,30 @@ _HEADS = [
     for label in _LABELS
     for fields in [("left", "right") if len(label) == 2 else ("label",)]
 ]
+_TARGET, _CLOSE = ',\n      "target": ', "\n    }"
+# kind, or a D structure's side -> code -> (its generator object up to
+# the name, the rest of it)
+_GENERATORS = {
+    "DD": {
+        c: (f'    {{\n      "left": "{l}",\n      "name": ', f',\n      "right": "{r}"{_CLOSE}')
+        for c, (l, r) in _DD_TOKENS.items()
+    },
+    **{
+        side: {c: (f'    {{\n      "idem": "{t}",\n      "name": ', _CLOSE) for c, t in idem.items()}
+        for side, idem in _IDEM.items()
+    },
+    "complex": {0: ("    ", "")},
+}
 
 
 def to_json(S) -> str:
     """S as a schema-version-1 document, laid out exactly as
     json.dumps(doc, indent=2, sort_keys=True) prints it, plus a newline.
 
-    A module is laid out by json.dumps itself.  A DD, D or complex fills
-    fixed templates, so every generator and arrow costs one string format;
-    names are escaped by the encoder json.dumps uses, and tokens are plain
-    ASCII.  It is printed from its numbered view: generators from
+    A module is laid out by json.dumps itself.  A DD, D or complex is
+    one list of pieces joined once: fixed template strings, separators,
+    and each name quoted once by the encoder json.dumps uses (tokens are
+    plain ASCII).  It is printed from its numbered view: generators from
     ``names`` (sorted at construction) and ``codes``, arrows from
     ``steps`` by source number, label id, then target number, which is
     sorted arrow order.
@@ -125,31 +131,30 @@ def to_json(S) -> str:
             "sides": [],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if not isinstance(S, (DDStructure, DStructure, ChainComplexF2)):
+    kind = _KINDS.get(type(S))
+    if kind is None:
         raise ValueError(f"cannot serialize a {type(S).__name__}")
     q = [_quote(name) for name in S.names]
-    arrows = _block(
-        [
-            f'{_HEADS[a]}{source},\n      "target": {q[t]}\n    }}'
-            for source, steps in zip(q, S.steps)
-            for a, t in steps
-        ]
-    )
-    if isinstance(S, DDStructure):
-        gens = [
-            f'    {{\n      "left": "{_DD_TOKENS[c][0]}",\n      "name": {name},\n'
-            f'      "right": "{_DD_TOKENS[c][1]}"\n    }}'
-            for c, name in zip(S.codes, q)
-        ]
-        return _document("DD", SIDES, arrows=arrows, generators=_block(gens))
-    if isinstance(S, DStructure):
-        idem = _IDEM[S.side]
-        gens = [
-            f'    {{\n      "idem": "{idem[c]}",\n      "name": {name}\n    }}'
-            for c, name in zip(S.codes, q)
-        ]
-        return _document("D", (S.side,), arrows=arrows, generators=_block(gens))
-    return _document("complex", (), arrows=arrows, generators=_block([f"    {name}" for name in q]))
+    out = ['{\n  "arrows": ']
+    add = out.extend
+    for source, steps in zip(q, S.steps):
+        for a, t in steps:
+            add((",\n", _HEADS[a], source, _TARGET, q[t], _CLOSE))
+    _bracket(out, 1)
+    out.append(',\n  "generators": ')
+    start = len(out)
+    around = _GENERATORS[S.side or kind]
+    for c, name in zip(S.codes, q):
+        head, tail = around[c]
+        add((",\n", head, name, tail))
+    _bracket(out, start)
+    out.append(f',\n  "kind": "{kind}",\n  "schema_version": {SCHEMA_VERSION},\n  "sides": ')
+    start = len(out)
+    for side in S._SIDES if S.side is None else (S.side,):
+        add((",\n", f'    "{side}"'))
+    _bracket(out, start)
+    out.append("\n}\n")
+    return "".join(out)
 
 
 # kind -> (structure class, generator class, generator idempotent fields,
@@ -165,65 +170,94 @@ _SIDES = {
     "D": ([["left"], ["right"]], "D structures carry one side"),
     "complex": ([[]], "complexes carry no algebra labels"),
 }
-# sides -> {idempotent token: code}, nested left then right for DD
-_CODES = {(side,): {token: k for k, token in _IDEM[side].items()} for side in SIDES}
-_CODES[SIDES] = {
+# left token -> right token -> code, the hook's reading of a DD generator
+_DD_CODES = {
     _IDEM["left"][a]: {_IDEM["right"][b]: _DD_CODE[a, b] for b in (1, 2)} for a in (1, 2)
+}
+# idempotent token -> itself, the hook's reading of a D generator
+_IDEM_TOKENS = {token: token for idem in _IDEM.values() for token in idem.values()}
+# sides -> {what the hook read of a generator's idempotents: code}
+_CODES = {(side,): {token: k for k, token in _IDEM[side].items()} for side in SIDES}
+_CODES[SIDES] = {c: c for c in _DD_CODE.values()}
+
+
+# kind -> the label ids its arrows may carry; a D document's arrows may
+# carry a token of the other side, which the internal constructor names
+_LABEL_IDS = {
+    "DD": frozenset(k for row in _DD_ID.values() for k in row.values()),
+    "D": frozenset(_D_ID.values()),
+    "complex": frozenset([_BARE]),
 }
 
 
+def _compact(obj):
+    """The json object_hook of the numbered route.  An object that is
+    exactly an arrow's fields becomes the triple (source, label id,
+    target): left, right, source, target for DD, label, source, target
+    for D, source, target for a complex.  One that is exactly a
+    generator's fields becomes the pair (name, code) for DD (left, name,
+    right) and (name, idempotent token) for D (idem, name).  Any other
+    object, or one with an unknown or unhashable token, stays a dict.
+    Only the hook makes tuples, and all but their names and endpoints
+    come from its tables, so a tuple where no arrow or generator of the
+    document's kind belongs gives that object away."""
+    n = len(obj)
+    try:
+        if n == 4:
+            return obj["source"], _DD_ID[obj["left"]][obj["right"]], obj["target"]
+        if n == 3:
+            if "label" in obj:
+                return obj["source"], _D_ID[obj["label"]], obj["target"]
+            return obj["name"], _DD_CODES[obj["left"]][obj["right"]]
+        if n == 2:
+            if "source" in obj:
+                return obj["source"], _BARE, obj["target"]
+            return obj["name"], _IDEM_TOKENS[obj["idem"]]
+    except (KeyError, TypeError):  # another object, or an unknown or unhashable token
+        pass
+    return obj
+
+
 def _rows(doc, kind, sides):
-    """(names, codes, rows) of a DD, D or complex document: the sorted
-    generator names, their idempotent codes, and per source number the
-    sorted (label id, target number) of its arrow objects, each filed
-    straight into its row.  None at the first object that is not exactly
-    its fields with string names and known tokens and endpoints; the
-    named route then finds the message.  A token of the other side is
-    filed too: the internal constructor names it.  An object with the
-    right number of fields and every field read has exactly the right
-    fields."""
+    """(class, names, codes, rows, side) of a DD, D or complex document
+    parsed with ``_compact``: the sorted generator names, their
+    idempotent codes, per source number the sorted (label id, target
+    number) of its arrows, each triple filed straight into its row, and
+    a D document's side.  None at the first generator that is not a
+    string name with the kind's known tokens, or arrow that is not a
+    triple of the kind with known endpoints; the named route then reads
+    the text again and finds the message."""
     gens = _array(doc, "generators")
-    fields = _NUMBERED[kind][2]
     try:
         if kind == "complex":
             if not all(type(g) is str for g in gens):
                 return None
             named = [(g, 0) for g in gens]
         else:
+            codes = _CODES[sides]
             named = []
             for g in gens:
-                if type(g) is not dict or len(g) != 1 + len(fields) or type(g["name"]) is not str:
+                if type(g) is not tuple or len(g) != 2 or type(g[0]) is not str:
                     return None
-                code = _CODES[sides]
-                for field in fields:
-                    code = code[g[field]]
-                named.append((g["name"], code))
+                named.append((g[0], codes[g[1]]))
         named.sort()
         names = tuple(name for name, _ in named)
         index = {name: k for k, name in enumerate(names)}
         rows = [[] for _ in names]
-        arrows = _array(doc, "arrows")
-        if kind == "DD":
-            for a in arrows:
-                if type(a) is not dict or len(a) != 4:
-                    return None
-                step = _DD_ID[a["left"]][a["right"]], index[a["target"]]
-                rows[index[a["source"]]].append(step)
-        elif kind == "D":
-            for a in arrows:
-                if type(a) is not dict or len(a) != 3:
-                    return None
-                rows[index[a["source"]]].append((_D_ID[a["label"]], index[a["target"]]))
-        else:
-            for a in arrows:
-                if type(a) is not dict or len(a) != 2:
-                    return None
-                rows[index[a["source"]]].append((_BARE, index[a["target"]]))
-    except (KeyError, TypeError):  # a missing field, or an unknown or unhashable value
+        labels = _LABEL_IDS[kind]
+        for arrow in _array(doc, "arrows"):
+            if type(arrow) is not tuple:
+                return None
+            s, a, t = arrow
+            if a not in labels:
+                return None
+            rows[index[s]].append((a, index[t]))
+    except (KeyError, TypeError, ValueError):  # an unknown or unhashable value, a pair as an arrow
         return None
     for row in rows:
         row.sort()
-    return names, tuple(code for _, code in named), rows
+    cls = _NUMBERED[kind][0]
+    return cls, names, tuple(code for _, code in named), rows, sides[0] if kind == "D" else None
 
 
 def _from_view(cls, names, codes, rows, side):
@@ -270,12 +304,9 @@ def _named(doc, kind, sides):
     return cls, (*side, tuple(gens), frozenset(arrows))
 
 
-def _parse(doc):
-    """(constructor, arguments) of the structure the parsed document doc
-    describes, every field checked; the constructor checks the rest.  A
-    DD, D or complex document is read straight into its numbered view;
-    one that does not read cleanly is read again by name, so each fault
-    gets the public constructor's message."""
+def _header(doc):
+    """(kind, sides) of the parsed document doc, its top-level fields
+    checked."""
     if not isinstance(doc, dict):
         raise ValueError("top level: expected an object")
     version = doc.get("schema_version")
@@ -289,38 +320,72 @@ def _parse(doc):
         allowed, message = _SIDES[kind]
         if doc["sides"] not in allowed:
             raise ValueError(message)
-        sides = tuple(doc["sides"])
-        view = _rows(doc, kind, sides)
-        if view is None:
-            return _named(doc, kind, sides)
-        return _from_view, (_NUMBERED[kind][0], *view, sides[0] if kind == "D" else None)
+        return kind, tuple(doc["sides"])
     if kind == "A":
         _require_fields(doc, {"schema_version", "kind", "sides", "generators", "operations"}, "A")
         if doc["sides"] != []:
             raise ValueError("A modules store side-agnostic chords")
-        gens = []
-        for g in _array(doc, "generators"):
-            _require_fields(g, {"name", "occupancy"}, "generator")
-            if type(g["occupancy"]) is not int or g["occupancy"] not in (1, 2):
-                raise ValueError(f"bad occupancy {g['occupancy']!r}")
-            gens.append(AGenerator(_name(g["name"], "generator"), g["occupancy"]))
-        ops = []
-        for o in _array(doc, "operations"):
-            _require_fields(o, {"source", "chords", "target"}, "operation")
-            seq = tuple(_array(o, "chords"))
-            for c in seq:
-                if type(c) is not str or c not in _INTERVAL:  # c + "*" for a starred chord
-                    raise ValueError(f"unknown chord interval {c!r}")
-            ops.append((_name(o["source"], "operation"), seq, _name(o["target"], "operation")))
-        return _module, (tuple(gens), ops)
+        return kind, ()
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def from_json(text: str):
+def _parse(doc):
+    """(constructor, arguments) of the structure the parsed document doc
+    describes, read by name, every field checked; the constructor checks
+    the rest."""
+    kind, sides = _header(doc)
+    if kind != "A":
+        return _named(doc, kind, sides)
+    gens = []
+    for g in _array(doc, "generators"):
+        _require_fields(g, {"name", "occupancy"}, "generator")
+        if type(g["occupancy"]) is not int or g["occupancy"] not in (1, 2):
+            raise ValueError(f"bad occupancy {g['occupancy']!r}")
+        gens.append(AGenerator(_name(g["name"], "generator"), g["occupancy"]))
+    ops = []
+    for o in _array(doc, "operations"):
+        _require_fields(o, {"source", "chords", "target"}, "operation")
+        seq = tuple(_array(o, "chords"))
+        for c in seq:
+            if type(c) is not str or c not in _INTERVAL:  # c + "*" for a starred chord
+                raise ValueError(f"unknown chord interval {c!r}")
+        ops.append((_name(o["source"], "operation"), seq, _name(o["target"], "operation")))
+    return _module, (tuple(gens), ops)
+
+
+def _load(text, hook=None):
     try:
-        doc = json.loads(text)
+        return json.loads(text, object_hook=hook)
     except RecursionError:
         raise ValueError("document nested too deeply") from None
-    make, args = _parse(doc)
-    del doc  # the structure is built and checked without the document alive
+
+
+def _numbered(text):
+    """The arguments of ``_from_view`` for a DD, D or complex document
+    that reads cleanly with ``_compact``, or None for any other."""
+    try:
+        doc = _load(text, _compact)
+        kind, sides = _header(doc)
+        return None if kind == "A" else _rows(doc, kind, sides)
+    except ValueError:
+        return None
+
+
+def from_json(text: str):
+    """The structure the schema-version-1 document text describes.
+
+    A DD, D or complex document is parsed with a hook (``_compact``) that
+    turns each arrow object into a (source, label id, target) triple and
+    each generator object into a tuple as soon as it is parsed, so no
+    arrow dict outlives its own parse; the triples are then filed straight
+    into the numbered rows.  A document that does not read cleanly so, an
+    A document among them, is parsed again from the text without the hook
+    and read by name, field by field, through the public constructor, so
+    each fault gets that constructor's message.  The structure is built
+    and checked once the parsed document is gone.
+    """
+    view = _numbered(text)
+    if view is not None:
+        return _from_view(*view)
+    make, args = _parse(_load(text))
     return make(*args)

@@ -824,8 +824,12 @@ def reduce(S, rng: random.Random | None = None):
     ints ordered as (natural key of x, of y, x, y).  Cancelling x -> y
     unlinks each arrow at x or y from its other end's set and the index,
     then makes in(y) * out(x) fill-in toggles, each a set update and,
-    for a unit arrow, a bisect into the index; nothing rescans or
-    re-sorts the whole arrow set.
+    for a unit arrow, an index update; nothing rescans or re-sorts the
+    whole arrow set.  In the default order a removed key only joins a
+    set of dead keys, and is popped once it is the greatest; a fill-in
+    that re-creates its arrow takes it out of the set, and any other is
+    inserted.  The seeded order keeps exactly the live keys, which the
+    rng indexes.
     """
     _kind(S, "reduce")
     names, steps = S.names, S.steps
@@ -840,8 +844,33 @@ def reduce(S, rng: random.Random | None = None):
     units = sorted(
         hi[s] + lo[t] for s, row in enumerate(steps) for a, t in row if s != t and unit[a]
     )
-    while units:
-        key = units[-1] if rng is None else units[rng.randrange(len(units))]
+    if rng is None:
+        dead = set()  # keys in units whose unit arrow was removed since they were filed
+        drop = dead.add
+
+        def add(key):
+            if key in dead:
+                dead.remove(key)
+            else:
+                bisect.insort(units, key)
+
+        def pick():
+            while units and units[-1] in dead:
+                dead.remove(units.pop())
+            return units[-1] if units else None
+
+    else:
+
+        def drop(key):
+            del units[bisect.bisect_left(units, key)]
+
+        def add(key):
+            bisect.insort(units, key)
+
+        def pick():
+            return units[rng.randrange(len(units))] if units else None
+
+    while (key := pick()) is not None:
         x, y = key // n % n, key % n
         ins = [(w, a) for w, a in into[y] if w != x and w != y]
         outs = [(a, z) for a, z in out[x] if z != x and z != y]
@@ -850,12 +879,12 @@ def reduce(S, rng: random.Random | None = None):
                 if t != x and t != y:
                     into[t].remove((g, a))
                 if unit[a] and t != g:
-                    del units[bisect.bisect_left(units, hi[g] + lo[t])]
+                    drop(hi[g] + lo[t])
             for s, a in into[g]:
                 if s != x and s != y:
                     out[s].remove((a, g))
                     if unit[a]:
-                        del units[bisect.bisect_left(units, hi[s] + lo[g])]
+                        drop(hi[s] + lo[g])
         out[x] = out[y] = into[x] = into[y] = None
         for w, l1 in ins:
             row, ow, hw = mul[l1], out[w], hi[w]
@@ -867,12 +896,12 @@ def reduce(S, rng: random.Random | None = None):
                     ow.remove((p, z))
                     into[z].remove((w, p))
                     if unit[p] and w != z:
-                        del units[bisect.bisect_left(units, hw + lo[z])]
+                        drop(hw + lo[z])
                 else:
                     ow.add((p, z))
                     into[z].add((w, p))
                     if unit[p] and w != z:
-                        bisect.insort(units, hw + lo[z])
+                        add(hw + lo[z])
     alive = [g for g in range(n) if out[g] is not None]
     number = {g: k for k, g in enumerate(alive)}  # survivors keep their name order
     rows = [sorted([(a, number[t]) for a, t in out[g]]) for g in alive]

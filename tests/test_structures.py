@@ -599,6 +599,15 @@ def _reduce_inputs():
     for k in range(6):
         for kind in ("DD", "D", "complex"):
             yield f"random-{kind}-{k}", _random_structure(kind, rng)
+    # cancelling f -> e toggles a -> b away and d -> c's fill-in brings it back
+    yield "fill-in-recreates-a-removed-unit", ChainComplexF2(
+        tuple("abcdef"),
+        frozenset({("a", "b"), ("a", "c"), ("a", "e"), ("d", "b"), ("d", "c"), ("f", "b"), ("f", "e")}),
+    )
+    # cancelling d -> e leaves c -> a, and the fill-in c -> b files a key above it
+    yield "fill-in-files-the-greatest-key", ChainComplexF2(
+        tuple("abcde"), frozenset({("d", "e"), ("d", "b"), ("c", "e"), ("c", "a")})
+    )
 
 
 REDUCE_INPUTS = dict(_reduce_inputs())
@@ -623,7 +632,7 @@ def test_reduce_breaks_natural_key_ties_by_name():
     assert reduce(C).generators == ()
 
 
-@pytest.mark.parametrize("n", [48, 96])
+@pytest.mark.parametrize("n", [48, 96, 192])
 def test_reduce_full_model(n):
     # at n=96 the 18,432 generators put the index keys near 2**57
     red = reduce(build_cfdd_full(n))
