@@ -27,14 +27,15 @@ from .structures import (
     _D_ID,
     _INTERVAL,
     _KINDS,
+    _LABEL_ID,
     _LABELS,
     AGenerator,
     AModule,
     ChainComplexF2,
-    DGenerator,
     DStructure,
-    DDGenerator,
     DDStructure,
+    _arrows,
+    _code,
 )
 
 SCHEMA_VERSION = 1
@@ -157,12 +158,12 @@ def to_json(S) -> str:
     return "".join(out)
 
 
-# kind -> (structure class, generator class, generator idempotent fields,
-# arrow label fields); a complex's generators are bare names
+# kind -> (structure class, generator idempotent fields, arrow label
+# fields); a complex's generators are bare names
 _NUMBERED = {
-    "DD": (DDStructure, DDGenerator, ("left", "right"), ("left", "right")),
-    "D": (DStructure, DGenerator, ("idem",), ("label",)),
-    "complex": (ChainComplexF2, None, (), ()),
+    "DD": (DDStructure, ("left", "right"), ("left", "right")),
+    "D": (DStructure, ("idem",), ("label",)),
+    "complex": (ChainComplexF2, (), ()),
 }
 # kind -> (the sides a document may carry, the message if it carries others)
 _SIDES = {
@@ -176,22 +177,17 @@ _DD_CODES = {
 }
 # idempotent token -> itself, the hook's reading of a D generator
 _IDEM_TOKENS = {token: token for idem in _IDEM.values() for token in idem.values()}
-# sides -> {what the hook read of a generator's idempotents: code}
-_CODES = {(side,): {token: k for k, token in _IDEM[side].items()} for side in SIDES}
-_CODES[SIDES] = {c: c for c in _DD_CODE.values()}
-
-
-# kind -> the label ids its arrows may carry; a D document's arrows may
-# carry a token of the other side, which the internal constructor names
-_LABEL_IDS = {
-    "DD": frozenset(k for row in _DD_ID.values() for k in row.values()),
-    "D": frozenset(_D_ID.values()),
-    "complex": frozenset([_BARE]),
+# sides -> {a generator's code, or the hook's reading of its idempotents:
+# that code}; the hook reads no generator as 0, 1 or 2
+_CODES = {
+    SIDES: {c: c for c in _DD_CODE.values()},
+    (): {0: 0},
+    **{(side,): {1: 1, 2: 2, **{t: k for k, t in idem.items()}} for side, idem in _IDEM.items()},
 }
 
 
 def _compact(obj):
-    """The json object_hook of the numbered route.  An object that is
+    """The json object_hook of the first parse.  An object that is
     exactly an arrow's fields becomes the triple (source, label id,
     target): left, right, source, target for DD, label, source, target
     for D, source, target for a complex.  One that is exactly a
@@ -218,46 +214,21 @@ def _compact(obj):
     return obj
 
 
-def _rows(doc, kind, sides):
-    """(class, names, codes, rows, side) of a DD, D or complex document
-    parsed with ``_compact``: the sorted generator names, their
-    idempotent codes, per source number the sorted (label id, target
-    number) of its arrows, each triple filed straight into its row, and
-    a D document's side.  None at the first generator that is not a
-    string name with the kind's known tokens, or arrow that is not a
-    triple of the kind with known endpoints; the named route then reads
-    the text again and finds the message."""
-    gens = _array(doc, "generators")
-    try:
-        if kind == "complex":
-            if not all(type(g) is str for g in gens):
-                return None
-            named = [(g, 0) for g in gens]
-        else:
-            codes = _CODES[sides]
-            named = []
-            for g in gens:
-                if type(g) is not tuple or len(g) != 2 or type(g[0]) is not str:
-                    return None
-                named.append((g[0], codes[g[1]]))
-        named.sort()
-        names = tuple(name for name, _ in named)
-        index = {name: k for k, name in enumerate(names)}
-        rows = [[] for _ in names]
-        labels = _LABEL_IDS[kind]
-        for arrow in _array(doc, "arrows"):
-            if type(arrow) is not tuple:
-                return None
-            s, a, t = arrow
-            if a not in labels:
-                return None
-            rows[index[s]].append((a, index[t]))
-    except (KeyError, TypeError, ValueError):  # an unknown or unhashable value, a pair as an arrow
-        return None
-    for row in rows:
-        row.sort()
-    cls = _NUMBERED[kind][0]
-    return cls, names, tuple(code for _, code in named), rows, sides[0] if kind == "D" else None
+def _generator(g, fields, sides):
+    """(name, code) of the generator g, read field by field."""
+    if not fields:
+        return _name(g, "generator"), 0
+    _require_fields(g, {"name", *fields}, "generator")
+    name = _name(g["name"], "generator")
+    return name, _code([_idem(s, g[f]) for s, f in zip(sides, fields)])
+
+
+def _arrow(a, fields):
+    """The arrow object a by name, (source, *label tokens, target), read
+    field by field."""
+    _require_fields(a, {"source", "target", *fields}, "arrow")
+    src, tgt = _name(a["source"], "arrow"), _name(a["target"], "arrow")
+    return (src, *[check_token(a[f]) for f in fields], tgt)
 
 
 def _from_view(cls, names, codes, rows, side):
@@ -281,27 +252,6 @@ def _module(generators, operations):
     if twice:
         raise ValueError(f"operation listed twice: {twice[0]}")
     return M
-
-
-def _named(doc, kind, sides):
-    """(constructor, arguments) of the document through the public
-    constructor, every object checked field by field, in order."""
-    cls, gen_cls, idem_fields, label_fields = _NUMBERED[kind]
-    gens = []
-    for g in _array(doc, "generators"):
-        if gen_cls is None:
-            gens.append(_name(g, "generator"))
-            continue
-        _require_fields(g, {"name", *idem_fields}, "generator")
-        name = _name(g["name"], "generator")
-        gens.append(gen_cls(name, *[_idem(s, g[f]) for s, f in zip(sides, idem_fields)]))
-    arrows = set()
-    for a in _array(doc, "arrows"):
-        _require_fields(a, {"source", "target", *label_fields}, "arrow")
-        src, tgt = _name(a["source"], "arrow"), _name(a["target"], "arrow")
-        arrows.add((src, *[check_token(a[f]) for f in label_fields], tgt))
-    side = sides[:1] if kind == "D" else ()
-    return cls, (*side, tuple(gens), frozenset(arrows))
 
 
 def _header(doc):
@@ -329,28 +279,66 @@ def _header(doc):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _parse(doc):
+def _read(doc):
     """(constructor, arguments) of the structure the parsed document doc
-    describes, read by name, every field checked; the constructor checks
-    the rest."""
+    describes, every object checked in order, generators before arrows.
+
+    A DD, D or complex document's generators and arrows are read into
+    (name, code) pairs and (source, label id, target) triples: the hook's
+    tuples as they are, any other object field by field.  The generators
+    are sorted and each arrow is filed straight into its source's row,
+    for ``_from_view`` to build once the parsed document is gone; the
+    internal constructor refuses a label of another kind.  A hook-made
+    arrow with an unknown endpoint raises.  One read field by field that
+    the rows cannot hold (an unknown endpoint, or DD tokens on the wrong
+    sides) goes with all the others to the public constructor, which
+    names the least faulty arrow by repr.  An A document is read field
+    by field."""
     kind, sides = _header(doc)
-    if kind != "A":
-        return _named(doc, kind, sides)
-    gens = []
+    if kind == "A":
+        gens = []
+        for g in _array(doc, "generators"):
+            _require_fields(g, {"name", "occupancy"}, "generator")
+            if type(g["occupancy"]) is not int or g["occupancy"] not in (1, 2):
+                raise ValueError(f"bad occupancy {g['occupancy']!r}")
+            gens.append(AGenerator(_name(g["name"], "generator"), g["occupancy"]))
+        ops = []
+        for o in _array(doc, "operations"):
+            _require_fields(o, {"source", "chords", "target"}, "operation")
+            seq = tuple(_array(o, "chords"))
+            for c in seq:
+                if type(c) is not str or c not in _INTERVAL:  # c + "*" for a starred chord
+                    raise ValueError(f"unknown chord interval {c!r}")
+            ops.append((_name(o["source"], "operation"), seq, _name(o["target"], "operation")))
+        return _module, (tuple(gens), ops)
+    cls, idem_fields, label_fields = _NUMBERED[kind]
+    to_code = _CODES[sides]
+    named = []
     for g in _array(doc, "generators"):
-        _require_fields(g, {"name", "occupancy"}, "generator")
-        if type(g["occupancy"]) is not int or g["occupancy"] not in (1, 2):
-            raise ValueError(f"bad occupancy {g['occupancy']!r}")
-        gens.append(AGenerator(_name(g["name"], "generator"), g["occupancy"]))
-    ops = []
-    for o in _array(doc, "operations"):
-        _require_fields(o, {"source", "chords", "target"}, "operation")
-        seq = tuple(_array(o, "chords"))
-        for c in seq:
-            if type(c) is not str or c not in _INTERVAL:  # c + "*" for a starred chord
-                raise ValueError(f"unknown chord interval {c!r}")
-        ops.append((_name(o["source"], "operation"), seq, _name(o["target"], "operation")))
-    return _module, (tuple(gens), ops)
+        name, c = g if type(g) is tuple else _generator(g, idem_fields, sides)
+        named.append((name, to_code[c]))
+    named.sort()
+    names, codes = tuple(name for name, _ in named), tuple(c for _, c in named)
+    index = {name: k for k, name in enumerate(names)}
+    rows, stray = [[] for _ in names], []
+    for arrow in _array(doc, "arrows"):
+        if type(arrow) is tuple:
+            s, a, t = arrow
+        else:
+            arrow = _arrow(arrow, label_fields)
+            s, a, t = arrow[0], _LABEL_ID.get(arrow[1:-1]), arrow[-1]
+            if a is None or s not in index or t not in index:
+                stray.append(arrow)
+                continue
+        rows[index[s]].append((a, index[t]))
+    side = sides[0] if kind == "D" else None
+    if stray:
+        gens = cls._from_rows(names, codes, [()] * len(names), side).generators
+        arrows = _arrows(names, rows, names).union(stray)
+        return cls, ((side, gens, arrows) if side else (gens, arrows))
+    for row in rows:
+        row.sort()
+    return _from_view, (cls, names, codes, rows, side)
 
 
 def _load(text, hook=None):
@@ -360,32 +348,23 @@ def _load(text, hook=None):
         raise ValueError("document nested too deeply") from None
 
 
-def _numbered(text):
-    """The arguments of ``_from_view`` for a DD, D or complex document
-    that reads cleanly with ``_compact``, or None for any other."""
-    try:
-        doc = _load(text, _compact)
-        kind, sides = _header(doc)
-        return None if kind == "A" else _rows(doc, kind, sides)
-    except ValueError:
-        return None
-
-
 def from_json(text: str):
     """The structure the schema-version-1 document text describes.
 
-    A DD, D or complex document is parsed with a hook (``_compact``) that
-    turns each arrow object into a (source, label id, target) triple and
-    each generator object into a tuple as soon as it is parsed, so no
-    arrow dict outlives its own parse; the triples are then filed straight
-    into the numbered rows.  A document that does not read cleanly so, an
-    A document among them, is parsed again from the text without the hook
-    and read by name, field by field, through the public constructor, so
-    each fault gets that constructor's message.  The structure is built
-    and checked once the parsed document is gone.
+    The text is parsed once with a hook (``_compact``) that turns each
+    arrow object of a DD, D or complex document into a (source, label
+    id, target) triple and each generator object into a tuple as soon as
+    it is parsed, so no arrow dict outlives its own parse; ``_read`` then
+    files the triples straight into the numbered rows, and the structure
+    is built and checked once the parsed document is gone.  The hook
+    leaves A objects as they are.  Only a faulty document is parsed
+    again, without the hook, and read by the same ``_read``, so the
+    message shows each object as it was written.
     """
-    view = _numbered(text)
-    if view is not None:
-        return _from_view(*view)
-    make, args = _parse(_load(text))
+    try:
+        make, args = _read(_load(text, _compact))
+        return make(*args)
+    except (KeyError, TypeError, ValueError):  # a faulty document
+        pass
+    make, args = _read(_load(text))
     return make(*args)

@@ -1,4 +1,7 @@
+import gc
 import random
+import tracemalloc
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -165,6 +168,24 @@ def test_homology_rank_edge_cases():
     bad = ChainComplexF2(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
     with pytest.raises(ValueError):
         homology_rank(bad)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 17: bitset rows as wide as the generator count")
+def test_homology_rank_memory_is_linear_in_the_complex():
+    """pair (2, 3) at n = 96: 18,722 generators and 35,726 arrows.  The
+    rank's traced peak stays within 128 bytes per generator and arrow
+    (6.6 MiB); dense bitset rows peak near 30 MiB, a sparse elimination
+    near 2 MiB."""
+    C = box_left(build_cfa(2), box_right(build_cfa(3), build_cfdd_full(96)))
+    size = len(C.names) + sum(map(len, C.steps))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        homology_rank(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * size, (peak, size)
 
 
 RIGHT_D = DStructure("right", (DGenerator("x", 1), DGenerator("y", 2)), {("x", "s1", "y")})
@@ -521,6 +542,73 @@ def test_rank_bounds_first_homology(n, left, right):
         assert rank >= order and (rank - order) % 2 == 0
     else:
         assert rank >= 2 and rank % 2 == 0
+
+
+# the surgery exact triangle: slopes m, m + 1 and inf on one boundary are
+# pairwise at distance 1, on the grid n = 1..10, slopes {1..8, inf}
+TRIANGLE_SLOPES = (*range(1, 9), "inf")
+
+
+@cache
+def _triangle_ranks(n):
+    """{(left, right): rank} over TRIANGLE_SLOPES on both sides, each
+    filling computed once."""
+    S = build_cfdd_full(n)
+    return {(left, right): _rank(S, left, right) for left in TRIANGLE_SLOPES for right in TRIANGLE_SLOPES}
+
+
+def _triad(n, side, other, m):
+    """The ranks of the fillings with m, m + 1 and inf on side and other
+    on the other side, as printed (a printed 0 stays 0)."""
+    ranks = _triangle_ranks(n)
+    return [ranks[(s, other) if side == "left" else (other, s)] for s in (m, m + 1, "inf")]
+
+
+# the 168 triads that break the inequality today, all with the triad on
+# the left: framed right side R >= 2 and m < R, m <= n - 2 (at n = 3,
+# R = 3 the ranks are 10, 13 and 1)
+_TRIANGLE_BROKEN = {
+    (n, "left", right, m) for n in range(3, 11) for right in range(2, 9) for m in range(1, min(right, n - 1))
+}
+_TRIADS = [
+    (n, side, other, m)
+    for n in range(1, 11)
+    for side in ("left", "right")
+    for other in TRIANGLE_SLOPES
+    for m in range(1, 8)
+]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_triangle_ranks_have_an_even_sum(n):
+    """The maps of an exact triangle of F2 spaces have ranks summing to
+    the total dimension over two, so a + b + c is even."""
+    odd = [triad for triad in _TRIADS if triad[0] == n and sum(_triad(*triad)) % 2]
+    assert not odd
+
+
+@pytest.mark.parametrize(
+    "n, side, other, m",
+    [
+        pytest.param(
+            *triad,
+            marks=[pytest.mark.xfail(strict=True, reason="ROADMAP item 1")] if triad in _TRIANGLE_BROKEN else [],
+        )
+        for triad in _TRIADS
+    ],
+)
+def test_surgery_exact_triangle(n, side, other, m):
+    """HF-hat of the three fillings fits in an exact triangle
+    (Ozsvath-Szabo, arXiv math/0105202), whatever the framing convention
+    and b_1, so each rank is at most the sum of the other two."""
+    a, b, c = _triad(n, side, other, m)
+    assert a <= b + c and b <= a + c and c <= a + b, (a, b, c)
+
+
+def test_the_triangle_grid_counts():
+    """1,260 triads from 810 fillings, 168 of them strict xfails."""
+    assert len(_TRIADS) == 1260 and len(_TRIANGLE_BROKEN) == 168
+    assert sum(len(_triangle_ranks(n)) for n in range(1, 11)) == 810
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import gc
 import json
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from bpc.algebra import INTERVALS, basis_tokens, left_idem, right_idem, token_left_idem, token_right_idem
 from bpc.pairing import box_right
-from bpc.serialize import from_json, to_json
+from bpc.serialize import _compact, _load, _read, from_json, to_json
 from bpc.solid_torus import build_cfa_framed, build_cfa_infinity
 from bpc.structures import (
     AGenerator,
@@ -624,23 +625,74 @@ JSON_VALUES = st.recursive(
 )
 
 
-@PROPERTY_SETTINGS
-@given(STRUCTURES, st.data())
-def test_any_edited_document_parses_back_or_raises_value_error(S, data):
-    """Replace one value anywhere in a valid document by arbitrary JSON:
-    parsing either raises ValueError or gives a structure that round-trips."""
-    doc = json.loads(to_json(S))
+def _edit_anywhere(doc, data):
+    """Replace one value anywhere in the document doc by arbitrary JSON."""
     holder, key = doc, data.draw(st.sampled_from(sorted(doc)))
     while isinstance(holder[key], (dict, list)) and holder[key] and data.draw(st.booleans()):
         holder = holder[key]
         keys = sorted(holder) if isinstance(holder, dict) else range(len(holder))
         key = data.draw(st.sampled_from(keys))
     holder[key] = data.draw(JSON_VALUES)
+
+
+@PROPERTY_SETTINGS
+@given(STRUCTURES, st.data())
+def test_any_edited_document_parses_back_or_raises_value_error(S, data):
+    """Replace one value anywhere in a valid document by arbitrary JSON:
+    parsing either raises ValueError or gives a structure that round-trips."""
+    doc = json.loads(to_json(S))
+    _edit_anywhere(doc, data)
     try:
         parsed = from_json(json.dumps(doc))
     except ValueError:
         return
     assert from_json(to_json(parsed)) == parsed
+
+
+def _build(text, hook):
+    """The structure the one reader builds from text parsed with hook, or
+    None if reading or building raises; without the hook only a
+    ValueError may be raised."""
+    errors = ValueError if hook is None else (KeyError, TypeError, ValueError)
+    try:
+        make, args = _read(_load(text, hook))
+        return make(*args)
+    except errors:
+        return None
+
+
+def _counted(text):
+    """(from_json(text), or None if it raises a ValueError, and the number
+    of json.loads calls it made)."""
+    calls, loads = [], json.loads
+    with mock.patch.object(json, "loads", lambda *args, **kwargs: calls.append(1) or loads(*args, **kwargs)):
+        try:
+            built = from_json(text)
+        except ValueError:
+            built = None
+    return built, len(calls)
+
+
+@pytest.mark.parametrize("S", fixtures() + EMPTY, ids=lambda s: type(s).__name__)
+def test_a_valid_document_is_parsed_once(S):
+    assert _counted(to_json(S)) == (S, 1)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(STRUCTURES, st.sampled_from(EMPTY)), st.data())
+def test_the_hook_changes_memory_never_the_answer(S, data):
+    """Edit a document as the two tests above do: the hooked and the plain
+    read both raise or both build the same structure, and from_json
+    parses the text once if it is valid, twice if not."""
+    doc = json.loads(to_json(S))
+    if data.draw(st.booleans()):
+        data.draw(st.sampled_from(_malformations(doc, data)))(doc)
+    else:
+        _edit_anywhere(doc, data)
+    text = json.dumps(doc)
+    built = _build(text, None)
+    assert _build(text, _compact) == built
+    assert _counted(text) == (built, 1 if built is not None else 2)
 
 
 def test_deeply_nested_document_raises_value_error():
