@@ -25,8 +25,10 @@ that chord paths land in is summed mod 2 in a set and sorted again.
 
 from dataclasses import dataclass
 
-from .algebra import _CHORD_INTERVAL
+from .algebra import _CHORD_INTERVAL, idem_token
 from .structures import (
+    _BARE,
+    _D_ID,
     _LABEL_ID,
     _LABELS,
     _MUL,
@@ -62,17 +64,18 @@ class PairingConfig:
             raise ValueError(f"unknown side {self.side!r}")
 
 
-def _products(A: AModule, S, idems):
+def _products(A: AModule, S, consumed, side):
     """The sorted (name "a*x", a, x) of module generators a and generators
-    x of S with a's occupancy equal to idems[x], and {a: [the number of
-    a*x in that order, or None, by x]}.  Built by a + "*", then x in S's
-    name order: the order of "a*x" unless a module name holds "*"."""
+    x of S whose consumed-side unit label consumed[x] is the unit of a's
+    occupancy on side, and {a: [the number of a*x in that order, or None,
+    by x]}.  Built by a + "*", then x in S's name order: the order of
+    "a*x" unless a module name holds "*"."""
     numbers, found = {}, []
     for a in sorted(A.generators, key=lambda g: g.name + "*"):
         numbers[a.name] = mine = [None] * len(S.names)
-        prefix, occupancy = a.name + "*", a.occupancy
+        prefix, unit = a.name + "*", _D_ID[idem_token(side, a.occupancy)]
         for x, name in enumerate(S.names):
-            if idems[x] == occupancy:
+            if consumed[x] == unit:
                 mine[x] = len(found)
                 found.append((prefix + name, a.name, x))
     if any("*" in a for a in numbers):  # "p*q*x" sorts between "p*a" and "p*z"
@@ -82,12 +85,12 @@ def _products(A: AModule, S, idems):
     return found, numbers
 
 
-def _walk(A: AModule, S, where: str, consumed):
-    """(found, rows) of A boxed with the DD or D structure S: found as
-    ``_products`` gives it for the consumed-side idempotents consumed[x]
-    of S's generators, and per product generator the sorted (label id,
-    target number) of its arrows, each label the residual product of a
-    path, which starts as its first step's residual.
+def _walk(A: AModule, S, where: str, consumed, side):
+    """(found, rows) of A boxed with the DD or D structure S on side:
+    found as ``_products`` gives it for the consumed-side unit labels
+    consumed[x] of S's generators, and per product generator the sorted
+    (label id, target number) of its arrows, each label the residual
+    product of a path, which starts as its first step's residual.
 
     Each product generator's first step is taken inline: an idempotent
     step appends its arrow to the row, a chord step enters A's tree, and
@@ -109,7 +112,7 @@ def _walk(A: AModule, S, where: str, consumed):
     child); its states there, a generator of S and a residual label, have
     repeated after len(S.names) * _NLABELS steps, so the walk raises."""
     tree, steps = A.tree, S.steps
-    found, numbers = _products(A, S, consumed)
+    found, numbers = _products(A, S, consumed, side)
     step_of, mul = _STEP, _MUL
     laps = len(S.names) * _NLABELS  # loop steps that must repeat a state
     # (residual product so far, tree node of the chords so far, current
@@ -172,9 +175,9 @@ def box_right(A: AModule, S: DDStructure, cfg: PairingConfig | None = None) -> D
         raise ValueError("box_right consumes the right algebra")
     if not isinstance(S, DDStructure):
         raise ValueError(f"box_right needs a DDStructure, got {type(S).__name__}")
-    codes = S.codes  # 2 * left + right, right in {1, 2}
-    found, rows = _walk(A, S, "box_right", [2 - c % 2 for c in codes])
-    left = tuple((codes[x] - 1) // 2 for _, _, x in found)
+    codes = S.codes  # the unit labels (l, r): r is consumed, (l,) is left
+    found, rows = _walk(A, S, "box_right", [_D_ID[_LABELS[c][1]] for c in codes], "right")
+    left = tuple(_STEP[codes[x]][1] for _, _, x in found)
     return DStructure._from_rows(tuple(name for name, _, _ in found), left, rows, "left")
 
 
@@ -185,8 +188,8 @@ def box_left(A: AModule, S: DStructure, cfg: PairingConfig | None = None) -> Cha
     if not isinstance(S, DStructure) or S.side != "left":
         got = f"side {S.side!r}" if isinstance(S, DStructure) else type(S).__name__
         raise ValueError(f"box_left needs a DStructure over the left algebra, got {got}")
-    found, rows = _walk(A, S, "box_left", S.codes)
-    return ChainComplexF2._from_rows(tuple(name for name, _, _ in found), (0,) * len(rows), rows)
+    found, rows = _walk(A, S, "box_left", S.codes, "left")
+    return ChainComplexF2._from_rows(tuple(name for name, _, _ in found), (_BARE,) * len(rows), rows)
 
 
 def homology_rank(C: ChainComplexF2) -> int:

@@ -12,20 +12,13 @@ import json
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
 
-from .algebra import (
-    SIDES,
-    check_token,
-    idem_index,
-    idem_token,
-    is_idempotent,
-    side_of,
-)
+from .algebra import check_token, is_idempotent, side_of
 from .structures import (
     _BARE,
-    _DD_CODE,
     _DD_ID,
     _D_ID,
     _INTERVAL,
+    _IS_UNIT,
     _KINDS,
     _LABEL_ID,
     _LABELS,
@@ -35,15 +28,9 @@ from .structures import (
     DStructure,
     DDStructure,
     _arrows,
-    _code,
 )
 
 SCHEMA_VERSION = 1
-
-# side -> {idempotent index -> token}
-_IDEM = {side: {k: idem_token(side, k) for k in (1, 2)} for side in SIDES}
-# DD idempotent code -> (left token, right token)
-_DD_TOKENS = {c: (_IDEM["left"][a], _IDEM["right"][b]) for (a, b), c in _DD_CODE.items()}
 
 
 def _require_fields(obj: dict, fields: set, where: str):
@@ -69,10 +56,10 @@ def _name(value, where: str) -> str:
     return value
 
 
-def _idem(side: str, token: str) -> int:
+def _idem(side: str, token: str) -> str:
     if side_of(token) != side or not is_idempotent(token):
         raise ValueError(f"bad idempotent token {token!r} for side {side}")
-    return idem_index(token)
+    return token
 
 
 def _bracket(out, start):
@@ -96,18 +83,17 @@ _HEADS = [
     for fields in [("left", "right") if len(label) == 2 else ("label",)]
 ]
 _TARGET, _CLOSE = ',\n      "target": ', "\n    }"
-# kind, or a D structure's side -> code -> (its generator object up to
-# the name, the rest of it)
+# a generator's code, the id of its unit label (l, r), (t,) or () -> (its
+# generator object up to the name, the rest of it)
 _GENERATORS = {
-    "DD": {
-        c: (f'    {{\n      "left": "{l}",\n      "name": ', f',\n      "right": "{r}"{_CLOSE}')
-        for c, (l, r) in _DD_TOKENS.items()
-    },
     **{
-        side: {c: (f'    {{\n      "idem": "{t}",\n      "name": ', _CLOSE) for c, t in idem.items()}
-        for side, idem in _IDEM.items()
+        c: (f'    {{\n      "left": "{l}",\n      "name": ', f',\n      "right": "{r}"{_CLOSE}')
+        for l, right in _DD_ID.items()
+        for r, c in right.items()
+        if _IS_UNIT[c]
     },
-    "complex": {0: ("    ", "")},
+    **{c: (f'    {{\n      "idem": "{t}",\n      "name": ', _CLOSE) for t, c in _D_ID.items() if _IS_UNIT[c]},
+    _BARE: ("    ", ""),
 }
 
 
@@ -144,7 +130,7 @@ def to_json(S) -> str:
     _bracket(out, 1)
     out.append(',\n  "generators": ')
     start = len(out)
-    around = _GENERATORS[S.side or kind]
+    around = _GENERATORS
     for c, name in zip(S.codes, q):
         head, tail = around[c]
         add((",\n", head, name, tail))
@@ -171,19 +157,6 @@ _SIDES = {
     "D": ([["left"], ["right"]], "D structures carry one side"),
     "complex": ([[]], "complexes carry no algebra labels"),
 }
-# left token -> right token -> code, the hook's reading of a DD generator
-_DD_CODES = {
-    _IDEM["left"][a]: {_IDEM["right"][b]: _DD_CODE[a, b] for b in (1, 2)} for a in (1, 2)
-}
-# idempotent token -> itself, the hook's reading of a D generator
-_IDEM_TOKENS = {token: token for idem in _IDEM.values() for token in idem.values()}
-# sides -> {a generator's code, or the hook's reading of its idempotents:
-# that code}; the hook reads no generator as 0, 1 or 2
-_CODES = {
-    SIDES: {c: c for c in _DD_CODE.values()},
-    (): {0: 0},
-    **{(side,): {1: 1, 2: 2, **{t: k for k, t in idem.items()}} for side, idem in _IDEM.items()},
-}
 
 
 def _compact(obj):
@@ -191,12 +164,14 @@ def _compact(obj):
     exactly an arrow's fields becomes the triple (source, label id,
     target): left, right, source, target for DD, label, source, target
     for D, source, target for a complex.  One that is exactly a
-    generator's fields becomes the pair (name, code) for DD (left, name,
-    right) and (name, idempotent token) for D (idem, name).  Any other
-    object, or one with an unknown or unhashable token, stays a dict.
-    Only the hook makes tuples, and all but their names and endpoints
-    come from its tables, so a tuple where no arrow or generator of the
-    document's kind belongs gives that object away."""
+    generator's fields becomes the pair (name, code), the code the id of
+    its label: (left, right) for DD (left, name, right), (idem,) for D
+    (idem, name).  Any other object, or one with an unknown or
+    unhashable token, stays a dict.  Only the hook makes tuples, and all
+    but their names and endpoints come from the label tables, so a tuple
+    where no arrow or generator of the document's kind belongs gives that
+    object away: a chord or a token of another side makes a code that is
+    no unit label of the kind, which the internal constructor refuses."""
     n = len(obj)
     try:
         if n == 4:
@@ -204,11 +179,11 @@ def _compact(obj):
         if n == 3:
             if "label" in obj:
                 return obj["source"], _D_ID[obj["label"]], obj["target"]
-            return obj["name"], _DD_CODES[obj["left"]][obj["right"]]
+            return obj["name"], _DD_ID[obj["left"]][obj["right"]]
         if n == 2:
             if "source" in obj:
                 return obj["source"], _BARE, obj["target"]
-            return obj["name"], _IDEM_TOKENS[obj["idem"]]
+            return obj["name"], _D_ID[obj["idem"]]
     except (KeyError, TypeError):  # another object, or an unknown or unhashable token
         pass
     return obj
@@ -217,10 +192,10 @@ def _compact(obj):
 def _generator(g, fields, sides):
     """(name, code) of the generator g, read field by field."""
     if not fields:
-        return _name(g, "generator"), 0
+        return _name(g, "generator"), _BARE
     _require_fields(g, {"name", *fields}, "generator")
     name = _name(g["name"], "generator")
-    return name, _code([_idem(s, g[f]) for s, f in zip(sides, fields)])
+    return name, _LABEL_ID[tuple(_idem(s, g[f]) for s, f in zip(sides, fields))]
 
 
 def _arrow(a, fields):
@@ -288,9 +263,9 @@ def _read(doc):
     tuples as they are, any other object field by field.  The generators
     are sorted and each arrow is filed straight into its source's row,
     for ``_from_view`` to build once the parsed document is gone; the
-    internal constructor refuses a label of another kind.  A hook-made
-    arrow with an unknown endpoint raises.  One read field by field that
-    the rows cannot hold (an unknown endpoint, or DD tokens on the wrong
+    internal constructor refuses a code or label of another kind.  A
+    hook-made arrow with an unknown endpoint raises.  One read field by
+    field that the rows cannot hold (an unknown endpoint, or DD tokens on the wrong
     sides) goes with all the others to the public constructor, which
     names the least faulty arrow by repr.  An A document is read field
     by field."""
@@ -312,11 +287,7 @@ def _read(doc):
             ops.append((_name(o["source"], "operation"), seq, _name(o["target"], "operation")))
         return _module, (tuple(gens), ops)
     cls, idem_fields, label_fields = _NUMBERED[kind]
-    to_code = _CODES[sides]
-    named = []
-    for g in _array(doc, "generators"):
-        name, c = g if type(g) is tuple else _generator(g, idem_fields, sides)
-        named.append((name, to_code[c]))
+    named = [g if type(g) is tuple else _generator(g, idem_fields, sides) for g in _array(doc, "generators")]
     named.sort()
     names, codes = tuple(name for name, _ in named), tuple(c for _, c in named)
     index = {name: k for k, name in enumerate(names)}

@@ -7,15 +7,16 @@ token per side); a label that is a sum of basis elements is stored as
 parallel arrows, and arrow sets are kept reduced mod 2.
 
 A DD or D structure or a chain complex stores only its numbered view:
-``names`` (sorted), ``codes`` (each generator's idempotent code: 2 *
-left + right for DD, the idempotent for D, 0 for a complex),
-``steps[x]`` (the sorted (label id, target number) of the arrows
-leaving x, labels (l, r), (t,) or () numbered in sorted label order)
-and a D structure's ``side``; a DD morphism stores source, target and
-steps.  ``generators``, ``arrows``, ``idems`` and ``index`` are derived
-on first read.  One internal constructor takes that view and checks it:
-distinct string names, valid codes, and every arrow x ->(t) y carrying
-tokens whose forced idempotents agree with those of x and y.  Every
+``names`` (sorted), ``steps[x]`` (the sorted (label id, target number)
+of the arrows leaving x, labels (l, r), (t,) or () numbered in sorted
+label order), ``codes`` (each generator's code: the id of the unit
+label that fixes it, (i_a, j_b) for DD, (i_a,) or (j_a,) for D and ()
+for a complex, so one numbering serves idempotents and labels) and a D
+structure's ``side``; a DD morphism stores source, target and steps.
+``generators``, ``arrows``, ``idems`` and ``index`` are derived on first
+read.  One internal constructor takes that view and checks it: distinct
+string names, a unit label over the structure's sides as each code, and
+every arrow x -(label)-> y starting at x's unit and ending at y's.  Every
 internal producer hands it rows: the torus-link builders, the JSON
 parser, ``reduce``, the box products and the morphism calculus.  Only
 the public constructors, which take named generators and arrows by
@@ -44,6 +45,7 @@ from .algebra import (
     SIDES,
     basis_tokens,
     chord_factorizations,
+    idem_index,
     idem_token,
     is_idempotent,
     left_idem,
@@ -111,32 +113,22 @@ def _label_products():
 _MUL = _label_products()
 # _IS_UNIT[a]: every token of label a is an idempotent (so () is a unit)
 _IS_UNIT = tuple(all(map(is_idempotent, label)) for label in _LABELS)
-
-_IDEM_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
-
-
-def _code(idems):
-    """One int per idempotent tuple: 2 * a + b for DD (a, b), a for D (a,)."""
-    code = 0
-    for e in idems:
-        code = 2 * code + e
-    return code
-
-
-# sides -> [8 * source code + target code of the arrows each label id may
-# carry over those sides, or None for a label of other sides]: an arrow
-# x -(label)-> y is coherent exactly when its entry is 8 * code(x) + code(y)
-_ENDS = {
-    sides: [
-        8 * _code(map(token_left_idem, label)) + _code(map(token_right_idem, label))
-        if tuple(map(side_of, label)) == sides
-        else None
-        for label in _LABELS
-    ]
-    for sides in {tuple(map(side_of, label)) for label in _LABELS}
+# unit label id -> its idempotent indices, (a, b), (a,) or ()
+_INDICES = {k: tuple(map(idem_index, label)) for k, label in enumerate(_LABELS) if _IS_UNIT[k]}
+# sides -> the ids of the unit labels over them: (i_a, j_b), (i_a,), (j_a,)
+# or (), the valid codes of a generator of a structure over those sides
+_UNITS = {
+    sides: frozenset(k for k in _INDICES if tuple(map(side_of, _LABELS[k])) == sides)
+    for sides in (SIDES, ("left",), ("right",), ())
 }
-# code of an idempotent pair -> the id of the unit label fixing it
-_UNIT = {2 * a + b: _DD_ID[idem_token("left", a)][idem_token("right", b)] for a, b in _IDEM_PAIRS}
+# code c -> [per label id a: the unit d with c * a * d = a, which fixes the
+# target of an arrow labeled a leaving a generator that c fixes, or None if
+# c * a != a]: an arrow x -(a)-> y is coherent exactly when
+# _ENDS[code(x)][a] == code(y), so never when a is a label of other sides
+_ENDS = {
+    c: [next(d for d in _INDICES if _MUL[a][d] == a) if _MUL[c][a] == a else None for a in range(_NLABELS)]
+    for c in _INDICES
+}
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +152,6 @@ class DGenerator:
 class AGenerator:
     name: str
     occupancy: int  # idempotent class this generator pairs with
-
-
-# (left, right) idempotents of a DD generator -> its code; anything else
-# is invalid and coded 0
-_DD_CODE = {pair: _code(pair) for pair in _IDEM_PAIRS}
 
 
 def _check_unique(names):
@@ -242,21 +229,22 @@ def _resolve(arrows, index, target_index, sides):
     return steps
 
 
-def _coherent(steps, source, target_codes, ends):
-    """Whether each step (a, y) of source generator x has ends[a] == 8 *
-    source.codes[x] + target_codes[y]; a ValueError unless steps holds
-    one row of such index pairs per generator, naming the first generator
-    whose row is not and its step (the row itself if it does not iterate)."""
+def _coherent(steps, source, target_codes):
+    """Whether each step (a, y) of source generator x has
+    _ENDS[source.codes[x]][a] == target_codes[y]; a ValueError unless
+    steps holds one row of such index pairs per generator, naming the
+    first generator whose row is not and its step (the row itself if it
+    does not iterate)."""
     if len(steps) != len(source.names):
         raise ValueError(f"{len(source.names)} generators but {len(steps)} arrow rows")
     ok = True
     for name, c, row in zip(source.names, source.codes, steps):
-        c *= 8
+        ends = _ENDS[c]
         step = row
         try:
             for step in row:
                 a, y = step
-                if ends[a] != c + target_codes[y]:
+                if ends[a] != target_codes[y]:
                     ok = False
         except (IndexError, TypeError, ValueError):
             raise ValueError(f"generator {name!r} has malformed step {step!r}") from None
@@ -337,18 +325,27 @@ class _Numbered(_Frozen):
     _STATE = ("side", "names", "codes", "steps")
     side = None
 
-    def _adopt(self, gens, names, codes, arrows, side=None):
-        """The public route: keep gens and arrows as the derived values,
+    def _adopt(self, gens, names, arrows, side=None):
+        """The public route: code each generator by the unit label at its
+        idempotent indices (``_outside`` for the first index that is not
+        the int 1 or 2), keep gens and arrows as the derived values,
         resolve the arrows by name and call the internal constructor."""
+        sides = self._SIDES if side is None else (side,)
+        codes = []
+        for g in gens:
+            indices = self._IDEMS(g)
+            if not all(type(e) is int and e in (1, 2) for e in indices):  # True == 1 == 1.0
+                raise _outside(g.name, indices)
+            codes.append(_LABEL_ID[tuple(map(idem_token, sides, indices))])
         arrows = frozenset(arrows)
         index = {name: k for k, name in enumerate(names)}
         self.__dict__.update(generators=gens, arrows=arrows, index=index)
-        sides = self._SIDES if side is None else (side,)
-        self._set(names, codes, _resolve(arrows, index, index, sides), side)
+        self._set(names, tuple(codes), _resolve(arrows, index, index, sides), side)
 
     def _set(self, names, codes, steps, side=None):
         """Check and store the view: the side (D), distinct string names,
-        a valid code per generator, then rows coherent with the codes."""
+        a unit label over the structure's sides as each code, then rows
+        coherent with the codes."""
         d = self.__dict__
         if self._SIDES is None:
             _check_side(side)
@@ -356,10 +353,10 @@ class _Numbered(_Frozen):
         sides = self._SIDES if side is None else (side,)
         _check_unique(names)
         d.update(names=names, codes=codes, steps=steps)
-        if not self._VALID.issuperset(codes):
-            name = next(name for name, c in zip(names, codes) if c not in self._VALID)
-            raise _outside(name, self.idems[name])
-        if steps is None or not _coherent(steps, self, codes, _ENDS[sides]):
+        if not _UNITS[sides].issuperset(codes):
+            name, c = next((x, c) for x, c in zip(names, codes) if c not in _UNITS[sides])
+            raise ValueError(f"generator {name!r} has code {c!r}, no unit label over {sides}")
+        if steps is None or not _coherent(steps, self, codes):
             _reject(self.arrows, sides, self.idems, self.idems, "arrow", "on arrow")
 
     @cached_property
@@ -374,25 +371,23 @@ class _Numbered(_Frozen):
     @cached_property
     def idems(self):
         """{name: idempotent tuple}: (left, right), (idem,) or ()."""
-        return {name: self._IDEMS(g) for name, g in zip(self.names, self.generators)}
+        return {name: _INDICES[c] for name, c in zip(self.names, self.codes)}
+
+    @cached_property
+    def generators(self):
+        return tuple(self._GENERATOR(x, *_INDICES[c]) for x, c in zip(self.names, self.codes))
 
 
 class DDStructure(_Numbered):
     """Generators plus arrows (source, left token, right token, target)."""
 
     _SIDES = SIDES
-    _VALID = frozenset(_DD_CODE.values())
+    _GENERATOR = DDGenerator
     _IDEMS = attrgetter("left", "right")
 
     def __init__(self, generators, arrows):
         gens = _sorted(generators, _name)
-        codes = tuple(_DD_CODE.get((g.left, g.right), 0) for g in gens)
-        self._adopt(gens, tuple(map(_name, gens)), codes, arrows)
-
-    @cached_property
-    def generators(self):  # code 2 * left + right, right in {1, 2}
-        names, codes = self.names, self.codes
-        return tuple(DDGenerator(x, (c - 1) // 2, 2 - c % 2) for x, c in zip(names, codes))
+        self._adopt(gens, tuple(map(_name, gens)), arrows)
 
 
 class DStructure(_Numbered):
@@ -400,29 +395,24 @@ class DStructure(_Numbered):
 
     _FIELDS = ("side", "generators", "arrows")
     _SIDES = None  # the side is stored
-    _VALID = frozenset((1, 2))
+    _GENERATOR = DGenerator
     _IDEMS = staticmethod(lambda g: (g.idem,))
 
     def __init__(self, side, generators, arrows):
         _check_side(side)
         gens = _sorted(generators, _name)
-        self._adopt(gens, tuple(map(_name, gens)), tuple(g.idem for g in gens), arrows, side)
-
-    @cached_property
-    def generators(self):
-        return tuple(map(DGenerator, self.names, self.codes))
+        self._adopt(gens, tuple(map(_name, gens)), arrows, side)
 
 
 class ChainComplexF2(_Numbered):
     """Basis plus unlabeled boundary arrows; everything over F2."""
 
     _SIDES = ()
-    _VALID = frozenset((0,))
     _IDEMS = staticmethod(lambda g: ())
 
     def __init__(self, generators, arrows):
         gens = _sorted(generators, lambda g: g)
-        self._adopt(gens, gens, (0,) * len(gens), arrows)
+        self._adopt(gens, gens, arrows)
 
     @cached_property
     def generators(self):
@@ -551,7 +541,7 @@ class DDMorphism(_Frozen):
 
     def _set(self, source, target, steps):
         self.__dict__.update(source=source, target=target, steps=steps)
-        if steps is None or not _coherent(steps, source, target.codes, _ENDS[SIDES]):
+        if steps is None or not _coherent(steps, source, target.codes):
             _reject(self.arrows, SIDES, source.idems, target.idems, "morphism", "on")
 
     @cached_property
@@ -563,7 +553,7 @@ class DDMorphism(_Frozen):
 
 
 def identity_morphism(M: DDStructure) -> DDMorphism:
-    return DDMorphism._from_rows(M, M, [[(_UNIT[c], x)] for x, c in enumerate(M.codes)])
+    return DDMorphism._from_rows(M, M, [[(c, x)] for x, c in enumerate(M.codes)])
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +742,8 @@ def verify_homotopy(F: DDMorphism, G: DDMorphism, H: DDMorphism) -> CheckReport:
     _require_same_structure(H.source, M, "H must be a self-morphism of the big one")
     _require_same_structure(H.target, M, "H must be a self-morphism of the big one")
     nm, nn = len(M.names), len(N.names)
-    f_g = _path_sums([(G.steps, F.steps)], nn, [_UNIT[c] for c in N.codes])
-    g_f = _path_sums([(F.steps, G.steps), *_d_terms(H)], nm, [_UNIT[c] for c in M.codes])
+    f_g = _path_sums([(G.steps, F.steps)], nn, N.codes)
+    g_f = _path_sums([(F.steps, G.steps), *_d_terms(H)], nm, M.codes)
     # (tag, rows, source, target); F o G is G then F, G o F is F then G
     surviving = (
         ("F not a chain map", _path_sums(_d_terms(F), nn), M, N),
@@ -921,7 +911,7 @@ def isomorphic(S1, S2):
     "Practical graph isomorphism II", arXiv 1301.1493) on the disjoint
     union of both labeled graphs, generators and labels numbered as ints
     and colour ids shared by the two sides.  A generator starts coloured
-    by its idempotent code, in/out label multisets and self-loop labels; each
+    by its code (its unit label), in/out label multisets and self-loop labels; each
     refinement round recolours it by (colour, sorted (label, neighbour
     colour) over its in- and out-arrows) until the number of colours
     stops growing or every colour holds one generator per side.  A colour

@@ -11,7 +11,7 @@ Generator naming: "ab", "a_y4", "x2_b", "x3y5"; the simplified model
 prefixes every name with "u_".
 """
 
-from .structures import _DD_CODE, _DD_ID, DDMorphism, DDStructure
+from .structures import _DD_ID, DDMorphism, DDStructure
 
 
 def _pair(row, label, xy, a, b):
@@ -125,7 +125,7 @@ def _full_families(n, ab, ay, xb, xy, rows):
 
 
 def _numbered(named):
-    """(names, codes, {name: number}) of the (name, idempotent code)
+    """(names, codes, {name: number}) of the (name, unit label id)
     pairs named, in any order: names sorted, numbers their positions."""
     named.sort()
     names = tuple(name for name, _ in named)
@@ -182,11 +182,11 @@ def _full_numbering(n):
         place[j] = k
     ay = [None] + [place[j] - 1 for j in range(2, top, 2)]
     names = [f"a_y{j}" for j in evens] + ["ab"]
-    codes = [_DD_CODE[1, 2]] * (n - 1) + [_DD_CODE[1, 1]]
+    codes = [_DD_ID["i1"]["j2"]] * (n - 1) + [_DD_ID["i1"]["j1"]]
     xb = [None] * n
     xy = [None] * (top + 1)
-    even_block = [_DD_CODE[2, 1]] + [_DD_CODE[2, 2]] * (n - 1)
-    odd_block = [_DD_CODE[2, 2]] * n
+    even_block = [_DD_ID["i2"]["j1"]] + [_DD_ID["i2"]["j2"]] * (n - 1)
+    odd_block = [_DD_ID["i2"]["j2"]] * n
     even_tails, odd_tails = [str(j) for j in evens], [str(j) for j in odds]
     even_places, odd_places = place[2::2], place[1::2]
     for i in sorted(range(1, top + 1), key=lambda i: f"{i}:"):
@@ -226,15 +226,15 @@ def _build_simplified(n):
     ay = [f"u_a_y{2 * k}" for k in range(n)]
     xb = [f"u_x{2 * k}_b" for k in range(n)]
     d = [f"u_x{k}y{k}" for k in range(top + 1)]
-    named = [("u_ab", _DD_CODE[1, 1])]
-    named += [(name, _DD_CODE[1, 2]) for name in ay[1:]]
-    named += [(name, _DD_CODE[2, 1]) for name in xb[1:]]
-    named += [(name, _DD_CODE[2, 2]) for name in d[1:]]
+    dd = _DD_ID
+    named = [("u_ab", dd["i1"]["j1"])]
+    named += [(name, dd["i1"]["j2"]) for name in ay[1:]]
+    named += [(name, dd["i2"]["j1"]) for name in xb[1:]]
+    named += [(name, dd["i2"]["j2"]) for name in d[1:]]
     names, codes, number = _numbered(named)
     ab = number["u_ab"]
     ay, xb, d = ([None] + [number[name] for name in table[1:]] for table in (ay, xb, d))
 
-    dd = _DD_ID
     r1, r3, s1, s3 = dd["r1"]["j2"], dd["r3"]["j2"], dd["i2"]["s1"], dd["i2"]["s3"]
     r2s23, r23s2, r23s123 = dd["r2"]["s23"], dd["r23"]["s2"], dd["r23"]["s123"]
     rows = [[] for _ in names]

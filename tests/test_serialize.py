@@ -216,6 +216,30 @@ def test_other_side_tokens_in_d_documents(doc, message):
     assert str(err.value) == message
 
 
+_D_GEN = {"name": "p", "idem": "i1"}
+# (kind, sides, a generator object of another kind or side, message)
+WRONG_KIND_GENERATORS = [
+    ("D", ["left"], dict(_D_GEN, idem="r1"), "bad idempotent token 'r1' for side left"),
+    ("D", ["left"], dict(_D_GEN, idem="j1"), "bad idempotent token 'j1' for side left"),
+    ("D", ["right"], dict(_D_GEN, idem="i2"), "bad idempotent token 'i2' for side right"),
+    ("D", ["left"], _DD_GEN, "generator: unknown fields ['left', 'right']"),
+    ("DD", ["left", "right"], _D_GEN, "generator: unknown fields ['idem']"),
+    ("DD", ["left", "right"], dict(_DD_GEN, left="r1", right="s1"), "bad idempotent token 'r1' for side left"),
+    ("complex", [], _D_GEN, f"generator: generator names must be strings, got {_D_GEN!r}"),
+    ("complex", [], _DD_GEN, f"generator: generator names must be strings, got {_DD_GEN!r}"),
+]
+
+
+@pytest.mark.parametrize("kind, sides, gen, message", WRONG_KIND_GENERATORS)
+def test_wrong_kind_generators_give_exact_messages(kind, sides, gen, message):
+    """A generator object of another kind, or with a token of another
+    side or no idempotent, is named as the field-by-field read names it."""
+    doc = {"schema_version": 1, "kind": kind, "sides": sides, "generators": [gen], "arrows": []}
+    with pytest.raises(ValueError) as err:
+        from_json(json.dumps(doc))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "S, edit, message",
     [

@@ -162,6 +162,19 @@ def test_idempotent_indices_outside_one_two_rejected():
             lambda: DStructure("left", (DGenerator("p", 0),), frozenset()),
             "generator 'p' has idempotent index outside {1, 2}: (0,)",
         ),
+        # equal to 1 or 2 in Python, but not the int 1 or 2
+        (
+            lambda: DDStructure((DDGenerator("a", True, 1),), frozenset()),
+            "generator 'a' has idempotent index outside {1, 2}: (True, 1)",
+        ),
+        (
+            lambda: DStructure("left", (DGenerator("p", 2.0),), frozenset()),
+            "generator 'p' has idempotent index outside {1, 2}: (2.0,)",
+        ),
+        (
+            lambda: DStructure("left", (DGenerator("p", "1"),), frozenset()),
+            "generator 'p' has idempotent index outside {1, 2}: ('1',)",
+        ),
         (
             lambda: AModule((AGenerator("w", 3),), frozenset()),
             "generator 'w' has idempotent index outside {1, 2}: 3",
@@ -1546,34 +1559,30 @@ def _message(build):
 
 
 RS2, R2 = _LABELS.index(("r2", "s2")), _LABELS.index(("r2",))
+# the codes of generators (1, 1) and (2, 2) of a DD structure, and 1 and 2
+# of a left D structure: the ids of their unit labels
+U11, U22 = _LABELS.index(("i1", "j1")), _LABELS.index(("i2", "j2"))
+I1, I2 = _LABELS.index(("i1",)), _LABELS.index(("i2",))
 HOPF_EMPTY = two_generator_dd(())
 INTERNAL_AND_PUBLIC = {
     "duplicate name": (
-        lambda: DDStructure._from_rows(("a", "a"), (3, 3), [[], []]),
+        lambda: DDStructure._from_rows(("a", "a"), (U11, U11), [[], []]),
         lambda: DDStructure((DDGenerator("a", 1, 1), DDGenerator("a", 1, 1)), frozenset()),
     ),
     "non-string name": (
-        lambda: DStructure._from_rows((1,), (1,), [[]], "left"),
+        lambda: DStructure._from_rows((1,), (I1,), [[]], "left"),
         lambda: DStructure("left", (DGenerator(1, 1),), frozenset()),
     ),
-    "bad DD code": (
-        lambda: DDStructure._from_rows(("a", "b"), (7, 3), [[], []]),
-        lambda: DDStructure((DDGenerator("b", 1, 1), DDGenerator("a", 3, 1)), frozenset()),
-    ),
-    "bad D code": (
-        lambda: DStructure._from_rows(("p",), (0,), [[]], "left"),
-        lambda: DStructure("left", (DGenerator("p", 0),), frozenset()),
-    ),
     "unknown side": (
-        lambda: DStructure._from_rows(("a",), (1,), [[]], "up"),
+        lambda: DStructure._from_rows(("a",), (I1,), [[]], "up"),
         lambda: DStructure("up", (DGenerator("a", 1),), frozenset()),
     ),
     "incoherent row": (
-        lambda: DDStructure._from_rows(("ab", "x1y1"), (3, 6), [[(RS2, 1)], []]),
+        lambda: DDStructure._from_rows(("ab", "x1y1"), (U11, U22), [[(RS2, 1)], []]),
         lambda: two_generator_dd({("ab", "r2", "s2", "x1y1")}),
     ),
     "incoherent D row": (
-        lambda: DStructure._from_rows(("a", "b"), (1, 2), [[(R2, 1)], []], "left"),
+        lambda: DStructure._from_rows(("a", "b"), (I1, I2), [[(R2, 1)], []], "left"),
         lambda: DStructure("left", (DGenerator("a", 1), DGenerator("b", 2)), {("a", "r2", "b")}),
     ),
     "incoherent morphism row": (
@@ -1588,22 +1597,55 @@ def test_internal_constructor_raises_the_public_messages(internal, public):
     assert _message(internal) == _message(public)
 
 
-U11, U22 = _LABELS.index(("i1", "j1")), _LABELS.index(("i2", "j2"))  # the units at codes 3, 6
+# codes that are no unit label of the structure's kind: a chord label, a
+# label of another kind, a D label of the other side, one out of range
+BAD_CODES = {
+    "bad DD code": (
+        lambda: DDStructure._from_rows(("a", "b"), (RS2, U11), [[], []]),
+        f"generator 'a' has code {RS2}, no unit label over ('left', 'right')",
+    ),
+    "D code in a DD structure": (
+        lambda: DDStructure._from_rows(("a",), (I1,), [[]]),
+        f"generator 'a' has code {I1}, no unit label over ('left', 'right')",
+    ),
+    "bad D code": (
+        lambda: DStructure._from_rows(("p",), (0,), [[]], "left"),
+        "generator 'p' has code 0, no unit label over ('left',)",
+    ),
+    "right D code on the left": (
+        lambda: DStructure._from_rows(("p",), (_LABELS.index(("j1",)),), [[]], "left"),
+        f"generator 'p' has code {_LABELS.index(('j1',))}, no unit label over ('left',)",
+    ),
+    "bad complex code": (
+        lambda: ChainComplexF2._from_rows(("c",), (len(_LABELS),), [[]]),
+        f"generator 'c' has code {len(_LABELS)}, no unit label over ()",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", BAD_CODES.values(), ids=BAD_CODES)
+def test_internal_constructor_names_a_code_that_is_no_unit_label(build, message):
+    """The public constructors name the idempotent indices they were given
+    (``test_idempotent_indices_outside_one_two_rejected``); the internal
+    one names the code."""
+    assert _message(build) == message
+
+
 MALFORMED_ROWS = {
     "target out of range": (
-        lambda: DDStructure._from_rows(("a",), (3,), [[(U11, 5)]]),
+        lambda: DDStructure._from_rows(("a",), (U11,), [[(U11, 5)]]),
         f"generator 'a' has malformed step {(U11, 5)}",
     ),
     "target not a number": (
-        lambda: DDStructure._from_rows(("a",), (3,), [[(U11, "x")]]),
+        lambda: DDStructure._from_rows(("a",), (U11,), [[(U11, "x")]]),
         f"generator 'a' has malformed step {(U11, 'x')}",
     ),
     "wrong row count": (
-        lambda: DDStructure._from_rows(("a",), (3,), [[], []]),
+        lambda: DDStructure._from_rows(("a",), (U11,), [[], []]),
         "1 generators but 2 arrow rows",
     ),
     "malformed after incoherent": (
-        lambda: DDStructure._from_rows(("ab", "x1y1"), (3, 6), [[(RS2, 1)], [(U22, 2)]]),
+        lambda: DDStructure._from_rows(("ab", "x1y1"), (U11, U22), [[(RS2, 1)], [(U22, 2)]]),
         f"generator 'x1y1' has malformed step {(U22, 2)}",
     ),
     "morphism target out of range": (

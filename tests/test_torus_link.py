@@ -38,12 +38,12 @@ def test_generator_census(n, census_oracle):
 
 
 def test_direct_generators_match_enumeration(census_oracle):
-    """The numbered view: names in sorted order, each with its code 2 *
-    left + right."""
+    """The numbered view: names in sorted order, each with its code, the
+    id of its unit label (i_left, j_right)."""
     for n in range(1, 31):
         want = sorted(g for gens in census_oracle(n).values() for g in gens)
         S = build_cfdd_full(n)
-        assert list(zip(S.names, S.codes)) == [(x, 2 * left + right) for x, left, right in want]
+        assert list(zip(S.names, S.codes)) == [(x, _DD_ID[f"i{left}"][f"j{right}"]) for x, left, right in want]
 
 
 def test_enumerate_rejects_bad_n():
