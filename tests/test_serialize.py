@@ -384,6 +384,52 @@ def test_a_module_rejects_non_integer_occupancy(occupancy):
         AModule((AGenerator("w", occupancy),), frozenset())
 
 
+def _renamed(old, new):
+    """The edit that moves a document's field old to new."""
+    return lambda doc: doc.update({new: doc.pop(old)})
+
+
+# kind -> a valid structure of that kind
+HEADER_BASES = {
+    "DD": build_cfdd_full(1),
+    "D": box_right(build_cfa_framed(2), build_cfdd_full(1)),
+    "complex": ChainComplexF2(("a", "b"), frozenset({("a", "b")})),
+    "A": build_cfa_framed(2),
+}
+# (kind of the valid document, an edit of its header, the reader's message)
+HEADER_EDITS = [
+    ("DD", lambda doc: doc.update(kind=["DD"]), "unknown kind ['DD']"),
+    ("DD", lambda doc: doc.update(kind={"a": 1}), "unknown kind {'a': 1}"),
+    ("DD", lambda doc: doc.pop("kind"), "unknown kind None"),
+    ("DD", lambda doc: doc.update(kind="E"), "unknown kind 'E'"),
+    ("DD", lambda doc: doc.update(sides=["left"]), "DD structures carry sides ['left', 'right']"),
+    ("DD", lambda doc: doc.update(sides=["right", "left"]), "DD structures carry sides ['left', 'right']"),
+    ("DD", lambda doc: doc.update(sides={"left": 1}), "DD structures carry sides ['left', 'right']"),
+    ("DD", lambda doc: doc.pop("sides"), "DD: missing fields ['sides']"),
+    ("D", lambda doc: doc.update(sides=["left", "right"]), "D structures carry one side"),
+    ("D", lambda doc: doc.update(sides=[]), "D structures carry one side"),
+    ("complex", lambda doc: doc.update(sides=["left"]), "complexes carry no algebra labels"),
+    ("complex", _renamed("arrows", "operations"), "complex: unknown fields ['operations']"),
+    ("A", lambda doc: doc.update(sides=["left"]), "A modules store side-agnostic chords"),
+    ("A", lambda doc: doc.update(sides={}), "A modules store side-agnostic chords"),
+    ("A", _renamed("operations", "arrows"), "A: unknown fields ['arrows']"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message", HEADER_EDITS, ids=[f"{k}-{m}" for k, _, m in HEADER_EDITS]
+)
+def test_header_faults_give_exact_messages(kind, edit, message):
+    """Each kind's header is checked in one place: an unknown or
+    unhashable kind, sides the kind does not carry, and a field of
+    another kind are named exactly."""
+    doc = json.loads(to_json(HEADER_BASES[kind]))
+    edit(doc)
+    with pytest.raises(ValueError) as err:
+        from_json(json.dumps(doc))
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # properties over random structures with arbitrary names
 
