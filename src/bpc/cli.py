@@ -142,6 +142,12 @@ def cmd_reduce(args):
     S = _load_structure(
         args, (DDStructure, DStructure, ChainComplexF2), "DD structure, D structure or complex"
     )
+    # cancellation is a homotopy equivalence only where the equation holds
+    report = _CHECKS[type(S)](S)
+    if not report.ok:
+        raise ValueError(
+            f"cannot reduce a structure that fails its structure equation: {report.lines[0]}"
+        )
     reduced = structures.reduce(S)
     if args.check_orders:
         rng = random.Random(args.seed)

@@ -28,6 +28,7 @@ from .structures import (
     DStructure,
     DDStructure,
     _arrows,
+    _reject,
 )
 
 SCHEMA_VERSION = 1
@@ -144,18 +145,15 @@ def to_json(S) -> str:
     return "".join(out)
 
 
-# kind -> (structure class, generator idempotent fields, arrow label
-# fields); a complex's generators are bare names
-_NUMBERED = {
-    "DD": (DDStructure, ("left", "right"), ("left", "right")),
-    "D": (DStructure, ("idem",), ("label",)),
-    "complex": (ChainComplexF2, (), ()),
-}
-# kind -> (the sides a document may carry, the message if it carries others)
-_SIDES = {
-    "DD": ([["left", "right"]], "DD structures carry sides ['left', 'right']"),
-    "D": ([["left"], ["right"]], "D structures carry one side"),
-    "complex": ([[]], "complexes carry no algebra labels"),
+# kind -> (the sides its documents may carry, the message if one carries
+# others), then for a numbered kind its class, generator idempotent fields
+# and arrow label fields; a complex's generators are bare names
+_DOCUMENTS = {
+    "DD": ([["left", "right"]], "DD structures carry sides ['left', 'right']",
+           DDStructure, ("left", "right"), ("left", "right")),
+    "D": ([["left"], ["right"]], "D structures carry one side", DStructure, ("idem",), ("label",)),
+    "complex": ([[]], "complexes carry no algebra labels", ChainComplexF2, (), ()),
+    "A": ([[]], "A modules store side-agnostic chords"),
 }
 
 
@@ -231,27 +229,21 @@ def _module(generators, operations):
 
 def _header(doc):
     """(kind, sides) of the parsed document doc, its top-level fields
-    checked."""
+    checked: an A document lists operations, the others arrows."""
     if not isinstance(doc, dict):
         raise ValueError("top level: expected an object")
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
     kind = doc.get("kind")
-    if kind in ("DD", "D", "complex"):
-        _require_fields(
-            doc, {"schema_version", "kind", "sides", "generators", "arrows"}, kind
-        )
-        allowed, message = _SIDES[kind]
-        if doc["sides"] not in allowed:
-            raise ValueError(message)
-        return kind, tuple(doc["sides"])
-    if kind == "A":
-        _require_fields(doc, {"schema_version", "kind", "sides", "generators", "operations"}, "A")
-        if doc["sides"] != []:
-            raise ValueError("A modules store side-agnostic chords")
-        return kind, ()
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind not in tuple(_DOCUMENTS):  # not a dict lookup: the kind may be unhashable
+        raise ValueError(f"unknown kind {kind!r}")
+    edges = "operations" if kind == "A" else "arrows"
+    _require_fields(doc, {"schema_version", "kind", "sides", "generators", edges}, kind)
+    allowed, message = _DOCUMENTS[kind][:2]
+    if doc["sides"] not in allowed:
+        raise ValueError(message)
+    return kind, tuple(doc["sides"])
 
 
 def _read(doc):
@@ -264,10 +256,10 @@ def _read(doc):
     are sorted and each arrow is filed straight into its source's row,
     for ``_from_view`` to build once the parsed document is gone; the
     internal constructor refuses a code or label of another kind.  A
-    hook-made arrow with an unknown endpoint raises.  One read field by
-    field that the rows cannot hold (an unknown endpoint, or DD tokens on the wrong
-    sides) goes with all the others to the public constructor, which
-    names the least faulty arrow by repr.  An A document is read field
+    hook-made arrow with an unknown endpoint raises.  If one read field
+    by field cannot be filed (an unknown endpoint, or DD tokens on the
+    wrong sides), ``_reject``, the public route's namer, names the least
+    faulty arrow by repr among all of them.  An A document is read field
     by field."""
     kind, sides = _header(doc)
     if kind == "A":
@@ -286,7 +278,7 @@ def _read(doc):
                     raise ValueError(f"unknown chord interval {c!r}")
             ops.append((_name(o["source"], "operation"), seq, _name(o["target"], "operation")))
         return _module, (tuple(gens), ops)
-    cls, idem_fields, label_fields = _NUMBERED[kind]
+    cls, idem_fields, label_fields = _DOCUMENTS[kind][2:]
     named = [g if type(g) is tuple else _generator(g, idem_fields, sides) for g in _array(doc, "generators")]
     named.sort()
     names, codes = tuple(name for name, _ in named), tuple(c for _, c in named)
@@ -304,9 +296,8 @@ def _read(doc):
         rows[index[s]].append((a, index[t]))
     side = sides[0] if kind == "D" else None
     if stray:
-        gens = cls._from_rows(names, codes, [()] * len(names), side).generators
-        arrows = _arrows(names, rows, names).union(stray)
-        return cls, ((side, gens, arrows) if side else (gens, arrows))
+        idems = cls._from_rows(names, codes, [()] * len(names), side).idems
+        _reject(_arrows(names, rows, names).union(stray), sides, idems, idems, "arrow", "on arrow")
     for row in rows:
         row.sort()
     return _from_view, (cls, names, codes, rows, side)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bpc import torus_link
+from bpc import structures, torus_link
 from bpc.cli import main
 from bpc.serialize import from_json, to_json
 from bpc.solid_torus import build_cfa, build_cfa_framed, build_cfa_infinity
@@ -49,12 +49,14 @@ def test_gen_deterministic(capsys):
 
 
 def test_check_accepts_generated_structure(capsys, tmp_path):
-    # n = 51 names generators with 3-digit indices (x101y1)
+    # n = 51 names generators with 3-digit indices (x101y1); reduce's
+    # structure-equation check passes them, and it prints the library's model
     out, reduced = tmp_path / "s.json", tmp_path / "r.json"
     for n in (3, 4, 24, 51):
         run(capsys, "gen", "--n", str(n), "--form", "full", "--out", str(out))
         assert run(capsys, "check", "--in", str(out)) == (0, "ok\n", ""), n
         assert run(capsys, "reduce", "--in", str(out), "--out", str(reduced)) == (0, "", ""), n
+        assert reduced.read_text() == to_json(structures.reduce(from_json(out.read_text()))), n
 
 
 def test_check_rejects_corrupted_structure(capsys, tmp_path):
@@ -275,6 +277,49 @@ def test_reduce_check_orders_accepts_gen_output(capsys, tmp_path):
     path = tmp_path / "g.json"
     run(capsys, "gen", "--n", "3", "--out", str(path))
     assert run(capsys, "--seed", "0", "reduce", "--in", str(path), "--check-orders", "1")[0] == 0
+
+
+def _dropped_arrow(capsys, argv, k):
+    """The document argv prints, without its arrow k."""
+    doc = json.loads(run(capsys, *argv)[1])
+    del doc["arrows"][k]
+    return doc
+
+
+_LOOP = {
+    "schema_version": 1,
+    "kind": "complex",
+    "sides": [],
+    "generators": ["a", "b"],
+    "arrows": [{"source": "a", "target": "b"}, {"source": "b", "target": "a"}],
+}
+
+
+@pytest.mark.parametrize(
+    "document, first_line",
+    [
+        (lambda capsys: _dropped_arrow(capsys, ["gen", "--n", "3"], 0), "a_y2 -> x2y2: r123*s23"),
+        (
+            lambda capsys: _dropped_arrow(capsys, ["pair", "--n", "3", "--right", "2"], 4),
+            "p2*x2_b -> q*x2y2: r23",
+        ),
+        (lambda capsys: _LOOP, "a -> a"),
+    ],
+    ids=["DD", "D", "complex"],
+)
+def test_reduce_refuses_a_structure_that_fails_its_equation(capsys, tmp_path, document, first_line):
+    # cancellation is a homotopy equivalence only where the structure
+    # equation holds: a model of a structure that fails it can pass check
+    path, out = tmp_path / "bad.json", tmp_path / "r.json"
+    path.write_text(json.dumps(document(capsys)))
+    code, stdout, _ = run(capsys, "check", "--in", str(path))
+    assert (code, stdout.splitlines()[0]) == (1, first_line)
+    assert run(capsys, "reduce", "--in", str(path), "--out", str(out)) == (
+        1,
+        "",
+        f"error: cannot reduce a structure that fails its structure equation: {first_line}\n",
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["gen", "pair", "reduce"])

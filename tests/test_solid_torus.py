@@ -1,6 +1,6 @@
 import pytest
 
-from bpc.algebra import mul_interval
+from bpc.algebra import chord_factorizations, mul_interval
 from bpc.solid_torus import (
     INFINITY,
     build_cfa,
@@ -102,23 +102,81 @@ def test_framed_counts_and_relation(m):
     assert check_a(M).ok
 
 
+def _spells(written, seq):
+    """Whether seq is the written chords, a starred chord, if any, read
+    some number of times."""
+    return seq in (written, unrolled(written, len(seq) - len(written) + 1))
+
+
 def _relation_residue(M, x, seq):
     """The generators left an odd number of times by the A-infinity
     relation on (x, seq), summed from M.operations: every split
     m(m(x, seq[:i]), seq[i:]) and every contraction of two adjacent
     chords whose product is a chord."""
-    table = {}
-    for source, chords, target in M.operations:
-        table.setdefault((source, chords), []).append(target)
+
+    def m(source, chords):
+        return {y for s, written, y in M.operations if s == source and _spells(written, chords)}
+
     odd = set()
     for cut in range(1, len(seq)):
-        for mid in table.get((x, seq[:cut]), ()):
-            odd ^= set(table.get((mid, seq[cut:]), ()))
+        for mid in m(x, seq[:cut]):
+            odd ^= m(mid, seq[cut:])
     for pos in range(len(seq) - 1):
         product = mul_interval(seq[pos], seq[pos + 1])
         if product is not None:
-            odd ^= set(table.get((x, seq[:pos] + (product,) + seq[pos + 2 :]), ()))
+            odd ^= m(x, seq[:pos] + (product,) + seq[pos + 2 :])
     return odd
+
+
+def _relation_violations(M):
+    """[(generator, sequence, residue)] over every sequence on which a term
+    of the A-infinity relation can be nonzero, with a nonzero residue.
+
+    These modules have no m_1, so a split term needs two operations,
+    x -> y on seq[:i] and y -> z on seq[i:], and a contraction term needs
+    seq to refine an operation by factoring one chord: the candidates are
+    the concatenations of two operations and the one-chord refinements,
+    a starred chord read 0 .. 4D + 3 times as in check_a's bound."""
+    bound = 4 * max((len(seq) for _, seq, _ in M.operations), default=0) + 3
+    readings = {}  # source -> {(chords as read, target)}
+    for x, written, y in M.operations:
+        readings.setdefault(x, set()).update((unrolled(written, j), y) for j in range(bound + 1))
+    candidates = set()
+    for x, spelled in readings.items():
+        for chords, y in spelled:
+            for pos, c in enumerate(chords):
+                for u, v in chord_factorizations(c):
+                    candidates.add((x, chords[:pos] + (u, v) + chords[pos + 1 :]))
+            candidates.update((x, chords + more) for more, _ in readings.get(y, ()))
+    return [(x, seq, odd) for x, seq in sorted(candidates) if (odd := _relation_residue(M, x, seq))]
+
+
+@pytest.mark.parametrize(
+    "slope",
+    [
+        INFINITY,
+        *[
+            pytest.param(m, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: framed modules"))
+            for m in range(1, 6)
+        ],
+    ],
+)
+def test_the_a_infinity_relation_holds_on_every_sequence_a_term_can_reach(slope):
+    """The exhaustive oracle check_a should become (ROADMAP item 1, step
+    1): build_cfa_framed(m) leaves (p1; 3, 2, 1, 2) -> p1 and (q; 2, 3,
+    2, 1) -> q at m = 1, sequences that refine no operation, and check_a
+    passes it."""
+    assert _relation_violations(build_cfa(slope)) == []
+
+
+def test_the_relation_oracle_reaches_a_looping_module():
+    # the corrupted loop of check_a's test: its residues lie on
+    # concatenations of two readings of the one operation
+    M = AModule((AGenerator("v", 1), AGenerator("w", 1)), frozenset({("w", ("3", "23*", "2"), "v")}))
+    violations = _relation_violations(M)
+    assert ("w", ("3", "2", "3", "2"), {"v"}) in violations
+    lines = {f"{x}: ({','.join(seq)}) -> {'+'.join(sorted(odd))}" for x, seq, odd in violations}
+    assert lines == set(check_a(M).lines)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: check_a misses this residue")
