@@ -28,7 +28,9 @@ from .structures import (
     DStructure,
     DDStructure,
     _arrows,
+    _numbered,
     _reject,
+    _sorted_rows,
 )
 
 SCHEMA_VERSION = 1
@@ -280,9 +282,7 @@ def _read(doc):
         return _module, (tuple(gens), ops)
     cls, idem_fields, label_fields = _DOCUMENTS[kind][2:]
     named = [g if type(g) is tuple else _generator(g, idem_fields, sides) for g in _array(doc, "generators")]
-    named.sort()
-    names, codes = tuple(name for name, _ in named), tuple(c for _, c in named)
-    index = {name: k for k, name in enumerate(names)}
+    names, codes, index = _numbered(named)
     rows, stray = [[] for _ in names], []
     for arrow in _array(doc, "arrows"):
         if type(arrow) is tuple:
@@ -298,9 +298,7 @@ def _read(doc):
     if stray:
         idems = cls._from_rows(names, codes, [()] * len(names), side).idems
         _reject(_arrows(names, rows, names).union(stray), sides, idems, idems, "arrow", "on arrow")
-    for row in rows:
-        row.sort()
-    return _from_view, (cls, names, codes, rows, side)
+    return _from_view, (cls, names, codes, _sorted_rows(rows), side)
 
 
 def _load(text, hook=None):

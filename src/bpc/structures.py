@@ -20,7 +20,8 @@ every arrow x -(label)-> y starting at x's unit and ending at y's.  Every
 internal producer hands it rows: the torus-link builders, the JSON
 parser, ``reduce``, the box products and the morphism calculus.  Only
 the public constructors, which take named generators and arrows by
-design, resolve names into rows (``_resolve``).  The
+design, resolve names into rows (``_resolve``).  Where a producer numbers
+names or sorts rows, ``_numbered`` and ``_sorted_rows`` do it.  The
 structure equation of a type-DD structure with both algebra
 differentials zero says that for every generator pair (x, z) the mod-2
 sum over two-step paths x -> y -> z of the label products (one table
@@ -208,6 +209,21 @@ def _misshapen(arrows, sides):
     return ValueError(f"arrow {min(bad, key=repr)!r} is not {_SHAPES[len(sides)]}") if bad else None
 
 
+def _numbered(named):
+    """(names, codes, {name: number}) of the (name, code) pairs named, in
+    any order: names sorted, numbers their positions."""
+    named.sort()
+    names = tuple(name for name, _ in named)
+    return names, tuple(code for _, code in named), {name: k for k, name in enumerate(names)}
+
+
+def _sorted_rows(rows):
+    """rows, each sorted in place into (label id, target number) order."""
+    for row in rows:
+        row.sort()
+    return rows
+
+
 def _resolve(arrows, index, target_index, sides):
     """[sorted [(label id, target number)] per source number] over the
     arrows (x, *label, y), one token per side in each label, x numbered
@@ -224,9 +240,7 @@ def _resolve(arrows, index, target_index, sides):
             steps[index[arrow[0]]].append((_LABEL_ID[arrow[1:-1]], target_index[arrow[-1]]))
     except KeyError:
         return None
-    for row in steps:
-        row.sort()
-    return steps
+    return _sorted_rows(steps)
 
 
 def _coherent(steps, source, target_codes):
@@ -604,8 +618,12 @@ def _line(x, label, z):
     return f"{x} -> {z}: {'*'.join(label)}" if label else f"{x} -> {z}"
 
 
-def _check(S):
-    """One line per arrow of the two-step path sum, sorted by (x, z, label)."""
+def check_dd(S) -> CheckReport:
+    """Verify the structure equation of a DD or D structure (the sum of
+    label products over two-step paths vanishes) or of a chain complex
+    (the boundary squares to zero): one line per arrow of the two-step
+    path sum, sorted by (x, z, label).  ``check_d`` and ``check_complex``
+    are this function."""
     names = S.names
     lines = tuple(
         _line(names[x], _LABELS[a], names[z])
@@ -615,14 +633,7 @@ def _check(S):
     return CheckReport(not lines, lines)
 
 
-def check_dd(S: DDStructure) -> CheckReport:
-    """Verify the quadratic structure equation of a type-DD structure."""
-    return _check(S)
-
-
-def check_d(S: DStructure) -> CheckReport:
-    """One-sided analogue of check_dd."""
-    return _check(S)
+check_d = check_complex = check_dd
 
 
 def _targets(M: AModule, x, seq):
@@ -637,16 +648,16 @@ def _targets(M: AModule, x, seq):
 
 
 def check_a(M: AModule) -> CheckReport:
-    """Test the A-infinity module relation on refined input sequences.
+    """Test the A-infinity module relation on every sequence where one of
+    its terms can be nonzero.
 
-    The sequences tested are those made from a table operation, a starred
-    chord read k = 0 .. K times, by factoring one composite chord into its
-    two pieces.  For every such (generator, sequence) the sum over splits
-    m(m(x, a_1..a_i), a_{i+1}..a_k) plus the sum over adjacent
-    contractions m(x, .., mu_2(a_i, a_{i+1}), ..) must vanish mod 2.  This
-    is not the full relation: every build_cfa_framed(m) leaves p1 at
-    (p_m; 3, 2, 1, 2), which refines no operation, and passes (ROADMAP
-    item 1).
+    For a (generator, sequence) the sum over splits m(m(x, a_1..a_i),
+    a_{i+1}..a_k) plus the sum over adjacent contractions m(x, ..,
+    mu_2(a_i, a_{i+1}), ..) must vanish mod 2.  These modules have no m_1,
+    so a split is nonzero only on a concatenation of two operation
+    readings x -> y -> z, and a contraction only on a reading with one
+    composite chord factored into its two pieces: those are the sequences
+    tested, a starred chord read k = 0 .. K times.
 
     K = 4D + 3, D the most chords an operation is written with.  A run
     of one chord c leads to ever deeper nodes or to a node that is its
@@ -654,20 +665,25 @@ def check_a(M: AModule) -> CheckReport:
     j.  Once j >= 2D the cuts inside the run add j - 2D + 1 equal terms
     and its contractions vanish (12 12 = 23 23 = 0), so the sum depends
     only on j's parity: up to 2D + 1 copies on either side of a factored
-    copy, k <= 4D + 3, cover every sequence.
+    copy, k <= 4D + 3, cover every refinement, and up to 2D + 1 copies in
+    each reading every concatenation.
     """
     occ = {g.name: g.occupancy for g in M.generators}
     bound = 4 * max((len(seq) for _, seq, _ in M.operations), default=0) + 3
-    candidates = set()
+    readings = {}  # source -> [(chords as read, target)]
     for op in M.operations:
         chords, star = _read(op, occ)
         unrolled = [chords] if star is None else [
             chords[:star] + chords[star : star + 1] * j + chords[star + 1 :] for j in range(bound + 1)
         ]
-        for chords in unrolled:
+        readings.setdefault(op[0], []).extend((read, op[2]) for read in unrolled)
+    candidates = set()
+    for x, spelled in readings.items():
+        for chords, y in spelled:
             for pos, c in enumerate(chords):
                 for u, v in chord_factorizations(c):
-                    candidates.add((op[0], chords[:pos] + (u, v) + chords[pos + 1 :]))
+                    candidates.add((x, chords[:pos] + (u, v) + chords[pos + 1 :]))
+            candidates.update((x, chords + more) for more, _ in readings.get(y, ()))
     lines = []
     for x, seq in sorted(candidates):
         parity = set()
@@ -683,11 +699,6 @@ def check_a(M: AModule) -> CheckReport:
         if odd:
             lines.append(f"{x}: ({','.join(seq)}) -> {'+'.join(odd)}")
     return CheckReport(not lines, tuple(lines))
-
-
-def check_complex(C: ChainComplexF2) -> CheckReport:
-    """Verify that the boundary squares to zero."""
-    return _check(C)
 
 
 # ---------------------------------------------------------------------------

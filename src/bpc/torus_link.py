@@ -11,7 +11,7 @@ Generator naming: "ab", "a_y4", "x2_b", "x3y5"; the simplified model
 prefixes every name with "u_".
 """
 
-from .structures import _DD_ID, DDMorphism, DDStructure
+from .structures import _DD_ID, DDMorphism, DDStructure, _numbered, _sorted_rows
 
 
 def _pair(row, label, xy, a, b):
@@ -122,21 +122,6 @@ def _full_families(n, ab, ay, xb, xy, rows):
 
     rows[ab].append((dd["r123"]["s123"], xy[1][1]))
     yield ("F14", "full diagram, ab -> r123 s123 x1y1", "three disk classes, odd total count", 1)
-
-
-def _numbered(named):
-    """(names, codes, {name: number}) of the (name, unit label id)
-    pairs named, in any order: names sorted, numbers their positions."""
-    named.sort()
-    names = tuple(name for name, _ in named)
-    return names, tuple(code for _, code in named), {name: k for k, name in enumerate(names)}
-
-
-def _sorted_rows(rows):
-    """rows, each sorted in place into (label id, target number) order."""
-    for row in rows:
-        row.sort()
-    return rows
 
 
 def build_cfdd_full(n: int) -> DDStructure:

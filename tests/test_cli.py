@@ -11,7 +11,7 @@ from bpc.serialize import from_json, to_json
 from bpc.solid_torus import build_cfa, build_cfa_framed, build_cfa_infinity
 from bpc.structures import ChainComplexF2
 from bpc.torus_link import build_cfdd_full, build_equivalence
-from test_solid_torus import truncated_infinity
+from test_solid_torus import relation_lines, truncated_infinity
 from test_structures import _without_first_arrow
 
 
@@ -512,8 +512,12 @@ def test_check_dispatches_on_kind(capsys, tmp_path):
     c_path.write_text(to_json(ChainComplexF2(("a", "b"), frozenset({("a", "b")}))))
     assert run(capsys, "check", "--in", str(c_path))[0] == 0
     a_path = tmp_path / "a.json"
+    a_path.write_text(to_json(build_cfa_infinity()))
+    assert run(capsys, "check", "--in", str(a_path)) == (0, "ok\n", "")
+    # a framed table breaks the A-infinity relation (ROADMAP item 1)
     a_path.write_text(to_json(build_cfa_framed(3)))
-    assert run(capsys, "check", "--in", str(a_path))[0] == 0
+    lines = relation_lines(build_cfa_framed(3))
+    assert run(capsys, "check", "--in", str(a_path)) == (1, "\n".join(lines) + "\n", "")
 
 
 def test_check_unknown_file(capsys, tmp_path):

@@ -22,7 +22,7 @@ from bpc.algebra import (
     token_right_idem,
 )
 from bpc.pairing import box_left, box_right
-from bpc.serialize import to_json
+from bpc.serialize import from_json, to_json
 from bpc.solid_torus import build_cfa, build_cfa_framed
 from bpc.structures import (
     AGenerator,
@@ -45,7 +45,7 @@ from bpc.structures import (
     reduce,
     verify_homotopy,
 )
-from bpc.structures import _KINDS, _LABELS
+from bpc.structures import _KINDS, _LABELS, _coherent
 from bpc.torus_link import build_cfdd_full, build_cfdd_simplified, build_equivalence
 
 
@@ -1529,6 +1529,52 @@ def _rows_results():
 def test_numbered_results_match_the_public_route():
     for S in _rows_results():
         _assert_routes_agree(S)
+
+
+def _producer_outputs():
+    """(label, view) of what every internal producer hands the internal
+    constructor: the torus-link builders, the box products, ``reduce`` in
+    the default and three seeded orders, the JSON reader on each of those
+    structures, and the equivalence maps and the morphism calculus."""
+    built = [(f"full n={n}", build_cfdd_full(n)) for n in range(1, 7)]
+    built += [(f"simplified n={n}", build_cfdd_simplified(n)) for n in range(2, 7)]
+    for n in range(1, 5):
+        S = build_cfdd_full(n)
+        for right in (1, 2, 3, 4, "inf"):
+            D = box_right(build_cfa(right), S)
+            built.append((f"box_right {right} n={n}", D))
+            built += [(f"box_left {left} {right} n={n}", box_left(build_cfa(left), D)) for left in (1, 2, 3, 4, "inf")]
+    for label, S in list(built):
+        built.append((f"reduce {label}", reduce(S)))
+        built += [(f"reduce seed {seed} {label}", reduce(S, random.Random(seed))) for seed in (1, 2, 3)]
+    built += [(f"from_json {label}", from_json(to_json(S))) for label, S in built]
+    for n in (3, 4, 5):
+        F, G, H = build_equivalence(n)
+        built += [(f"{tag} n={n}", h) for tag, h in zip("FGH", (F, G, H))]
+        built += [(f"d(F) n={n}", d_of_morphism(F)), (f"G o F n={n}", compose(G, F))]
+        built.append((f"identity n={n}", identity_morphism(F.source)))
+    return built
+
+
+def _increasing(items):
+    return all(a < b for a, b in zip(items, items[1:]))
+
+
+def test_every_producer_hands_the_constructor_sorted_coherent_rows():
+    """The internal constructor checks neither that names are sorted nor
+    that each row is sorted without repeats, and ``to_json`` and ``==``
+    rely on both (ROADMAP item 10).  Each view also satisfies its
+    equation: the structure equation, or d(d(h)) = 0 for a morphism h."""
+    faults = []
+    for label, X in _producer_outputs():
+        if isinstance(X, DDMorphism):
+            source, codes, holds = X.source, X.target.codes, d_of_morphism(d_of_morphism(X)).is_zero()
+        else:
+            source, codes, holds = X, X.codes, check_dd(X).ok
+        rows_sorted = all(map(_increasing, X.steps))
+        if not (_increasing(source.names) and rows_sorted and _coherent(X.steps, source, codes) and holds):
+            faults.append(label)
+    assert faults == []
 
 
 @PROPERTY_SETTINGS
