@@ -9,7 +9,7 @@ absence of a nonzero combination supported on provincial regions only.
 The boundary map from regions to curves is deliberately not modeled.
 """
 
-from dataclasses import dataclass
+from .structures import _Frozen
 
 
 def region_names(n: int):
@@ -23,19 +23,18 @@ def region_names(n: int):
     )
 
 
-@dataclass(frozen=True)
-class RegionVector:
+class RegionVector(_Frozen):
     """Integer coefficients over the regions of the n-th diagram."""
 
-    n: int
-    coeffs: tuple
+    _FIELDS = _STATE = ("n", "coeffs")
 
-    def __post_init__(self):
-        names = region_names(self.n)
-        if len(self.coeffs) != len(names):
+    def __init__(self, n: int, coeffs: tuple):
+        names = region_names(n)
+        if len(coeffs) != len(names):
             raise ValueError(f"expected {len(names)} coefficients")
-        if self.coeffs[0] != 0:
+        if coeffs[0] != 0:
             raise ValueError("the region holding the framed arc is never crossed")
+        self.__dict__.update(n=n, coeffs=coeffs)
 
     @classmethod
     def from_dict(cls, n: int, coeffs: dict) -> "RegionVector":

@@ -23,8 +23,6 @@ sorted and distinct (see ``_walk`` for the three reasons), so only a row
 that chord paths land in is summed mod 2 in a set and sorted again.
 """
 
-from dataclasses import dataclass
-
 from .algebra import _CHORD_INTERVAL, idem_token
 from .structures import (
     _BARE,
@@ -37,6 +35,7 @@ from .structures import (
     ChainComplexF2,
     DStructure,
     DDStructure,
+    _Frozen,
     check_complex,
 )
 
@@ -51,17 +50,16 @@ _STEP = tuple(
 DEFAULT_PATH_CAP = 64
 
 
-@dataclass(frozen=True)
-class PairingConfig:
+class PairingConfig(_Frozen):
     """Which algebra the module consumes.  ``path_cap`` is kept for callers
     that still pass it and is not read: ``_walk`` bounds every path."""
 
-    side: str = "right"
-    path_cap: int = DEFAULT_PATH_CAP
+    _FIELDS = _STATE = ("side", "path_cap")
 
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ValueError(f"unknown side {self.side!r}")
+    def __init__(self, side: str = "right", path_cap: int = DEFAULT_PATH_CAP):
+        if side not in ("left", "right"):
+            raise ValueError(f"unknown side {side!r}")
+        self.__dict__.update(side=side, path_cap=path_cap)
 
 
 def _products(A: AModule, S, consumed, side):

@@ -13,6 +13,8 @@ label order), ``codes`` (each generator's code: the id of the unit
 label that fixes it, (i_a, j_b) for DD, (i_a,) or (j_a,) for D and ()
 for a complex, so one numbering serves idempotents and labels) and a D
 structure's ``side``; a DD morphism stores source, target and steps.
+Generators, A-infinity modules and check reports store what they were
+built from (a module also its ``tree``); every class is a ``_Frozen``.
 ``generators``, ``arrows``, ``idems`` and ``index`` are derived on first
 read.  One internal constructor takes that view and checks it: distinct
 string names, a unit label over the structure's sides as each code, and
@@ -36,7 +38,6 @@ generator's sorted row.
 import bisect
 import random
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
 
@@ -58,12 +59,47 @@ from .algebra import (
 )
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class _Frozen:
+    """The one immutable base, for structures, morphisms, generators,
+    modules, reports and configs: state and cached values go straight into
+    __dict__.  A value class's ``__init__`` stores its ``_FIELDS``, which
+    are its ``_STATE``; a numbered kind's ``_from_rows(*view)`` stores the
+    view through ``_set``, which checks it.  Equality compares ``_STATE``
+    within one class, and the hash all but its last entry."""
+
+    @classmethod
+    def _from_rows(cls, *view):
+        self = object.__new__(cls)
+        self._set(*view)
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._STATE)
+
+    def __hash__(self):
+        return hash((type(self).__name__, *[getattr(self, f) for f in self._STATE[:-1]]))
+
+
+class CheckReport(_Frozen):
     """Outcome of a structure-equation check; one violation per line."""
 
-    ok: bool
-    lines: tuple = ()
+    _FIELDS = _STATE = ("ok", "lines")
+
+    def __init__(self, ok: bool, lines: tuple = ()):
+        self.__dict__.update(ok=ok, lines=lines)
 
     def __bool__(self):
         return self.ok
@@ -136,23 +172,25 @@ _ENDS = {
 # generators
 
 
-@dataclass(frozen=True)
-class DDGenerator:
-    name: str
-    left: int  # iota index, 1 or 2
-    right: int  # j index, 1 or 2
+class DDGenerator(_Frozen):
+    _FIELDS = _STATE = ("name", "left", "right")
+
+    def __init__(self, name: str, left: int, right: int):  # iota and j indices, 1 or 2
+        self.__dict__.update(name=name, left=left, right=right)
 
 
-@dataclass(frozen=True)
-class DGenerator:
-    name: str
-    idem: int
+class DGenerator(_Frozen):
+    _FIELDS = _STATE = ("name", "idem")
+
+    def __init__(self, name: str, idem: int):
+        self.__dict__.update(name=name, idem=idem)
 
 
-@dataclass(frozen=True)
-class AGenerator:
-    name: str
-    occupancy: int  # idempotent class this generator pairs with
+class AGenerator(_Frozen):
+    _FIELDS = _STATE = ("name", "occupancy")
+
+    def __init__(self, name: str, occupancy: int):  # the idempotent class it pairs with
+        self.__dict__.update(name=name, occupancy=occupancy)
 
 
 def _check_unique(names):
@@ -297,38 +335,6 @@ def _arrows(names, steps, target_names):
 
 # ---------------------------------------------------------------------------
 # structures and DD morphisms
-
-
-class _Frozen:
-    """Immutable: state and cached values go straight into __dict__.
-    ``_from_rows(*view)`` is the internal constructor: it stores the view
-    through ``_set``, which checks it.  Equality compares the ``_STATE``
-    attributes, and the hash all but the last (the steps)."""
-
-    @classmethod
-    def _from_rows(cls, *view):
-        self = object.__new__(cls)
-        self._set(*view)
-        return self
-
-    def __setattr__(self, name, value=None):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
-        return f"{type(self).__name__}({fields})"
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self._STATE)
-
-    def __hash__(self):
-        return hash((type(self).__name__, *[getattr(self, f) for f in self._STATE[:-1]]))
 
 
 class _Numbered(_Frozen):
@@ -480,8 +486,7 @@ def _node(children, chords):
     return node
 
 
-@dataclass(frozen=True)
-class AModule:
+class AModule(_Frozen):
     """Right A-infinity module given by a finite operation table.
 
     Operations are (source, chord sequence, target) with side-agnostic
@@ -500,13 +505,11 @@ class AModule:
     faulty table is sorted by repr to name its least faulty operation.
     """
 
-    generators: tuple
-    operations: frozenset
+    _FIELDS = _STATE = ("generators", "operations")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", _sorted(self.generators, _name))
-        object.__setattr__(self, "operations", frozenset(self.operations))
-        occ = {g.name: g.occupancy for g in self.generators}
+    def __init__(self, generators: tuple, operations: frozenset):
+        generators, operations = _sorted(generators, _name), frozenset(operations)
+        occ = {g.name: g.occupancy for g in generators}
         for name, k in occ.items():
             if type(k) is not int:  # True == 1 and 1.0 == 1 would pass the next check
                 raise ValueError(f"generator {name!r} has non-integer occupancy {k!r}")
@@ -515,7 +518,7 @@ class AModule:
                 raise _outside(name, k)
         tree = {name: {} for name in occ}
         faults, loops = {}, {}  # op -> message; (source, chords before a star) -> ops
-        for op in self.operations:
+        for op in operations:
             try:
                 chords, star = _read(op, occ)
             except ValueError as e:
@@ -528,14 +531,14 @@ class AModule:
                 node[1][chords[star]] = node
                 node = _node(node[1], chords[star + 1 :])
             node[0].append(tgt)
-        for op in self.operations.difference(faults) if loops else ():
+        for op in operations.difference(faults) if loops else ():
             for k in range(1, len(op[1]) + 1):
                 owners = loops.get((op[0], op[1][:k]), [op])
                 for o in [op, *owners] if owners != [op] else ():
                     faults[o] = f"operations share the chords before a star: {o}"
         if faults:
             raise ValueError(faults[min(faults, key=repr)])
-        object.__setattr__(self, "tree", tree)
+        self.__dict__.update(generators=generators, operations=operations, tree=tree)
 
 
 class DDMorphism(_Frozen):

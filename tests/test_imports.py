@@ -3,22 +3,27 @@ and each of its modules uses every name it imports."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "bpc"
 
 
-def _foreign(source):
-    """The top-level names of source's absolute imports that are neither
-    bpc nor a standard-library module, in order."""
+def _absolute(source):
+    """The top-level names of source's absolute imports, in order."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module)
-    tops = [name.partition(".")[0] for name in names]
-    return [top for top in tops if top != "bpc" and top not in sys.stdlib_module_names]
+    return [name.partition(".")[0] for name in names]
+
+
+def _foreign(source):
+    """The top-level names of source's absolute imports that are neither
+    bpc nor a standard-library module, in order."""
+    return [top for top in _absolute(source) if top != "bpc" and top not in sys.stdlib_module_names]
 
 
 def test_the_check_names_third_party_imports():
@@ -30,6 +35,32 @@ def test_src_imports_only_the_standard_library():
     files = sorted(SRC.glob("*.py"))
     assert files
     assert {f.name: _foreign(f.read_text(encoding="utf-8")) for f in files} == {f.name: [] for f in files}
+
+
+def test_src_does_not_import_dataclasses():
+    """A dataclass generates and compiles its methods when its module is
+    imported, and ``dataclasses`` loads ``inspect`` (and with it ``ast``,
+    ``dis`` and ``tokenize``): start-up that every command pays.  Value
+    classes subclass ``structures._Frozen`` instead."""
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert [f.name for f in files if "dataclasses" in _absolute(f.read_text(encoding="utf-8"))] == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Under ``python -S`` (no site hooks), importing bpc.cli adds neither
+    module to those its own other standard-library imports load, so a
+    Python whose standard library loads inspect by itself does not fail."""
+    tops = {top for f in SRC.glob("*.py") for top in _absolute(f.read_text(encoding="utf-8"))}
+    stdlib = sorted(tops - {"bpc", "dataclasses", "inspect"})
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r})\n"
+        f"for name in {stdlib!r}: __import__(name)\n"
+        "before = set(sys.modules); import bpc.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def _unused(source):

@@ -1,6 +1,7 @@
-import dataclasses
+import copy
 import itertools
 import json
+import pickle
 import random
 import os
 import re
@@ -21,9 +22,10 @@ from bpc.algebra import (
     token_left_idem,
     token_right_idem,
 )
-from bpc.pairing import box_left, box_right
+from bpc.diagram import RegionVector
+from bpc.pairing import DEFAULT_PATH_CAP, PairingConfig, box_left, box_right
 from bpc.serialize import from_json, to_json
-from bpc.solid_torus import build_cfa, build_cfa_framed
+from bpc.solid_torus import build_cfa, build_cfa_framed, build_cfa_infinity
 from bpc.structures import (
     AGenerator,
     AModule,
@@ -807,9 +809,10 @@ def _renamed(S, rng):
     new = dict(zip(names, fresh))
     if isinstance(S, ChainComplexF2):
         return ChainComplexF2(tuple(fresh), frozenset((new[s], new[t]) for s, t in S.arrows))
-    gens = tuple(dataclasses.replace(g, name=new[g.name]) for g in S.generators)
     if isinstance(S, DStructure):
+        gens = tuple(DGenerator(new[g.name], g.idem) for g in S.generators)
         return DStructure(S.side, gens, frozenset((new[s], l, new[t]) for s, l, t in S.arrows))
+    gens = tuple(DDGenerator(new[g.name], g.left, g.right) for g in S.generators)
     return DDStructure(gens, frozenset((new[s], l, r, new[t]) for s, l, r, t in S.arrows))
 
 
@@ -1718,14 +1721,88 @@ def test_numbered_results_derive_generators_and_arrows_on_first_read():
 
 def test_structures_are_immutable():
     S = build_cfdd_full(2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field 'names'"):
         S.names = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field 'steps'"):
         del S.steps
     assert repr(two_generator_dd(())) == (
         "DDStructure(generators=(DDGenerator(name='ab', left=1, right=1),"
         " DDGenerator(name='x1y1', left=2, right=2)), arrows=frozenset())"
     )
+
+
+# the value classes: (an instance, the same built by keyword, its repr)
+VALUE_CLASSES = {
+    "CheckReport": (
+        CheckReport(False, ("x -> y",)),
+        lambda: CheckReport(ok=False, lines=("x -> y",)),
+        "CheckReport(ok=False, lines=('x -> y',))",
+    ),
+    "DDGenerator": (
+        DDGenerator("x", 1, 2),
+        lambda: DDGenerator(name="x", left=1, right=2),
+        "DDGenerator(name='x', left=1, right=2)",
+    ),
+    "DGenerator": (DGenerator("a", 1), lambda: DGenerator(name="a", idem=1), "DGenerator(name='a', idem=1)"),
+    "AGenerator": (
+        AGenerator("a", 1),
+        lambda: AGenerator(name="a", occupancy=1),
+        "AGenerator(name='a', occupancy=1)",
+    ),
+    "AModule": (
+        build_cfa_infinity(),
+        lambda: AModule(
+            generators=(AGenerator("w", 1),), operations=frozenset({("w", ("3", "23*", "2"), "w")})
+        ),
+        "AModule(generators=(AGenerator(name='w', occupancy=1),),"
+        " operations=frozenset({('w', ('3', '23*', '2'), 'w')}))",
+    ),
+    "PairingConfig": (
+        PairingConfig("left", 8),
+        lambda: PairingConfig(side="left", path_cap=8),
+        "PairingConfig(side='left', path_cap=8)",
+    ),
+    "RegionVector": (
+        RegionVector(1, (0, 1, 2, 3, 4, 5)),
+        lambda: RegionVector(n=1, coeffs=(0, 1, 2, 3, 4, 5)),
+        "RegionVector(n=1, coeffs=(0, 1, 2, 3, 4, 5))",
+    ),
+}
+
+
+@pytest.mark.parametrize("value, fresh, text", VALUE_CLASSES.values(), ids=VALUE_CLASSES)
+def test_value_classes_keep_their_public_behaviour(value, fresh, text):
+    """repr, equality within one class, hashing, immutability, keyword
+    construction, pickling and deep copies."""
+    assert repr(value) == text
+    assert value == fresh() and hash(value) == hash(fresh())
+    twin = object.__new__(type("Twin", (type(value),), {}))
+    vars(twin).update(vars(value))
+    assert value != twin and twin != value
+    field = text.partition("(")[2].partition("=")[0]
+    with pytest.raises(AttributeError, match=f"field '{field}'"):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError, match=f"field '{field}'"):
+        delattr(value, field)
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert copied == value and repr(copied) == text and type(copied) is type(value)
+        assert vars(copied).keys() == vars(value).keys()
+
+
+def test_value_classes_compare_by_class_and_keep_their_defaults():
+    assert DGenerator("a", 1) != AGenerator("a", 1)
+    assert CheckReport(True).lines == ()
+    assert PairingConfig() == PairingConfig("right", DEFAULT_PATH_CAP)
+
+
+def test_a_module_copy_keeps_its_tree_and_its_loops():
+    A = build_cfa_infinity()
+    node = A.tree["w"]["3"]
+    assert node[1]["23"] is node
+    for B in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A)):
+        assert B.tree is not A.tree and repr(B.tree) == repr(A.tree)
+        assert B.tree["w"]["3"][1]["23"] is B.tree["w"]["3"]
+        assert to_json(box_right(B, build_cfdd_full(3))) == to_json(box_right(A, build_cfdd_full(3)))
 
 
 # public constructions with several faults, and the message naming the
